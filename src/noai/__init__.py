@@ -18,14 +18,11 @@ __version__ = "0.1.0"
 from .engine import (
     AggregationResult,
     Aggregator,
-    aggregate,
     build_indicator_table,
-    field_fractions,
     fraction_entries,
     noai,
     normalized_share,
     oa_share,
-    type_breakdown,
     yearly_series,
 )
 from .errors import NoaiError
@@ -67,9 +64,7 @@ __all__ = [
     "NoaiError",
     "OAStatus",
     "PublicationRecord",
-    "aggregate",
     "build_indicator_table",
-    "field_fractions",
     "fraction_entries",
     "load_actor_registry",
     "load_corpus",
@@ -78,7 +73,6 @@ __all__ = [
     "normalized_share",
     "oa_share",
     "resolve_status",
-    "type_breakdown",
     "validate_corpus",
     "write_corpus",
     "yearly_series",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -301,13 +302,12 @@ def _aggregate_table(args: argparse.Namespace, levels: tuple[Level, ...]):
     reader = CorpusReader(args.corpus, registry=registry,
                           options=_ingest_options(args))
     agg = Aggregator(registry, levels, ActorKind(args.actor_kind),
-                     window=args.window, priority=args.priority)
+                     priority=args.priority)
     agg.add_all(reader)
-    results = agg.finish()
-    if results[levels[0]].n_records == 0:
+    if reader.stats.records_accepted == 0:
         raise EmptyWindow("no records in window")
-    table = build_indicator_table(results, actors_meta, base_level=levels[0])
-    return table, reader.stats
+    table = build_indicator_table(agg.finish(), actors_meta)
+    return dataclasses.replace(table, window=args.window), reader.stats
 
 
 def _apply_row_filters(args: argparse.Namespace,
@@ -460,10 +460,11 @@ def cmd_series(args: argparse.Namespace) -> int:
     registry = load_registry(args.registry)
     reader = CorpusReader(args.corpus, registry=registry,
                           options=_ingest_options(args))
-    rows = yearly_series(reader, registry, level, window=None,
-                         priority=args.priority)
-    if not rows:
+    agg = Aggregator(registry, (level,), priority=args.priority)
+    agg.add_all(reader)
+    if reader.stats.records_accepted == 0:
         raise EmptyWindow("no records in window")
+    rows = yearly_series(agg.finish()[level])
     _print_stats(reader.stats)
 
     fields = sorted(set().union(*(r.field_shares.keys() for r in rows)))

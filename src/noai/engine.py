@@ -11,18 +11,22 @@ Second, the normalized shares are averaged over fields, weighted by the
 actor's fractional publication counts, giving one indicator per actor
 (NOAI). A value of 1.0 means world-typical openness for the actor's mix.
 
-All accumulation uses Kahan compensated summation so results at corpus
-scale stay within a 1e-9 tolerance budget and are permutation-stable to
-well below 1e-12.
+Every number is a projection of one exact integer tally of records by
+(actor, category, k, status), by (year, category, k, status) for the world
+and by (actor, status). With L the lcm of the k seen, n records under k
+weigh n * (L // k) units of 1/L, so every cell and baseline is an integer
+over L and no result depends on record order. Floats appear only as the
+correctly rounded value of an exact quotient.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import EmptyWindow, UndefinedIndicator, UndefinedShare, UnknownCategory
+from .errors import UndefinedIndicator, UndefinedShare, UnknownCategory
 from .model import (
     ActorFieldAggregate,
     ActorKind,
@@ -39,42 +43,9 @@ from .model import (
 
 _OA_TYPES = (OAStatus.GOLD, OAStatus.BRONZE, OAStatus.GREEN)
 
-# Accumulator cell layout: value/compensation pairs for publication count,
-# OA count and the three OA types.
-_X, _OA, _GOLD, _BRONZE, _GREEN = 0, 2, 4, 6, 8
-_TYPE_SLOT = {OAStatus.GOLD: _GOLD, OAStatus.BRONZE: _BRONZE, OAStatus.GREEN: _GREEN}
-_CELL_LEN = 10
-
-
-def _kahan_add(cell: list, i: int, value: float) -> None:
-    s = cell[i]
-    y = value - cell[i + 1]
-    t = s + y
-    cell[i + 1] = (t - s) - y
-    cell[i] = t
-
-
-class _KahanSum:
-    __slots__ = ("s", "c")
-
-    def __init__(self):
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, value: float) -> None:
-        y = value - self.c
-        t = self.s + y
-        self.c = (t - self.s) - y
-        self.s = t
-
-
-@dataclass(frozen=True, slots=True)
-class FractionVector:
-    """Per-publication field weights at one level; weights sum to 1."""
-
-    publication_id: str
-    level: Level
-    entries: Mapping[str, float]
+# Position of each status in a counts tuple; see model._ExactCounts.
+_SLOT = {status: i for i, status in enumerate(OAStatus)}
+_CLOSED = _SLOT[OAStatus.CLOSED]
 
 
 def fraction_entries(
@@ -87,48 +58,25 @@ def fraction_entries(
     Each of the k distinct categories carries 1/k; at coarser levels a field's
     weight is (categories mapping to it)/k, never re-fractionated.
     """
-    k = len(categories)
-    if level is Level.SUBJECT_CATEGORY:
-        w = 1.0 / k
-        return {c: w for c in categories}
-    counts: dict[str, int] = {}
-    for category in categories:
-        mapped = registry.categories.get(category)
-        if mapped is None:
-            raise UnknownCategory(f"subject category {category!r} not in registry")
-        f = mapped[0] if level is Level.OST_DISCIPLINE else mapped[1]
-        counts[f] = counts.get(f, 0) + 1
-    return {f: n / k for f, n in counts.items()}
-
-
-def field_fractions(
-    record: PublicationRecord, registry: ClassificationRegistry, level: Level
-) -> FractionVector:
-    return FractionVector(
-        publication_id=record.id,
-        level=level,
-        entries=fraction_entries(record.subject_categories, registry, level),
-    )
-
-
-@dataclass(frozen=True)
-class WholeCounts:
-    pubs: int
-    oa: int
+    counts = Counter(registry.classify(c, level) for c in categories)
+    return {f: n / len(categories) for f, n in counts.items()}
 
 
 @dataclass(frozen=True)
 class AggregationResult:
-    """Everything one pass over a corpus produces at one level."""
+    """One level's projection of an Aggregator tally.
+
+    whole_counts holds each actor's records by resolved status, in the slot
+    order of the counts tuples, every record counted once; years holds the
+    world baselines of each publication year.
+    """
 
     level: Level
     actor_kind: ActorKind
-    window: tuple[int, int] | None
     cells: Mapping[tuple[str, str], ActorFieldAggregate]
     baselines: Mapping[str, WorldBaseline]
-    whole_counts: Mapping[str, WholeCounts]
-    world_whole: WholeCounts
-    n_records: int
+    years: Mapping[int, Mapping[str, WorldBaseline]]
+    whole_counts: Mapping[str, tuple[int, int, int, int]]
 
     def actors(self) -> frozenset[str]:
         return frozenset(self.whole_counts)
@@ -140,12 +88,38 @@ class AggregationResult:
         return grouped
 
 
-class Aggregator:
-    """Streaming single-pass accumulator, optionally at several levels at once.
+def _weigh(tally: Counter, weight: Mapping[int, int]) -> dict:
+    """(owner, category, k, status) -> n as (owner, category) -> counts over the unit."""
+    out: dict = {}
+    for (owner, category, k, status), n in tally.items():
+        acc = out.get((owner, category))
+        if acc is None:
+            acc = out[owner, category] = [0, 0, 0, 0]
+        acc[_SLOT[status]] += n * weight[k]
+    return out
 
-    Feed records with add(); finish() freezes the per-level results. The world
-    baseline takes every in-window record exactly once, whether or not any
-    actor of the requested kind appears on it.
+
+def _regroup(counts: Mapping, key: Callable) -> dict:
+    """Add up the counts of all entries whose keys map to the same new key."""
+    out: dict = {}
+    for old, c in counts.items():
+        new = key(old)
+        acc = out.get(new)
+        if acc is None:
+            out[new] = list(c)
+        else:
+            for i, n in enumerate(c):
+                acc[i] += n
+    return out
+
+
+class Aggregator:
+    """Streaming single-pass tally, projected onto one or more levels at once.
+
+    Feed records with add(); finish() derives the per-level results. The world
+    baseline takes every record exactly once, whether or not any actor of the
+    requested kind appears on it. Records are counted as given: year windows
+    and other perimeter filters belong to the reader.
     """
 
     def __init__(
@@ -153,165 +127,90 @@ class Aggregator:
         registry: ClassificationRegistry,
         levels: Sequence[Level],
         actor_kind: ActorKind = ActorKind.COUNTRY,
-        window: tuple[int, int] | None = None,
         priority: tuple[OAStatus, ...] = DEFAULT_PRIORITY,
     ):
         self._registry = registry
         self._levels = tuple(levels)
         self._actor_kind = actor_kind
-        self._window = window
         self._priority = priority
-        self._cells = {level: {} for level in self._levels}
-        self._world = {level: {} for level in self._levels}
-        self._fractions = {level: {} for level in self._levels}
-        self._whole_pubs: dict[str, int] = {}
-        self._whole_oa: dict[str, int] = {}
-        self._world_pubs = 0
-        self._world_oa = 0
-        self.n_records = 0
+        self._actors: Counter = Counter()
+        self._world: Counter = Counter()
+        self._whole: Counter = Counter()
 
-    def add(self, record: PublicationRecord) -> bool:
-        """Accumulate one record; returns False when it falls outside the window."""
-        window = self._window
-        if window is not None and not (window[0] <= record.year <= window[1]):
-            return False
-        self.n_records += 1
-
+    def add(self, record: PublicationRecord) -> None:
         # Resolve multi-status once per record: one OA type everywhere.
         status = OAStatus.CLOSED
-        raw = record.raw_statuses
-        if raw:
-            for candidate in self._priority:
-                if candidate in raw:
-                    status = candidate
-                    break
-        is_oa = status is not OAStatus.CLOSED
-        type_slot = _TYPE_SLOT[status] if is_oa else 0
-
+        for candidate in self._priority:
+            if candidate in record.raw_statuses:
+                status = candidate
+                break
         actors = (
             record.countries
             if self._actor_kind is ActorKind.COUNTRY
             else record.institutions
         )
-        self._world_pubs += 1
-        if is_oa:
-            self._world_oa += 1
-        whole_pubs = self._whole_pubs
-        for actor in actors:
-            whole_pubs[actor] = whole_pubs.get(actor, 0) + 1
-        if is_oa:
-            whole_oa = self._whole_oa
-            for actor in actors:
-                whole_oa[actor] = whole_oa.get(actor, 0) + 1
-
         categories = record.subject_categories
-        for level in self._levels:
-            cache = self._fractions[level]
-            entries = cache.get(categories)
-            if entries is None:
-                entries = fraction_entries(categories, self._registry, level)
-                cache[categories] = entries
-            world = self._world[level]
-            cells = self._cells[level]
-            for f, w in entries.items():
-                wcell = world.get(f)
-                if wcell is None:
-                    wcell = world[f] = [0.0] * _CELL_LEN
-                _kahan_add(wcell, _X, w)
-                if is_oa:
-                    _kahan_add(wcell, _OA, w)
-                    _kahan_add(wcell, type_slot, w)
-                for actor in actors:
-                    cell = cells.get((actor, f))
-                    if cell is None:
-                        cell = cells[(actor, f)] = [0.0] * _CELL_LEN
-                    _kahan_add(cell, _X, w)
-                    if is_oa:
-                        _kahan_add(cell, _OA, w)
-                        _kahan_add(cell, type_slot, w)
-        return True
+        k = len(categories)
+        for category in categories:
+            self._world[record.year, category, k, status] += 1
+            for actor in actors:
+                self._actors[actor, category, k, status] += 1
+        for actor in actors:
+            self._whole[actor, status] += 1
 
-    def add_all(self, corpus: Iterable[PublicationRecord]) -> int:
-        n = 0
+    def add_all(self, corpus: Iterable[PublicationRecord]) -> None:
         for record in corpus:
-            if self.add(record):
-                n += 1
-        return n
-
-    @staticmethod
-    def _by_type(cell: list) -> dict[OAStatus, float]:
-        return {
-            OAStatus.GOLD: cell[_GOLD],
-            OAStatus.BRONZE: cell[_BRONZE],
-            OAStatus.GREEN: cell[_GREEN],
-        }
+            self.add(record)
 
     def finish(self) -> dict[Level, AggregationResult]:
-        whole = {
-            actor: WholeCounts(pubs=n, oa=self._whole_oa.get(actor, 0))
-            for actor, n in self._whole_pubs.items()
-        }
-        world_whole = WholeCounts(pubs=self._world_pubs, oa=self._world_oa)
+        ks = {k for _, _, k, _ in self._world}
+        unit = math.lcm(*ks)
+        weight = {k: unit // k for k in ks}
+        by_category = _weigh(self._actors, weight)
+        world_by_category = _weigh(self._world, weight)
+        whole: dict[str, list[int]] = {}
+        for (actor, status), n in self._whole.items():
+            whole.setdefault(actor, [0, 0, 0, 0])[_SLOT[status]] += n
+        whole_counts = {actor: tuple(c) for actor, c in whole.items()}
+
         results = {}
         for level in self._levels:
-            cells = {
-                key: ActorFieldAggregate(
-                    actor=key[0],
-                    field=key[1],
-                    level=level,
-                    pub_count=cell[_X],
-                    oa_count=cell[_OA],
-                    oa_by_type=self._by_type(cell),
-                )
-                for key, cell in self._cells[level].items()
-            }
-            baselines = {
-                f: WorldBaseline(
-                    field=f,
-                    level=level,
-                    pub_count=cell[_X],
-                    oa_count=cell[_OA],
-                    oa_by_type=self._by_type(cell),
-                )
-                for f, cell in self._world[level].items()
-            }
+            fields = self._registry.field_map(level)
+            if fields is None:
+                cells, world = by_category, world_by_category
+            else:
+                unknown = {c for _, c in world_by_category} - fields.keys()
+                if unknown:
+                    raise UnknownCategory(
+                        f"subject categories {sorted(unknown)} not in registry")
+                cells = _regroup(by_category, lambda key: (key[0], fields[key[1]]))
+                world = _regroup(world_by_category, lambda key: (key[0], fields[key[1]]))
+            years: dict[int, dict[str, WorldBaseline]] = {}
+            for (year, f), c in world.items():
+                years.setdefault(year, {})[f] = WorldBaseline(f, level, tuple(c), unit)
             results[level] = AggregationResult(
                 level=level,
                 actor_kind=self._actor_kind,
-                window=self._window,
-                cells=cells,
-                baselines=baselines,
-                whole_counts=whole,
-                world_whole=world_whole,
-                n_records=self.n_records,
+                cells={
+                    key: ActorFieldAggregate(key[0], key[1], level, tuple(c), unit)
+                    for key, c in cells.items()
+                },
+                baselines={
+                    f: WorldBaseline(f, level, tuple(c), unit)
+                    for f, c in _regroup(world, lambda key: key[1]).items()
+                },
+                years=years,
+                whole_counts=whole_counts,
             )
         return results
 
 
-def aggregate(
-    corpus: Iterable[PublicationRecord],
-    registry: ClassificationRegistry,
-    level: Level,
-    actor_kind: ActorKind = ActorKind.COUNTRY,
-    window: tuple[int, int] | None = None,
-    priority: tuple[OAStatus, ...] = DEFAULT_PRIORITY,
-    strict: bool = False,
-) -> AggregationResult:
-    """One pass over the corpus at one level; see Aggregator for multi-level runs."""
-    agg = Aggregator(registry, [level], actor_kind, window, priority)
-    agg.add_all(corpus)
-    if agg.n_records == 0:
-        if strict:
-            raise EmptyWindow(f"no records in window {window}")
-        warnings.warn(f"no records in window {window}; empty aggregates", RuntimeWarning)
-    return agg.finish()[level]
-
-
 def oa_share(agg) -> float:
     """Percent of an aggregate's (fractional) publications that are OA."""
-    if agg.pub_count == 0:
+    x = sum(agg.counts)
+    if x == 0:
         raise UndefinedShare(f"no publications for {agg!r}")
-    return 100.0 * agg.oa_count / agg.pub_count
+    return 100 * (x - agg.counts[_CLOSED]) / x
 
 
 @dataclass(frozen=True, slots=True)
@@ -336,10 +235,10 @@ def normalized_share(agg: ActorFieldAggregate, baseline: WorldBaseline) -> Norma
             f"aggregate {agg.actor}/{agg.field} and baseline {baseline.field} disagree"
         )
     world = baseline.oa_share
-    if agg.pub_count == 0 or world is None or world == 0:
+    if not any(agg.counts) or not world:
         return NormalizedShare(agg.actor, agg.field, agg.level, None)
     return NormalizedShare(
-        agg.actor, agg.field, agg.level, (agg.oa_count / agg.pub_count) / world
+        agg.actor, agg.field, agg.level, float(agg.oa_count / agg.pub_count / world)
     )
 
 
@@ -352,53 +251,27 @@ def noai(
     Weights are the fractional publication counts; the denominator sums only
     over fields whose normalized share is defined, so the result stays a true
     weighted average of the terms present.
+
+    A field's term share * x is oa * X / OA (actor counts in lower case, world
+    counts in upper case), so with D the lcm of the world OA counts the mean
+    is one quotient of integers, rounded once. The aggregates must share one
+    unit, as the cells of one AggregationResult do.
     """
-    num = _KahanSum()
-    den = _KahanSum()
+    terms = []
     for agg in aggregates:
-        if agg.pub_count == 0:
-            continue
         baseline = baselines.get(agg.field)
-        world = baseline.oa_share if baseline is not None else None
-        if world is None or world == 0:
+        if baseline is None:
             continue
-        share = (agg.oa_count / agg.pub_count) / world
-        num.add(share * agg.pub_count)
-        den.add(agg.pub_count)
-    if den.s == 0:
+        x = sum(agg.counts)
+        world_x = sum(baseline.counts)
+        world_oa = world_x - baseline.counts[_CLOSED]
+        if x and world_oa:
+            terms.append((x - agg.counts[_CLOSED], x, world_x, world_oa))
+    if not terms:
         raise UndefinedIndicator("no field with a defined normalized share")
-    return num.s / den.s
-
-
-def _actor_totals(cells: Iterable[ActorFieldAggregate]):
-    x = _KahanSum()
-    oa = _KahanSum()
-    by_type = {t: _KahanSum() for t in _OA_TYPES}
-    for agg in cells:
-        x.add(agg.pub_count)
-        oa.add(agg.oa_count)
-        for t in _OA_TYPES:
-            by_type[t].add(agg.oa_by_type[t])
-    return x.s, oa.s, {t: s.s for t, s in by_type.items()}
-
-
-def type_breakdown(
-    corpus: Iterable[PublicationRecord],
-    registry: ClassificationRegistry,
-    level: Level,
-    actor_kind: ActorKind = ActorKind.COUNTRY,
-    window: tuple[int, int] | None = None,
-    priority: tuple[OAStatus, ...] = DEFAULT_PRIORITY,
-) -> dict[str, dict[OAStatus, float]]:
-    """Per-actor OA percentages by type; the three sum to the total OA share."""
-    result = aggregate(corpus, registry, level, actor_kind, window, priority)
-    breakdown = {}
-    for actor, cells in result.cells_by_actor().items():
-        x, _, by_type = _actor_totals(cells)
-        if x == 0:
-            raise UndefinedShare(f"no publications for actor {actor!r}")
-        breakdown[actor] = {t: 100.0 * v / x for t, v in by_type.items()}
-    return breakdown
+    d = math.lcm(*(world_oa for _, _, _, world_oa in terms))
+    num = sum(oa * world_x * (d // world_oa) for oa, _, world_x, world_oa in terms)
+    return num / (d * sum(x for _, x, _, _ in terms))
 
 
 @dataclass(frozen=True)
@@ -406,57 +279,23 @@ class YearRow:
     """World totals for one year: overall, per-type and per-field OA percents."""
 
     year: int
-    n_records: int
     total_share: float
     type_shares: Mapping[OAStatus, float]
     field_shares: Mapping[str, float]
 
 
-def yearly_series(
-    corpus: Iterable[PublicationRecord],
-    registry: ClassificationRegistry,
-    level: Level,
-    window: tuple[int, int] | None = None,
-    priority: tuple[OAStatus, ...] = DEFAULT_PRIORITY,
-) -> list[YearRow]:
-    """World OA share per year, by type and by field; empty years are omitted."""
-    per_year: dict[int, Aggregator] = {}
-    counts: dict[int, int] = {}
-    for record in corpus:
-        if window is not None and not (window[0] <= record.year <= window[1]):
-            continue
-        agg = per_year.get(record.year)
-        if agg is None:
-            agg = per_year[record.year] = Aggregator(
-                registry, [level], ActorKind.COUNTRY, None, priority
-            )
-            counts[record.year] = 0
-        agg.add(record)
-        counts[record.year] += 1
+def yearly_series(result: AggregationResult) -> list[YearRow]:
+    """World OA share per year, by type and by field at the result's level."""
     rows = []
-    for year in sorted(per_year):
-        result = per_year[year].finish()[level]
-        n = counts[year]
-        total_x = _KahanSum()
-        total_oa = _KahanSum()
-        by_type = {t: _KahanSum() for t in _OA_TYPES}
-        field_shares = {}
-        for f, baseline in result.baselines.items():
-            total_x.add(baseline.pub_count)
-            total_oa.add(baseline.oa_count)
-            for t in _OA_TYPES:
-                by_type[t].add(baseline.oa_by_type[t])
-            if baseline.pub_count > 0:
-                field_shares[f] = 100.0 * baseline.oa_count / baseline.pub_count
-        if total_x.s == 0:
-            continue
+    for year, baselines in sorted(result.years.items()):
+        total = [sum(c) for c in zip(*(b.counts for b in baselines.values()))]
+        x = sum(total)
         rows.append(
             YearRow(
                 year=year,
-                n_records=n,
-                total_share=100.0 * total_oa.s / total_x.s,
-                type_shares={t: 100.0 * s.s / total_x.s for t, s in by_type.items()},
-                field_shares=field_shares,
+                total_share=100 * (x - total[_CLOSED]) / x,
+                type_shares={t: 100 * total[_SLOT[t]] / x for t in _OA_TYPES},
+                field_shares={f: oa_share(b) for f, b in baselines.items()},
             )
         )
     return rows
@@ -465,55 +304,48 @@ def yearly_series(
 def build_indicator_table(
     results: Mapping[Level, AggregationResult],
     actors_meta: Mapping[str, Actor] | None = None,
-    base_level: Level | None = None,
 ) -> IndicatorTable:
-    """Assemble the per-actor indicator table from one or more level results.
+    """Assemble the per-actor indicator table from the level results of one pass.
 
-    x_total and the share columns come from the base level (the first one by
-    default); the per-level results must stem from the same pass or at least
-    the same filtered corpus.
+    A record's category fractions sum to one, so an actor's fractional output
+    and its OA and OA-type counts equal its whole counts at every level; only
+    the NOAI depends on the level. The table's window is left unset: the
+    caller knows which filter the corpus went through.
     """
     if not results:
         raise ValueError("no aggregation results")
     levels = tuple(results)
-    if base_level is None:
-        base_level = levels[0]
-    base = results[base_level]
-    grouped = {level: results[level].cells_by_actor() for level in levels}
+    first = results[levels[0]]
+    grouped = {level: result.cells_by_actor() for level, result in results.items()}
     rows = []
-    for actor in sorted(base.actors()):
-        cells = grouped[base_level].get(actor, [])
-        x_total, oa_total, by_type = _actor_totals(cells)
-        if x_total == 0:
-            continue
+    for actor, counts in first.whole_counts.items():
+        pubs = sum(counts)
+        n_oa = pubs - counts[_CLOSED]
         noai_values: dict[Level, float | None] = {}
-        for level in levels:
+        for level, result in results.items():
             try:
-                noai_values[level] = noai(
-                    grouped[level].get(actor, []), results[level].baselines
-                )
+                noai_values[level] = noai(grouped[level][actor], result.baselines)
             except UndefinedIndicator:
                 noai_values[level] = None
-        whole = base.whole_counts[actor]
         meta = actors_meta.get(actor) if actors_meta else None
         rows.append(
             IndicatorRow(
                 actor=actor,
                 display_name=meta.display_name if meta else actor,
-                kind=base.actor_kind,
+                kind=first.actor_kind,
                 group=meta.group if meta else None,
-                x_total=x_total,
-                oa_share=100.0 * oa_total / x_total,
+                x_total=float(pubs),
+                oa_share=100 * n_oa / pubs,
                 noai=noai_values,
-                oa_type_shares={t: 100.0 * v / x_total for t, v in by_type.items()},
-                n_oa_whole=whole.oa,
-                n_pubs_whole=whole.pubs,
+                oa_type_shares={t: 100 * counts[_SLOT[t]] / pubs for t in _OA_TYPES},
+                n_oa_whole=n_oa,
+                n_pubs_whole=pubs,
             )
         )
     rows.sort(key=lambda r: (-r.x_total, r.actor))
     return IndicatorTable(
-        actor_kind=base.actor_kind,
-        window=base.window,
+        actor_kind=first.actor_kind,
+        window=None,
         levels=levels,
         rows=tuple(rows),
     )

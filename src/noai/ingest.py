@@ -7,7 +7,8 @@ The corpus wire format is UTF-8 JSON Lines, one publication per line:
 
 `id`, `year`, `doc_type` and `categories` are required; `oa`, `countries` and
 `institutions` default to empty and `doi` to false. Unknown keys are ignored.
-Malformed lines are counted and skipped unless strict mode is on.
+Each line is decoded on its own, so one that is not UTF-8 is one malformed
+line. Malformed lines are counted and skipped unless strict mode is on.
 """
 
 from __future__ import annotations
@@ -86,6 +87,10 @@ class CorpusStats:
         }
 
 
+class _EmptyCategories(ValueError):
+    """A record whose schema is valid apart from its empty category list."""
+
+
 def _parse_line(obj: dict) -> PublicationRecord:
     """Build a record from a parsed JSON object; ValueError on schema violations."""
     rec_id = obj.get("id")
@@ -123,7 +128,10 @@ def _parse_line(obj: dict) -> PublicationRecord:
             raise ValueError(f"{name} must be an array of non-empty strings")
     if not deduped:
         # Raised after the rest of the schema checks so the reason is specific.
-        raise ValueError(REASON_EMPTY_CATEGORIES)
+        raise _EmptyCategories("categories is empty")
+    # A JSON escape can yield a lone surrogate, which no UTF-8 output can
+    # hold; encoding raises UnicodeEncodeError, a ValueError.
+    "".join((rec_id, *deduped, *countries, *institutions)).encode("utf-8")
     return PublicationRecord(
         id=rec_id,
         year=year,
@@ -168,24 +176,27 @@ class CorpusReader:
         known = registry.categories if registry is not None else None
         seen_ids: set[str] = set()
         try:
-            stream = open(self.path, encoding="utf-8")
+            stream = open(self.path, "rb")
         except OSError as exc:
             raise IoFailure(f"cannot open corpus {self.path}: {exc}") from exc
         with stream:
-            for line_no, line in enumerate(stream, start=1):
+            # \r, \n and \r\n all end a line, as in text mode; JSON strings
+            # cannot hold a raw line break.
+            lines = (line for chunk in stream for line in chunk.splitlines())
+            for line_no, line in enumerate(lines, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 stats.records_read += 1
                 try:
-                    obj = json.loads(line)
+                    obj = json.loads(line.decode("utf-8"))
                     if not isinstance(obj, dict):
                         raise ValueError("line is not an object")
                     record = _parse_line(obj)
-                except (ValueError, TypeError) as exc:
+                except (ValueError, TypeError, RecursionError) as exc:
                     reason = (
                         REASON_EMPTY_CATEGORIES
-                        if str(exc) == REASON_EMPTY_CATEGORIES
+                        if isinstance(exc, _EmptyCategories)
                         else REASON_MALFORMED
                     )
                     if opts.strict:
@@ -292,7 +303,7 @@ def validate_corpus(
 
 def _read_csv_rows(path, expected: Sequence[str], label: str):
     try:
-        stream = open(path, encoding="utf-8", newline="")
+        stream = open(path, encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise IoFailure(f"cannot open {label} {path}: {exc}") from exc
     with stream:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import UnknownCategory
@@ -231,34 +232,54 @@ def classify(registry: ClassificationRegistry, category: str, level: Level) -> s
     return registry.classify(category, level)
 
 
+class _ExactCounts:
+    """Publication counts held exactly as integers over a common unit.
+
+    counts[i] is the fractional number of publications whose resolved status
+    is the i-th OAStatus (gold, bronze, green, closed), times `unit`.
+    """
+
+    __slots__ = ()
+
+    @property
+    def pub_count(self) -> Fraction:
+        return Fraction(sum(self.counts), self.unit)
+
+    @property
+    def oa_count(self) -> Fraction:
+        return Fraction(sum(self.counts[:3]), self.unit)
+
+    @property
+    def oa_by_type(self) -> dict[OAStatus, Fraction]:
+        return {s: Fraction(n, self.unit) for s, n in zip(OAStatus, self.counts[:3])}
+
+
 @dataclass(frozen=True, slots=True)
-class ActorFieldAggregate:
+class ActorFieldAggregate(_ExactCounts):
     """Fractional counts of one (actor, field) cell at one level."""
 
     actor: str
     field: str
     level: Level
-    pub_count: float
-    oa_count: float
-    oa_by_type: Mapping[OAStatus, float]
+    counts: tuple[int, int, int, int]
+    unit: int
 
 
 @dataclass(frozen=True, slots=True)
-class WorldBaseline:
+class WorldBaseline(_ExactCounts):
     """Per-field totals over the whole corpus, the normalization denominator."""
 
     field: str
     level: Level
-    pub_count: float
-    oa_count: float
-    oa_by_type: Mapping[OAStatus, float]
+    counts: tuple[int, int, int, int]
+    unit: int
 
     @property
-    def oa_share(self) -> float | None:
+    def oa_share(self) -> Fraction | None:
         """World OA fraction for the field, or None when the field is empty."""
-        if self.pub_count == 0:
+        if not any(self.counts):
             return None
-        return self.oa_count / self.pub_count
+        return Fraction(sum(self.counts[:3]), sum(self.counts))
 
 
 @dataclass(frozen=True, slots=True)

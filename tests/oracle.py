@@ -1,8 +1,8 @@
 """Independent reference implementations used as test oracles.
 
 Everything here recomputes results from first principles by routes
-deliberately different from the package's own: exact rational arithmetic
-with fractions.Fraction instead of compensated float streaming, and the
+deliberately different from the package's own: Fraction sums built record
+by record instead of one integer tally projected at the end, and the
 closed-form tie-corrected rank-correlation formula instead of Pearson on
 average ranks.  Tests compare the two routes; neither side reuses the
 other's computation.

@@ -13,22 +13,19 @@ from hypothesis import strategies as st
 from conftest import ACTORS20, CATS10, REG10, random_corpus
 from noai.engine import (
     Aggregator,
-    aggregate,
     build_indicator_table,
-    field_fractions,
     fraction_entries,
     noai,
     normalized_share,
     oa_share,
-    type_breakdown,
     yearly_series,
 )
 from noai.errors import (
-    EmptyWindow,
     UndefinedIndicator,
     UndefinedShare,
     UnknownCategory,
 )
+from noai.ingest import CorpusReader, IngestOptions, write_corpus
 from noai.model import (
     ActorFieldAggregate,
     ActorKind,
@@ -42,6 +39,13 @@ from oracle import OA_TYPES, BruteForce
 
 TOL = 1e-9
 LEVELS = (Level.SUBJECT_CATEGORY, Level.OST_DISCIPLINE, Level.ERC_SUBFIELD)
+
+
+def aggregate(corpus, registry, level, **kwargs):
+    """One pass over a corpus, projected onto a single level."""
+    agg = Aggregator(registry, (level,), **kwargs)
+    agg.add_all(corpus)
+    return agg.finish()[level]
 
 
 def rec(rec_id, cats, statuses=(), countries=(), year=2018, doc=DocType.ARTICLE):
@@ -90,11 +94,6 @@ class TestFractionEntries:
         assert fraction_entries(("Palmistry",), reg10,
                                 Level.SUBJECT_CATEGORY) == {"Palmistry": 1.0}
 
-    def test_field_fractions_wrapper(self, table_registry, table_record):
-        vec = field_fractions(table_record, table_registry, Level.OST_DISCIPLINE)
-        assert vec.publication_id == table_record.id
-        assert vec.level is Level.OST_DISCIPLINE
-
     @given(st.lists(st.sampled_from(CATS10), min_size=1, max_size=6, unique=True),
            st.sampled_from(LEVELS))
     def test_weights_sum_to_one(self, cats, level):
@@ -109,31 +108,31 @@ class TestFractionEntries:
         assert all(w == 1.0 / k for w in entries.values())
 
 
-def assert_matches_oracle(result, oracle: BruteForce, tol=TOL):
-    # World baselines: same fields, same tallies.
+def assert_matches_oracle(result, oracle: BruteForce):
+    # World baselines: same fields, same tallies, exactly.
     assert set(result.baselines) == set(oracle.world)
     for f, baseline in result.baselines.items():
         ocell = oracle.world[f]
-        assert abs(baseline.pub_count - float(ocell.x)) <= tol
-        assert abs(baseline.oa_count - float(ocell.oa)) <= tol
-        for t in OA_TYPES:
-            assert abs(baseline.oa_by_type[t] - float(ocell.by_type[t])) <= tol
+        assert baseline.pub_count == ocell.x
+        assert baseline.oa_count == ocell.oa
+        assert baseline.oa_by_type == ocell.by_type
 
     # Per-(actor, field) cells.
     assert set(result.cells) == set(oracle.cells)
     for key, cell in result.cells.items():
         ocell = oracle.cells[key]
-        assert abs(cell.pub_count - float(ocell.x)) <= tol
-        assert abs(cell.oa_count - float(ocell.oa)) <= tol
-        for t in OA_TYPES:
-            assert abs(cell.oa_by_type[t] - float(ocell.by_type[t])) <= tol
+        assert cell.pub_count == ocell.x
+        assert cell.oa_count == ocell.oa
+        assert cell.oa_by_type == ocell.by_type
 
-    # Whole counts are integers and must be exact.
-    assert result.world_whole.pubs == oracle.world_whole_pubs
-    assert result.world_whole.oa == oracle.world_whole_oa
+    # Whole counts: the world's are its fractional totals, each record
+    # spending exactly one unit.
+    baselines = result.baselines.values()
+    assert sum(b.pub_count for b in baselines) == oracle.world_whole_pubs
+    assert sum(b.oa_count for b in baselines) == oracle.world_whole_oa
     for actor, counts in result.whole_counts.items():
-        assert counts.pubs == oracle.whole_pubs[actor]
-        assert counts.oa == oracle.whole_oa[actor]
+        assert sum(counts) == oracle.whole_pubs[actor]
+        assert sum(counts[:3]) == oracle.whole_oa[actor]
 
     # Derived per-actor quantities, including the indicator itself.
     grouped = result.cells_by_actor()
@@ -144,7 +143,7 @@ def assert_matches_oracle(result, oracle: BruteForce, tol=TOL):
             with pytest.raises(UndefinedIndicator):
                 noai(cells, result.baselines)
         else:
-            assert abs(noai(cells, result.baselines) - float(expected)) <= tol
+            assert noai(cells, result.baselines) == float(expected)
 
 
 class TestOracleEquivalence:
@@ -156,12 +155,16 @@ class TestOracleEquivalence:
         oracle = BruteForce(corpus, REG10, level)
         assert_matches_oracle(result, oracle)
 
-    def test_window_respected_both_routes(self):
+    def test_window_respected_both_routes(self, tmp_path):
+        # The window is the reader's filter; the aggregator counts what it gets.
         corpus = random_corpus(seed=99, n_records=300)
         window = (2016, 2017)
-        result = aggregate(corpus, REG10, Level.OST_DISCIPLINE, window=window)
+        write_corpus(corpus, tmp_path / "corpus.jsonl")
+        reader = CorpusReader(tmp_path / "corpus.jsonl", REG10,
+                              IngestOptions(window=window))
+        result = aggregate(reader, REG10, Level.OST_DISCIPLINE)
         oracle = BruteForce(corpus, REG10, Level.OST_DISCIPLINE, window=window)
-        assert result.n_records == oracle.n_records > 0
+        assert reader.stats.records_accepted == oracle.n_records > 0
         assert_matches_oracle(result, oracle)
 
     def test_institution_kind(self):
@@ -194,16 +197,18 @@ class TestOracleEquivalence:
                 assert cell.oa_count == solo.cells[key].oa_count
 
     def test_order_stability(self):
-        # Kahan accumulation keeps permutations together far below the
-        # advertised tolerance.
+        # Integer tallies make every output independent of record order.
         corpus = random_corpus(seed=31, n_records=500)
         shuffled = corpus[:]
         random.Random(1).shuffle(shuffled)
-        a = aggregate(corpus, REG10, Level.OST_DISCIPLINE)
-        b = aggregate(shuffled, REG10, Level.OST_DISCIPLINE)
-        for f in a.baselines:
-            assert abs(a.baselines[f].pub_count - b.baselines[f].pub_count) <= 1e-12
-            assert abs(a.baselines[f].oa_count - b.baselines[f].oa_count) <= 1e-12
+        runs = []
+        for records in (corpus, shuffled):
+            agg = Aggregator(REG10, LEVELS)
+            agg.add_all(records)
+            results = agg.finish()
+            runs.append((build_indicator_table(results),
+                         {level: r.baselines for level, r in results.items()}))
+        assert runs[0] == runs[1]
 
 
 class TestCountingRules:
@@ -218,21 +223,22 @@ class TestCountingRules:
         ]
         result = aggregate(corpus, table_registry, Level.OST_DISCIPLINE)
         b = result.baselines
-        assert b["Computer science"].pub_count == pytest.approx(2 / 3, abs=1e-12)
-        assert b["Medical research"].pub_count == pytest.approx(4 / 3, abs=1e-12)
-        assert b["Computer science"].oa_count == pytest.approx(2 / 3, abs=1e-12)
-        assert b["Medical research"].oa_count == pytest.approx(1 / 3, abs=1e-12)
+        assert b["Computer science"].pub_count == Fraction(2, 3)
+        assert b["Medical research"].pub_count == Fraction(4, 3)
+        assert b["Computer science"].oa_count == Fraction(2, 3)
+        assert b["Medical research"].oa_count == Fraction(1, 3)
 
         fra_mr = result.cells[("FRA", "Medical research")]
-        assert fra_mr.pub_count == pytest.approx(4 / 3, abs=1e-12)
+        assert fra_mr.pub_count == Fraction(4, 3)
         usa_cs = result.cells[("USA", "Computer science")]
-        assert usa_cs.pub_count == pytest.approx(2 / 3, abs=1e-12)
+        assert usa_cs.pub_count == Fraction(2, 3)
 
         # Whole counting: every distinct signatory gets the full record.
-        assert result.whole_counts["FRA"].pubs == 2
-        assert result.whole_counts["FRA"].oa == 1
-        assert result.whole_counts["USA"].pubs == 1
-        assert result.world_whole.pubs == 2
+        rows = build_indicator_table({Level.OST_DISCIPLINE: result}).by_actor()
+        assert rows["FRA"].n_pubs_whole == 2
+        assert rows["FRA"].n_oa_whole == 1
+        assert rows["USA"].n_pubs_whole == 1
+        assert sum(base.pub_count for base in b.values()) == 2
 
     def test_multi_status_counts_once_under_winner(self, reg10):
         r = rec("r1", ("Mathematics",), statuses=(OAStatus.GOLD, OAStatus.GREEN),
@@ -249,19 +255,9 @@ class TestCountingRules:
             rec("r2", ("Economics",), countries=("FRA",)),
         ]
         result = aggregate(corpus, reg10, Level.SUBJECT_CATEGORY)
-        assert result.baselines["Economics"].pub_count == pytest.approx(2.0)
-        assert result.cells[("FRA", "Economics")].pub_count == pytest.approx(1.0)
-        assert result.world_whole.pubs == 2
-
-    def test_empty_window_warns_then_raises_in_strict(self, reg10):
-        corpus = [rec("r1", ("Economics",), year=2010)]
-        with pytest.warns(RuntimeWarning):
-            result = aggregate(corpus, reg10, Level.SUBJECT_CATEGORY,
-                               window=(2015, 2019))
-        assert result.n_records == 0
-        with pytest.raises(EmptyWindow):
-            aggregate(corpus, reg10, Level.SUBJECT_CATEGORY,
-                      window=(2015, 2019), strict=True)
+        assert result.baselines["Economics"].pub_count == 2
+        assert result.cells[("FRA", "Economics")].pub_count == 1
+        assert result.actors() == {"FRA"}
 
 
 class TestInvariants:
@@ -272,26 +268,26 @@ class TestInvariants:
         result = aggregate(corpus, REG10, level)
         # Conservation: world fractional counts sum to the record count.
         total_x = sum(b.pub_count for b in result.baselines.values())
-        assert abs(total_x - result.n_records) <= TOL
+        assert total_x == len(corpus)
         # Dominance and per-type decomposition on every cell.
         for cell in list(result.cells.values()) + list(result.baselines.values()):
-            assert cell.oa_count <= cell.pub_count + 1e-12
-            assert abs(sum(cell.oa_by_type[t] for t in OA_TYPES) - cell.oa_count) <= TOL
+            assert cell.oa_count <= cell.pub_count
+            assert sum(cell.oa_by_type[t] for t in OA_TYPES) == cell.oa_count
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_type_shares_sum_to_total(self, seed):
         corpus = random_corpus(seed=seed, n_records=250)
         result = aggregate(corpus, REG10, Level.OST_DISCIPLINE)
-        breakdown = type_breakdown(corpus, REG10, Level.OST_DISCIPLINE)
+        table = build_indicator_table({Level.OST_DISCIPLINE: result})
         grouped = result.cells_by_actor()
-        for actor, shares in breakdown.items():
-            total = oa_share_of_cells(grouped[actor])
-            assert abs(sum(shares.values()) - total) <= TOL
+        for row in table.rows:
+            total = oa_share_of_cells(grouped[row.actor])
+            assert abs(sum(row.oa_type_shares.values()) - total) <= TOL
 
     def test_world_actor_indicator_is_exactly_one(self):
         # An actor present on every record reproduces the baseline cells
-        # bit for bit, so the indicator is 1.0 with no tolerance at all.
+        # exactly, so the indicator is 1.0 with no tolerance at all.
         corpus = [
             dataclasses.replace(r, countries=frozenset(r.countries) | {"WORLD"})
             for r in random_corpus(seed=77, n_records=400)
@@ -319,8 +315,7 @@ class TestShares:
 
     def test_oa_share_undefined_on_empty(self):
         empty = WorldBaseline(field="f", level=Level.SUBJECT_CATEGORY,
-                              pub_count=0.0, oa_count=0.0,
-                              oa_by_type={t: 0.0 for t in OA_TYPES})
+                              counts=(0, 0, 0, 0), unit=1)
         with pytest.raises(UndefinedShare):
             oa_share(empty)
 
@@ -333,7 +328,7 @@ class TestShares:
         result = aggregate(corpus, reg10, Level.SUBJECT_CATEGORY)
         share = normalized_share(result.cells[("A", "Economics")],
                                  result.baselines["Economics"])
-        assert share.value == pytest.approx(2.0)
+        assert share.value == 2.0
 
     def test_normalized_share_undefined_when_world_closed(self, reg10):
         corpus = [rec("r1", ("Economics",), countries=("A",))]
@@ -344,11 +339,10 @@ class TestShares:
 
     def test_normalized_share_mismatch_raises(self, reg10):
         agg = ActorFieldAggregate(actor="A", field="f1",
-                                  level=Level.SUBJECT_CATEGORY, pub_count=1.0,
-                                  oa_count=0.0, oa_by_type={t: 0.0 for t in OA_TYPES})
+                                  level=Level.SUBJECT_CATEGORY,
+                                  counts=(0, 0, 0, 1), unit=1)
         base = WorldBaseline(field="f2", level=Level.SUBJECT_CATEGORY,
-                             pub_count=1.0, oa_count=1.0,
-                             oa_by_type={t: 0.0 for t in OA_TYPES})
+                             counts=(1, 0, 0, 0), unit=1)
         with pytest.raises(ValueError):
             normalized_share(agg, base)
 
@@ -364,7 +358,7 @@ class TestShares:
         ]
         result = aggregate(corpus, reg10, Level.SUBJECT_CATEGORY)
         cells = result.cells_by_actor()["A"]
-        assert noai(cells, result.baselines) == pytest.approx(2.0, abs=1e-12)
+        assert noai(cells, result.baselines) == 2.0
 
     def test_indicator_undefined_when_no_field_qualifies(self, reg10):
         corpus = [rec("r1", ("Economics",), countries=("A",))]
@@ -373,17 +367,21 @@ class TestShares:
             noai(result.cells_by_actor()["A"], result.baselines)
 
 
+def series(corpus, registry, level):
+    return yearly_series(aggregate(corpus, registry, level))
+
+
 class TestYearlySeries:
     def test_single_year(self, reg10):
         corpus = [rec("r1", ("Economics",), statuses=(OAStatus.GOLD,), year=2017)]
-        rows = yearly_series(corpus, reg10, Level.OST_DISCIPLINE)
+        rows = series(corpus, reg10, Level.OST_DISCIPLINE)
         assert len(rows) == 1
         assert rows[0].year == 2017
         assert rows[0].total_share == pytest.approx(100.0)
 
     def test_all_closed_is_zero(self, reg10):
         corpus = [rec(f"r{i}", ("Economics",), year=2017) for i in range(5)]
-        rows = yearly_series(corpus, reg10, Level.OST_DISCIPLINE)
+        rows = series(corpus, reg10, Level.OST_DISCIPLINE)
         assert rows[0].total_share == 0.0
         assert all(v == 0.0 for v in rows[0].type_shares.values())
 
@@ -392,16 +390,16 @@ class TestYearlySeries:
             rec("r1", ("Economics",), year=2019),
             rec("r2", ("Economics",), year=2015),
         ]
-        rows = yearly_series(corpus, reg10, Level.OST_DISCIPLINE)
+        rows = series(corpus, reg10, Level.OST_DISCIPLINE)
         assert [r.year for r in rows] == [2015, 2019]
 
     def test_matches_per_year_oracle(self, reg10):
         corpus = random_corpus(seed=13, n_records=300)
-        rows = yearly_series(corpus, REG10, Level.OST_DISCIPLINE)
+        rows = series(corpus, REG10, Level.OST_DISCIPLINE)
         for row in rows:
             year_slice = [r for r in corpus if r.year == row.year]
             oracle = BruteForce(year_slice, REG10, Level.OST_DISCIPLINE)
-            assert abs(row.total_share - float(oracle.world_oa_share())) <= TOL
+            assert row.total_share == float(oracle.world_oa_share())
 
 
 class TestIndicatorTable:
@@ -457,3 +455,40 @@ class TestIndicatorTable:
         result = aggregate(corpus, reg10, Level.SUBJECT_CATEGORY)
         table = build_indicator_table({Level.SUBJECT_CATEGORY: result})
         assert table.rows[0].noai[Level.SUBJECT_CATEGORY] is None
+
+
+class TestExactAgainstOracle:
+    """Every printed number is the correctly rounded value of the oracle's."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_table_and_series_equal_rounded_fractions(self, seed, level):
+        corpus = random_corpus(seed=seed, n_records=300)
+        result = aggregate(corpus, REG10, level)
+        oracle = BruteForce(corpus, REG10, level)
+
+        table = build_indicator_table({level: result})
+        assert sorted(r.actor for r in table.rows) == oracle.actors()
+        for row in table.rows:
+            actor = row.actor
+            assert row.x_total == float(oracle.x_total(actor))
+            assert row.oa_share == float(oracle.oa_share(actor))
+            for status in OA_TYPES:
+                assert row.oa_type_shares[status] == float(
+                    oracle.type_share(actor, status))
+            expected = oracle.noai(actor)
+            assert row.noai[level] == (None if expected is None else float(expected))
+
+        rows = yearly_series(result)
+        assert [r.year for r in rows] == sorted({r.year for r in corpus})
+        for row in rows:
+            world = BruteForce([r for r in corpus if r.year == row.year],
+                               REG10, level).world
+            x = sum(c.x for c in world.values())
+            oa = sum(c.oa for c in world.values())
+            assert row.total_share == float(100 * oa / x)
+            for status in OA_TYPES:
+                by_type = sum(c.by_type[status] for c in world.values())
+                assert row.type_shares[status] == float(100 * by_type / x)
+            assert row.field_shares == {
+                f: float(100 * c.oa / c.x) for f, c in world.items()}

@@ -5,15 +5,16 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_corpus, registry_csv_text
+from conftest import CATS10, REG10, random_corpus, registry_csv_text
 from noai.errors import (
     DuplicateCategory,
     IoFailure,
     MalformedRecord,
     MalformedRow,
+    NoaiError,
     UnknownCategory,
     UnknownDiscipline,
 )
@@ -104,6 +105,12 @@ class TestParsing:
         line(categories=[""]),
         line(doi="yes"),
         line(countries=[1]),
+        # JSON escapes of lone surrogates parse, but no UTF-8 output holds them.
+        line(id="\ud800"),
+        line(countries=["\ud800"]),
+        line(institutions=["FRA\udfff"]),
+        line(categories=["Mathematics", "\udc80"]),
+        pytest.param("[" * 100_000, id="nested-past-recursion-limit"),
     ])
     def test_malformed_rejected(self, tmp_path, bad):
         path = corpus_file(tmp_path, [bad, line(id="ok")])
@@ -111,6 +118,25 @@ class TestParsing:
         assert [r.id for r in records] == ["ok"]
         assert stats.rejection_reasons[REASON_MALFORMED] == 1
         assert stats.diagnostics
+
+    def test_invalid_utf8_line_is_one_malformed_record(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b"\n".join([
+            line(id="a").encode(), b'{"id": "\xff"}',
+            line(id="b").encode(), line(id="c").encode(),
+        ]) + b"\n")
+        records, stats = load_corpus(str(path))
+        assert [r.id for r in records] == ["a", "b", "c"]
+        assert stats.records_rejected == 1
+        assert stats.rejection_reasons[REASON_MALFORMED] == 1
+
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"])
+    def test_line_endings(self, tmp_path, ending):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(ending.join(line(id=i).encode() for i in "abc") + ending)
+        records, stats = load_corpus(str(path))
+        assert [r.id for r in records] == ["a", "b", "c"]
+        assert stats.records_read == 3
 
     def test_empty_categories_specific_reason(self, tmp_path):
         path = corpus_file(tmp_path, [line(categories=[])])
@@ -278,6 +304,12 @@ class TestRegistries:
         with pytest.raises(DuplicateCategory):
             load_registry(str(path))
 
+    def test_byte_order_mark_accepted(self, tmp_path, reg10):
+        path = tmp_path / "reg.csv"
+        path.write_text(registry_csv_text(reg10), encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_registry(str(path)).categories == dict(reg10.categories)
+
     def test_header_required(self, tmp_path):
         path = tmp_path / "reg.csv"
         path.write_text("Mathematics,Mathematics,PE1\n", encoding="utf-8")
@@ -377,3 +409,56 @@ class TestStatsDict:
         assert d["records_accepted"] == 1
         assert d["rejection_reasons"][REASON_MALFORMED] == 1
         assert d["year_range"] == [2018, 2018]
+
+
+# Field values for the schema checks: valid and wrongly typed ones, lone
+# surrogates (JSON-escaped by json.dumps) and a category the registry lacks.
+_TEXT = st.text(st.sampled_from("aZ\u00e9\x00\ud800\udfff"), max_size=3)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(2013, 2021) | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+_RECORD = st.fixed_dictionaries({}, optional={
+    "id": st.sampled_from(["r1", "r2", ""]) | _JSON,
+    "year": st.integers(2013, 2021) | _JSON,
+    "doc_type": st.sampled_from(["article", "letter", "thesis"]) | _JSON,
+    "oa": st.lists(st.sampled_from(["gold", "green", "diamond"])) | _JSON,
+    "categories": st.lists(st.sampled_from(CATS10[:3] + ("Palmistry",)) | _TEXT,
+                           max_size=3) | _JSON,
+    "doi": st.booleans() | _JSON,
+    "countries": st.lists(st.sampled_from(["FRA", "USA"]) | _TEXT, max_size=2) | _JSON,
+    "institutions": st.lists(_TEXT, max_size=2) | _JSON,
+})
+_LINE = st.one_of(
+    _RECORD.map(lambda obj: json.dumps(obj).encode("ascii")),
+    st.binary(max_size=40),
+    _TEXT.map(lambda text: text.encode("utf-8", "surrogatepass")),
+)
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(_LINE, max_size=8),
+           with_registry=st.booleans(),
+           options=st.builds(
+               IngestOptions,
+               doc_types=st.none() | st.just(frozenset({DocType.ARTICLE})),
+               window=st.none() | st.just((2015, 2019)),
+               require_doi=st.booleans(),
+               strict=st.booleans()))
+    def test_any_bytes_are_read_or_counted(self, lines, with_registry, options,
+                                           tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "corpus.jsonl"
+        path.write_bytes(b"\n".join(lines))
+        reader = CorpusReader(str(path), REG10 if with_registry else None, options)
+        try:
+            records = list(reader)
+        except NoaiError:
+            assert options.strict
+            return
+        stats = reader.stats
+        assert len(records) == stats.records_accepted
+        assert stats.records_read == stats.records_accepted + stats.records_rejected
+        assert sum(stats.rejection_reasons.values()) == stats.records_rejected
