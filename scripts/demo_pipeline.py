@@ -53,11 +53,11 @@ def main() -> int:
     write_spec_actors(spec, str(actors))
     print(f"generated {n} records -> {corpus}")
 
-    common = ["--corpus", str(corpus), "--registry", str(registry),
-              "--actors", str(actors)]
+    common = ["--corpus", str(corpus), "--registry", str(registry)]
+    per_actor = common + ["--actors", str(actors)]
     for argv in (
-        ["indicators"] + common + ["--out", str(out / "indicators.csv")],
-        ["rank"] + common + ["--out", str(out / "rank.csv")],
+        ["indicators"] + per_actor + ["--out", str(out / "indicators.csv")],
+        ["rank"] + per_actor + ["--out", str(out / "rank.csv")],
         ["series"] + common + ["--out", str(out / "series.csv")],
     ):
         code = run(argv)

@@ -72,7 +72,7 @@ class AggregationResult:
     """
 
     level: Level
-    actor_kind: ActorKind
+    actor_kind: ActorKind | None
     cells: Mapping[tuple[str, str], ActorFieldAggregate]
     baselines: Mapping[str, WorldBaseline]
     years: Mapping[int, Mapping[str, WorldBaseline]]
@@ -118,15 +118,16 @@ class Aggregator:
 
     Feed records with add(); finish() derives the per-level results. The world
     baseline takes every record exactly once, whether or not any actor of the
-    requested kind appears on it. Records are counted as given: year windows
-    and other perimeter filters belong to the reader.
+    requested kind appears on it; with actor_kind None no actor is credited
+    and only the world tally is kept. Records are counted as given: year
+    windows and other perimeter filters belong to the reader.
     """
 
     def __init__(
         self,
         registry: ClassificationRegistry,
         levels: Sequence[Level],
-        actor_kind: ActorKind = ActorKind.COUNTRY,
+        actor_kind: ActorKind | None = ActorKind.COUNTRY,
         priority: tuple[OAStatus, ...] = DEFAULT_PRIORITY,
     ):
         self._registry = registry
@@ -144,11 +145,12 @@ class Aggregator:
             if candidate in record.raw_statuses:
                 status = candidate
                 break
-        actors = (
-            record.countries
-            if self._actor_kind is ActorKind.COUNTRY
-            else record.institutions
-        )
+        if self._actor_kind is ActorKind.COUNTRY:
+            actors = record.countries
+        elif self._actor_kind is ActorKind.INSTITUTION:
+            actors = record.institutions
+        else:
+            actors = ()
         categories = record.subject_categories
         k = len(categories)
         for category in categories:

@@ -228,10 +228,6 @@ class ClassificationRegistry:
         return {cat: pair[idx] for cat, pair in self.categories.items()}
 
 
-def classify(registry: ClassificationRegistry, category: str, level: Level) -> str:
-    return registry.classify(category, level)
-
-
 class _ExactCounts:
     """Publication counts held exactly as integers over a common unit.
 

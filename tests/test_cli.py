@@ -5,6 +5,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +107,20 @@ class TestUsageErrors:
                     + ["--level", "subject-category,ost-discipline"])
         assert code == 2
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("indicators", "--level", "ost-discipline"),
+        *[(command, flag, value)
+          for command in ("series", "validate")
+          for flag, value in (("--actors", "actors.csv"), ("--actor-kind", "country"),
+                              ("--min-pubs", "1"), ("--top-n", "1"), ("--group", "G1"))],
+        ("validate", "--level", "ost-discipline"),
+        ("validate", "--priority", "gold,bronze,green"),
+    ])
+    def test_flag_the_command_does_not_read(self, ws, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(base_args(ws, command) + [flag, value])
+        assert exc.value.code == 2
+
 
 class TestDataErrors:
     def test_missing_corpus_file(self, ws, capsys):
@@ -194,9 +212,9 @@ class TestIndicators:
         assert manifest["corpus_stats"]["records_accepted"] == 6
         assert manifest["outputs"] == [str(out)]
 
-    def test_stdout_run_writes_default_manifest(self, ws, capsys):
+    def test_stdout_run_writes_no_manifest(self, ws, capsys):
         assert main(base_args(ws)) == 0
-        assert (ws / "noai.indicators.manifest.json").exists()
+        assert list(ws.glob("*.manifest.json")) == []
 
     def test_identical_runs_identical_bytes(self, ws):
         a, b = ws / "a.csv", ws / "b.csv"
@@ -344,6 +362,22 @@ class TestValidate:
                                  "categories": ["Palmistry"]}) + "\n")
         assert main(base_args(ws, "validate") + ["--strict"]) == 3
 
+    def test_manifest_counts_unknown_category_as_accepted(self, ws, capsys):
+        with open(ws / "corpus.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"id": "weird", "year": 2018,
+                                 "doc_type": "article",
+                                 "categories": ["Palmistry"]}) + "\n")
+            fh.write("{broken\n")
+        out = ws / "report.csv"
+        assert main(base_args(ws, "validate") + ["--out", str(out)]) == 0
+        _, rows = parse_csv(out.read_text(encoding="utf-8"))
+        assert rows == [["weird", "Palmistry"]]
+        manifest = json.loads((ws / "report.csv.manifest.json").read_text())
+        stats = manifest["corpus_stats"]
+        assert stats["records_read"] == 8
+        assert stats["records_accepted"] == 7
+        assert stats["rejection_reasons"] == {"malformed": 1}
+
 
 class TestSynthCommand:
     def spec_file(self, ws):
@@ -413,3 +447,25 @@ class TestInstitutions:
         assert main(args + ["--group", "G1"]) == 0
         _, rows = parse_csv(capsys.readouterr().out)
         assert {r[0] for r in rows} == {"u1", "u3"}
+
+
+class TestDemoPipeline:
+    def test_walkthrough_writes_every_output(self, tmp_path):
+        import noai
+
+        # The child runs in tmp_path: give it the package under test by an
+        # absolute path, since a relative PYTHONPATH entry would not resolve.
+        package_root = str(Path(noai.__file__).resolve().parents[1])
+        inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [package_root] + [p for p in inherited if p]))
+        script = Path(__file__).resolve().parents[1] / "scripts" / "demo_pipeline.py"
+        proc = subprocess.run(
+            [sys.executable, str(script), "--out-dir", str(tmp_path),
+             "--n-records", "500"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        for name in ("indicators.csv", "rank.csv", "series.csv"):
+            assert (tmp_path / name).is_file()
+            assert (tmp_path / f"{name}.manifest.json").is_file()

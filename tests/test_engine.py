@@ -196,6 +196,19 @@ class TestOracleEquivalence:
                 assert cell.pub_count == solo.cells[key].pub_count
                 assert cell.oa_count == solo.cells[key].oa_count
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_world_only_tally(self, seed, level):
+        # actor_kind None credits no actor, neither country nor institution,
+        # and leaves the world tally as it is.
+        corpus = random_corpus(seed=seed, n_records=400,
+                               institution_pool=("u1", "u2", "u3"))
+        world = aggregate(corpus, REG10, level, actor_kind=None)
+        full = aggregate(corpus, REG10, level)
+        assert world.baselines == full.baselines
+        assert world.years == full.years
+        assert world.cells == {} and world.whole_counts == {}
+
     def test_order_stability(self):
         # Integer tallies make every output independent of record order.
         corpus = random_corpus(seed=31, n_records=500)
