@@ -21,7 +21,6 @@ from .engine import (
     build_indicator_table,
     fraction_entries,
     noai,
-    normalized_share,
     oa_share,
     yearly_series,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "load_corpus",
     "load_registry",
     "noai",
-    "normalized_share",
     "oa_share",
     "resolve_status",
     "validate_corpus",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import DegenerateInput, EmptyTable, MismatchedActorSets
-from .model import ActorKind, IndicatorRow, IndicatorTable, Level
+from .model import IndicatorRow, IndicatorTable, Level
 
 ASCENDING = "ascending"
 DESCENDING = "descending"
@@ -154,25 +154,18 @@ def rank_shift(share_ranks: RankTable, noai_ranks: RankTable) -> dict[str, int]:
 def filter_actors(
     table: IndicatorTable,
     min_pubs: float = 30.0,
-    kind: ActorKind | None = None,
     group: str | None = None,
 ) -> IndicatorTable:
-    """Keep rows with x_total strictly above min_pubs and matching kind/group."""
+    """Keep rows with x_total strictly above min_pubs and, if given, in group."""
     rows = tuple(
         row
         for row in table.rows
-        if row.x_total > min_pubs
-        and (kind is None or row.kind == kind)
-        and (group is None or row.group == group)
+        if row.x_total > min_pubs and (group is None or row.group == group)
     )
-    return IndicatorTable(
-        actor_kind=table.actor_kind, window=table.window, levels=table.levels, rows=rows
-    )
+    return IndicatorTable(actor_kind=table.actor_kind, levels=table.levels, rows=rows)
 
 
 def top_actors(table: IndicatorTable, n: int) -> IndicatorTable:
     """The n largest producers by x_total; ties break lexicographically by id."""
     rows = tuple(sorted(table.rows, key=lambda r: (-r.x_total, r.actor))[:n])
-    return IndicatorTable(
-        actor_kind=table.actor_kind, window=table.window, levels=table.levels, rows=rows
-    )
+    return IndicatorTable(actor_kind=table.actor_kind, levels=table.levels, rows=rows)

@@ -1,4 +1,4 @@
-"""Fractional counting, world baselines, normalized shares and the NOAI.
+"""Fractional counting, world baselines and the NOAI.
 
 Counting is mixed: disciplinary credit is fractional (a publication split
 equally over its k subject categories, category fractions summed when they
@@ -12,11 +12,13 @@ actor's fractional publication counts, giving one indicator per actor
 (NOAI). A value of 1.0 means world-typical openness for the actor's mix.
 
 Every number is a projection of one exact integer tally of records by
-(actor, category, k, status), by (year, category, k, status) for the world
-and by (actor, status). With L the lcm of the k seen, n records under k
-weigh n * (L // k) units of 1/L, so every cell and baseline is an integer
-over L and no result depends on record order. Floats appear only as the
-correctly rounded value of an exact quotient.
+(actor, category, k, status) and, for the world, by (year, category, k,
+status). With L the lcm of the k seen, n records under k weigh
+n * (L // k) units of 1/L, so every cell and baseline is a vector of four
+integers over L, one per OAStatus in enum order, and no result depends on
+record order. A record spends exactly L over its categories, so an
+actor's whole counts are its cell vectors summed and divided by L. Floats
+appear only as the correctly rounded value of an exact quotient.
 """
 
 from __future__ import annotations
@@ -24,11 +26,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import UndefinedIndicator, UndefinedShare, UnknownCategory
 from .model import (
-    ActorFieldAggregate,
     ActorKind,
     ClassificationRegistry,
     DEFAULT_PRIORITY,
@@ -37,15 +38,17 @@ from .model import (
     Level,
     OAStatus,
     PublicationRecord,
-    WorldBaseline,
     Actor,
 )
 
 _OA_TYPES = (OAStatus.GOLD, OAStatus.BRONZE, OAStatus.GREEN)
 
-# Position of each status in a counts tuple; see model._ExactCounts.
+# Position of each status in a counts vector.
 _SLOT = {status: i for i, status in enumerate(OAStatus)}
 _CLOSED = _SLOT[OAStatus.CLOSED]
+
+#: Records of each OAStatus, in enum order, times the result's unit.
+Counts = list[int]
 
 
 def fraction_entries(
@@ -64,52 +67,47 @@ def fraction_entries(
 
 @dataclass(frozen=True)
 class AggregationResult:
-    """One level's projection of an Aggregator tally.
+    """One level's projection of an Aggregator tally, as counts over `unit`.
 
-    whole_counts holds each actor's records by resolved status, in the slot
-    order of the counts tuples, every record counted once; years holds the
-    world baselines of each publication year.
+    cells maps actor -> field -> counts, baselines field -> counts and years
+    year -> field -> counts for the world.
     """
 
-    level: Level
     actor_kind: ActorKind | None
-    cells: Mapping[tuple[str, str], ActorFieldAggregate]
-    baselines: Mapping[str, WorldBaseline]
-    years: Mapping[int, Mapping[str, WorldBaseline]]
-    whole_counts: Mapping[str, tuple[int, int, int, int]]
-
-    def actors(self) -> frozenset[str]:
-        return frozenset(self.whole_counts)
-
-    def cells_by_actor(self) -> dict[str, list[ActorFieldAggregate]]:
-        grouped: dict[str, list[ActorFieldAggregate]] = {}
-        for (actor, _), agg in self.cells.items():
-            grouped.setdefault(actor, []).append(agg)
-        return grouped
+    unit: int
+    cells: Mapping[str, Mapping[str, Counts]]
+    baselines: Mapping[str, Counts]
+    years: Mapping[int, Mapping[str, Counts]]
 
 
 def _weigh(tally: Counter, weight: Mapping[int, int]) -> dict:
-    """(owner, category, k, status) -> n as (owner, category) -> counts over the unit."""
+    """(owner, category, k, status) -> n as owner -> category -> counts over the unit."""
     out: dict = {}
     for (owner, category, k, status), n in tally.items():
-        acc = out.get((owner, category))
+        by_category = out.get(owner)
+        if by_category is None:
+            by_category = out[owner] = {}
+        acc = by_category.get(category)
         if acc is None:
-            acc = out[owner, category] = [0, 0, 0, 0]
+            acc = by_category[category] = [0, 0, 0, 0]
         acc[_SLOT[status]] += n * weight[k]
     return out
 
 
-def _regroup(counts: Mapping, key: Callable) -> dict:
-    """Add up the counts of all entries whose keys map to the same new key."""
-    out: dict = {}
-    for old, c in counts.items():
-        new = key(old)
-        acc = out.get(new)
+def _project(items: Iterable[tuple[str, Counts]],
+             field_map: Mapping[str, str] | None) -> dict[str, Counts]:
+    """(category, counts) items as field -> counts, adding up each field's categories."""
+    out: dict[str, Counts] = {}
+    for category, c in items:
+        f = category if field_map is None else field_map[category]
+        acc = out.get(f)
         if acc is None:
-            out[new] = list(c)
+            out[f] = list(c)
         else:
-            for i, n in enumerate(c):
-                acc[i] += n
+            acc[0] += c[0]
+            acc[1] += c[1]
+            acc[2] += c[2]
+            acc[3] += c[3]
     return out
 
 
@@ -136,7 +134,6 @@ class Aggregator:
         self._priority = priority
         self._actors: Counter = Counter()
         self._world: Counter = Counter()
-        self._whole: Counter = Counter()
 
     def add(self, record: PublicationRecord) -> None:
         # Resolve multi-status once per record: one OA type everywhere.
@@ -157,8 +154,6 @@ class Aggregator:
             self._world[record.year, category, k, status] += 1
             for actor in actors:
                 self._actors[actor, category, k, status] += 1
-        for actor in actors:
-            self._whole[actor, status] += 1
 
     def add_all(self, corpus: Iterable[PublicationRecord]) -> None:
         for record in corpus:
@@ -168,107 +163,64 @@ class Aggregator:
         ks = {k for _, _, k, _ in self._world}
         unit = math.lcm(*ks)
         weight = {k: unit // k for k in ks}
-        by_category = _weigh(self._actors, weight)
-        world_by_category = _weigh(self._world, weight)
-        whole: dict[str, list[int]] = {}
-        for (actor, status), n in self._whole.items():
-            whole.setdefault(actor, [0, 0, 0, 0])[_SLOT[status]] += n
-        whole_counts = {actor: tuple(c) for actor, c in whole.items()}
+        actors = _weigh(self._actors, weight)
+        world = _weigh(self._world, weight)
 
         results = {}
         for level in self._levels:
             fields = self._registry.field_map(level)
-            if fields is None:
-                cells, world = by_category, world_by_category
-            else:
-                unknown = {c for _, c in world_by_category} - fields.keys()
+            if fields is not None:
+                unknown = {c for by_category in world.values() for c in by_category}
+                unknown -= fields.keys()
                 if unknown:
                     raise UnknownCategory(
                         f"subject categories {sorted(unknown)} not in registry")
-                cells = _regroup(by_category, lambda key: (key[0], fields[key[1]]))
-                world = _regroup(world_by_category, lambda key: (key[0], fields[key[1]]))
-            years: dict[int, dict[str, WorldBaseline]] = {}
-            for (year, f), c in world.items():
-                years.setdefault(year, {})[f] = WorldBaseline(f, level, tuple(c), unit)
+            years = {year: _project(by_category.items(), fields)
+                     for year, by_category in world.items()}
             results[level] = AggregationResult(
-                level=level,
                 actor_kind=self._actor_kind,
-                cells={
-                    key: ActorFieldAggregate(key[0], key[1], level, tuple(c), unit)
-                    for key, c in cells.items()
-                },
-                baselines={
-                    f: WorldBaseline(f, level, tuple(c), unit)
-                    for f, c in _regroup(world, lambda key: key[1]).items()
-                },
+                unit=unit,
+                cells={actor: _project(by_category.items(), fields)
+                       for actor, by_category in actors.items()},
+                baselines=_project(
+                    (item for by_field in years.values() for item in by_field.items()),
+                    None),
                 years=years,
-                whole_counts=whole_counts,
             )
         return results
 
 
-def oa_share(agg) -> float:
-    """Percent of an aggregate's (fractional) publications that are OA."""
-    x = sum(agg.counts)
+def oa_share(counts: Sequence[int]) -> float:
+    """Percent of a counts vector's (fractional) publications that are OA."""
+    x = sum(counts)
     if x == 0:
-        raise UndefinedShare(f"no publications for {agg!r}")
-    return 100 * (x - agg.counts[_CLOSED]) / x
+        raise UndefinedShare(f"no publications in {tuple(counts)}")
+    return 100 * (x - counts[_CLOSED]) / x
 
 
-@dataclass(frozen=True, slots=True)
-class NormalizedShare:
-    """Actor OA share divided by world OA share on one field; None if undefined."""
-
-    actor: str
-    field: str
-    level: Level
-    value: float | None
-
-
-def normalized_share(agg: ActorFieldAggregate, baseline: WorldBaseline) -> NormalizedShare:
-    """Stage-one normalization on a single field.
-
-    Undefined (value None) when the actor has no publications on the field or
-    the world share there is zero or undefined; undefined is a value, not an
-    error.
-    """
-    if agg.field != baseline.field or agg.level != baseline.level:
-        raise ValueError(
-            f"aggregate {agg.actor}/{agg.field} and baseline {baseline.field} disagree"
-        )
-    world = baseline.oa_share
-    if not any(agg.counts) or not world:
-        return NormalizedShare(agg.actor, agg.field, agg.level, None)
-    return NormalizedShare(
-        agg.actor, agg.field, agg.level, float(agg.oa_count / agg.pub_count / world)
-    )
-
-
-def noai(
-    aggregates: Iterable[ActorFieldAggregate],
-    baselines: Mapping[str, WorldBaseline],
-) -> float:
+def noai(cells: Mapping[str, Sequence[int]], baselines: Mapping[str, Sequence[int]]) -> float:
     """Stage-two normalization: weighted mean of defined normalized shares.
 
-    Weights are the fractional publication counts; the denominator sums only
-    over fields whose normalized share is defined, so the result stays a true
-    weighted average of the terms present.
+    cells maps each of an actor's fields to its counts and baselines every
+    field to the world's, over one unit, as in one AggregationResult. A
+    field's normalized share is undefined when the actor has no publications
+    there or the world has no OA ones. Weights are the fractional
+    publication counts; the denominator sums only over fields whose
+    normalized share is defined, so the result stays a true weighted average
+    of the terms present.
 
     A field's term share * x is oa * X / OA (actor counts in lower case, world
     counts in upper case), so with D the lcm of the world OA counts the mean
-    is one quotient of integers, rounded once. The aggregates must share one
-    unit, as the cells of one AggregationResult do.
+    is one quotient of integers, rounded once.
     """
     terms = []
-    for agg in aggregates:
-        baseline = baselines.get(agg.field)
-        if baseline is None:
-            continue
-        x = sum(agg.counts)
-        world_x = sum(baseline.counts)
-        world_oa = world_x - baseline.counts[_CLOSED]
+    for f, counts in cells.items():
+        world = baselines[f]
+        x = sum(counts)
+        world_x = sum(world)
+        world_oa = world_x - world[_CLOSED]
         if x and world_oa:
-            terms.append((x - agg.counts[_CLOSED], x, world_x, world_oa))
+            terms.append((x - counts[_CLOSED], x, world_x, world_oa))
     if not terms:
         raise UndefinedIndicator("no field with a defined normalized share")
     d = math.lcm(*(world_oa for _, _, _, world_oa in terms))
@@ -290,7 +242,7 @@ def yearly_series(result: AggregationResult) -> list[YearRow]:
     """World OA share per year, by type and by field at the result's level."""
     rows = []
     for year, baselines in sorted(result.years.items()):
-        total = [sum(c) for c in zip(*(b.counts for b in baselines.values()))]
+        total = [sum(c) for c in zip(*baselines.values())]
         x = sum(total)
         rows.append(
             YearRow(
@@ -310,23 +262,23 @@ def build_indicator_table(
     """Assemble the per-actor indicator table from the level results of one pass.
 
     A record's category fractions sum to one, so an actor's fractional output
-    and its OA and OA-type counts equal its whole counts at every level; only
-    the NOAI depends on the level. The table's window is left unset: the
-    caller knows which filter the corpus went through.
+    and its OA and OA-type counts equal its whole counts at every level: its
+    cell vectors summed and divided by the unit. Only the NOAI depends on the
+    level.
     """
     if not results:
         raise ValueError("no aggregation results")
     levels = tuple(results)
     first = results[levels[0]]
-    grouped = {level: result.cells_by_actor() for level, result in results.items()}
     rows = []
-    for actor, counts in first.whole_counts.items():
+    for actor, cells in first.cells.items():
+        counts = [sum(c) // first.unit for c in zip(*cells.values())]
         pubs = sum(counts)
         n_oa = pubs - counts[_CLOSED]
         noai_values: dict[Level, float | None] = {}
         for level, result in results.items():
             try:
-                noai_values[level] = noai(grouped[level][actor], result.baselines)
+                noai_values[level] = noai(result.cells[actor], result.baselines)
             except UndefinedIndicator:
                 noai_values[level] = None
         meta = actors_meta.get(actor) if actors_meta else None
@@ -345,9 +297,4 @@ def build_indicator_table(
             )
         )
     rows.sort(key=lambda r: (-r.x_total, r.actor))
-    return IndicatorTable(
-        actor_kind=first.actor_kind,
-        window=None,
-        levels=levels,
-        rows=tuple(rows),
-    )
+    return IndicatorTable(actor_kind=first.actor_kind, levels=levels, rows=tuple(rows))

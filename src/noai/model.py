@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import UnknownCategory
@@ -228,56 +227,6 @@ class ClassificationRegistry:
         return {cat: pair[idx] for cat, pair in self.categories.items()}
 
 
-class _ExactCounts:
-    """Publication counts held exactly as integers over a common unit.
-
-    counts[i] is the fractional number of publications whose resolved status
-    is the i-th OAStatus (gold, bronze, green, closed), times `unit`.
-    """
-
-    __slots__ = ()
-
-    @property
-    def pub_count(self) -> Fraction:
-        return Fraction(sum(self.counts), self.unit)
-
-    @property
-    def oa_count(self) -> Fraction:
-        return Fraction(sum(self.counts[:3]), self.unit)
-
-    @property
-    def oa_by_type(self) -> dict[OAStatus, Fraction]:
-        return {s: Fraction(n, self.unit) for s, n in zip(OAStatus, self.counts[:3])}
-
-
-@dataclass(frozen=True, slots=True)
-class ActorFieldAggregate(_ExactCounts):
-    """Fractional counts of one (actor, field) cell at one level."""
-
-    actor: str
-    field: str
-    level: Level
-    counts: tuple[int, int, int, int]
-    unit: int
-
-
-@dataclass(frozen=True, slots=True)
-class WorldBaseline(_ExactCounts):
-    """Per-field totals over the whole corpus, the normalization denominator."""
-
-    field: str
-    level: Level
-    counts: tuple[int, int, int, int]
-    unit: int
-
-    @property
-    def oa_share(self) -> Fraction | None:
-        """World OA fraction for the field, or None when the field is empty."""
-        if not any(self.counts):
-            return None
-        return Fraction(sum(self.counts[:3]), sum(self.counts))
-
-
 @dataclass(frozen=True, slots=True)
 class IndicatorRow:
     actor: str
@@ -301,7 +250,6 @@ class IndicatorTable:
     """
 
     actor_kind: ActorKind
-    window: tuple[int, int] | None
     levels: tuple[Level, ...]
     rows: tuple[IndicatorRow, ...] = field(default_factory=tuple)
 

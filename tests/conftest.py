@@ -5,6 +5,7 @@ stdlib-random corpus builder independent of the package's generator."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +16,13 @@ from noai.model import (
     OAStatus,
     PublicationRecord,
 )
+
+def exact_counts(counts, unit):
+    """An engine counts vector as exact (publications, OA publications, OA by type)."""
+    by_status = {s: Fraction(n, unit) for s, n in zip(OAStatus, counts, strict=True)}
+    by_type = {s: n for s, n in by_status.items() if s is not OAStatus.CLOSED}
+    return sum(by_status.values()), sum(by_type.values()), by_type
+
 
 # A publication carrying three subject categories, two of which share an
 # OST discipline, signed by two countries.  Fractions at category level

@@ -29,6 +29,7 @@ from conftest import (
     REG10,
     TABLE_CATS,
     TABLE_REGISTRY,
+    exact_counts,
     random_corpus,
     registry_csv_text,
 )
@@ -38,7 +39,6 @@ from noai.engine import (
     build_indicator_table,
     fraction_entries,
     noai,
-    normalized_share,
 )
 from noai.model import (
     ActorKind,
@@ -100,15 +100,17 @@ def test_01_mixed_counting_fixture():
     results = agg.finish()
     # Whole counting on the geographic axis: each country's credit on a
     # field equals the field fraction times one.
+    by_category = results[Level.SUBJECT_CATEGORY]
+    by_discipline = results[Level.OST_DISCIPLINE]
     for country in ("FRA", "USA"):
         for cat, frac in sc.items():
-            cell = results[Level.SUBJECT_CATEGORY].cells[(country, cat)]
-            if abs(cell.pub_count - frac) > tol or abs(cell.oa_count - frac) > tol:
-                problems.append(f"{country}/{cat} credit {cell.pub_count}")
+            x, oa, _ = exact_counts(by_category.cells[country][cat], by_category.unit)
+            if abs(x - frac) > tol or abs(oa - frac) > tol:
+                problems.append(f"{country}/{cat} credit {x}")
         for disc, frac in ost.items():
-            cell = results[Level.OST_DISCIPLINE].cells[(country, disc)]
-            if abs(cell.pub_count - frac) > tol:
-                problems.append(f"{country}/{disc} credit {cell.pub_count}")
+            x, _, _ = exact_counts(by_discipline.cells[country][disc], by_discipline.unit)
+            if abs(x - frac) > tol:
+                problems.append(f"{country}/{disc} credit {x}")
 
     elapsed = time.perf_counter() - t0
     if elapsed >= 1.0:
@@ -154,7 +156,7 @@ def test_03_world_unit_invariant():
             agg.add(dataclasses.replace(
                 record, countries=record.countries | {"WORLD"}))
         for level, result in agg.finish().items():
-            value = noai(result.cells_by_actor()["WORLD"], result.baselines)
+            value = noai(result.cells["WORLD"], result.baselines)
             worst = max(worst, abs(value - 1.0))
             if abs(value - 1.0) > tol:
                 problems.append(f"seed {seed} {level.value}: {value!r}")
@@ -208,7 +210,7 @@ def trials() -> TrialOutcome:
             if diff > tol:
                 out.equivalence_problems.append(f"seed {seed}: {what} {diff:.2e}")
 
-        if set(oracle.actors()) != set(result.actors()):
+        if set(oracle.actors()) != set(result.cells):
             out.equivalence_problems.append(f"seed {seed}: actor sets differ")
             continue
         rows = {row.actor: row for row in table.rows}
@@ -222,14 +224,17 @@ def trials() -> TrialOutcome:
                 flag(f"{actor} {status.value} share",
                      abs(row.oa_type_shares[status]
                          - float(oracle.type_share(actor, status))))
-            for cell in result.cells_by_actor()[actor]:
-                mine = normalized_share(cell, result.baselines[cell.field]).value
-                ref = oracle.normalized_share(actor, cell.field)
+            for f, counts in result.cells[actor].items():
+                x, oa, _ = exact_counts(counts, result.unit)
+                world_x, world_oa, _ = exact_counts(result.baselines[f], result.unit)
+                mine = (oa / x) / (world_oa / world_x) if x and world_oa else None
+                ref = oracle.normalized_share(actor, f)
                 if (mine is None) != (ref is None):
                     out.equivalence_problems.append(
-                        f"seed {seed}: {actor}/{cell.field} definedness")
-                elif mine is not None:
-                    flag(f"{actor}/{cell.field} normalized", abs(mine - float(ref)))
+                        f"seed {seed}: {actor}/{f} definedness")
+                elif mine != ref:
+                    out.equivalence_problems.append(
+                        f"seed {seed}: {actor}/{f} normalized {mine} != {ref}")
             ref_noai = oracle.noai(actor)
             if (row.noai[level] is None) != (ref_noai is None):
                 out.equivalence_problems.append(
@@ -239,15 +244,15 @@ def trials() -> TrialOutcome:
 
         # Conservation: world fractional totals return the record count,
         # and the three type shares rebuild every total OA share.
-        world_x = math.fsum(b.pub_count for b in result.baselines.values())
+        baselines = [exact_counts(b, result.unit) for b in result.baselines.values()]
+        world_x = math.fsum(x for x, _, _ in baselines)
         diff = abs(world_x - len(records))
         out.conservation_worst = max(out.conservation_worst, diff)
         if diff > tol:
             out.conservation_problems.append(f"seed {seed}: sum X_wj {diff:.2e}")
-        world_oa = math.fsum(b.oa_count for b in result.baselines.values())
+        world_oa = math.fsum(oa for _, oa, _ in baselines)
         world_types = math.fsum(
-            b.oa_by_type[t] for b in result.baselines.values()
-            for t in (GOLD, BRONZE, GREEN))
+            by_type[t] for _, _, by_type in baselines for t in (GOLD, BRONZE, GREEN))
         diff = abs(world_oa - world_types)
         out.decomposition_worst = max(out.decomposition_worst, diff)
         if diff > tol:
@@ -290,7 +295,7 @@ def spearman_of(xs, ys) -> float:
         )
         for a, x, y in zip(actors, xs, ys)
     )
-    table = IndicatorTable(actor_kind=ActorKind.COUNTRY, window=None,
+    table = IndicatorTable(actor_kind=ActorKind.COUNTRY,
                            levels=(Level.SUBJECT_CATEGORY,), rows=rows)
     return spearman(rank(table, "oa_share"),
                     rank(table, noai_metric(Level.SUBJECT_CATEGORY)))
@@ -354,7 +359,10 @@ def test_07_normalization_direction():
     agg.add_all(records)
     result = agg.finish()[Level.SUBJECT_CATEGORY]
     problems = []
-    shares = {f: b.oa_share for f, b in result.baselines.items()}
+    shares = {}
+    for f, counts in result.baselines.items():
+        x, oa, _ = exact_counts(counts, result.unit)
+        shares[f] = oa / x
     if not shares["Low Field"] < shares["High Field"]:
         problems.append("baseline ordering broken")
 
@@ -379,7 +387,7 @@ def test_08_threshold_semantics():
         )
         for a, x in (("AT-30", 30.0), ("ABOVE", 30.5), ("BIG", 500.0))
     )
-    table = IndicatorTable(actor_kind=ActorKind.COUNTRY, window=None,
+    table = IndicatorTable(actor_kind=ActorKind.COUNTRY,
                            levels=(Level.SUBJECT_CATEGORY,), rows=rows)
     kept = {row.actor for row in filter_actors(table).rows}
     problems = []

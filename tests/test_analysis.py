@@ -35,7 +35,7 @@ def make_table(rows_spec) -> IndicatorTable:
         )
         for actor, x, share, noai_sc in rows_spec
     )
-    return IndicatorTable(actor_kind=ActorKind.COUNTRY, window=None,
+    return IndicatorTable(actor_kind=ActorKind.COUNTRY,
                           levels=(Level.SUBJECT_CATEGORY,), rows=rows)
 
 
@@ -223,7 +223,7 @@ class TestFilters:
                          oa_type_shares={}, n_oa_whole=0, n_pubs_whole=100)
             for a, g in (("u1", "G1"), ("u2", "G2"), ("u3", "G1"))
         )
-        table = IndicatorTable(actor_kind=ActorKind.INSTITUTION, window=None,
+        table = IndicatorTable(actor_kind=ActorKind.INSTITUTION,
                                levels=(Level.SUBJECT_CATEGORY,), rows=rows)
         kept = filter_actors(table, min_pubs=0.0, group="G1")
         assert {r.actor for r in kept.rows} == {"u1", "u3"}

@@ -10,13 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ACTORS20, CATS10, REG10, random_corpus
+from conftest import ACTORS20, CATS10, REG10, exact_counts, random_corpus
 from noai.engine import (
     Aggregator,
     build_indicator_table,
     fraction_entries,
     noai,
-    normalized_share,
     oa_share,
     yearly_series,
 )
@@ -27,13 +26,11 @@ from noai.errors import (
 )
 from noai.ingest import CorpusReader, IngestOptions, write_corpus
 from noai.model import (
-    ActorFieldAggregate,
     ActorKind,
     DocType,
     Level,
     OAStatus,
     PublicationRecord,
-    WorldBaseline,
 )
 from oracle import OA_TYPES, BruteForce
 
@@ -109,41 +106,46 @@ class TestFractionEntries:
 
 
 def assert_matches_oracle(result, oracle: BruteForce):
+    unit = result.unit
     # World baselines: same fields, same tallies, exactly.
     assert set(result.baselines) == set(oracle.world)
-    for f, baseline in result.baselines.items():
+    for f, counts in result.baselines.items():
         ocell = oracle.world[f]
-        assert baseline.pub_count == ocell.x
-        assert baseline.oa_count == ocell.oa
-        assert baseline.oa_by_type == ocell.by_type
+        assert exact_counts(counts, unit) == (ocell.x, ocell.oa, ocell.by_type)
 
     # Per-(actor, field) cells.
-    assert set(result.cells) == set(oracle.cells)
-    for key, cell in result.cells.items():
+    cells = {(actor, f): counts for actor, by_field in result.cells.items()
+             for f, counts in by_field.items()}
+    assert set(cells) == set(oracle.cells)
+    for key, counts in cells.items():
         ocell = oracle.cells[key]
-        assert cell.pub_count == ocell.x
-        assert cell.oa_count == ocell.oa
-        assert cell.oa_by_type == ocell.by_type
+        assert exact_counts(counts, unit) == (ocell.x, ocell.oa, ocell.by_type)
 
     # Whole counts: the world's are its fractional totals, each record
     # spending exactly one unit.
-    baselines = result.baselines.values()
-    assert sum(b.pub_count for b in baselines) == oracle.world_whole_pubs
-    assert sum(b.oa_count for b in baselines) == oracle.world_whole_oa
-    for actor, counts in result.whole_counts.items():
-        assert sum(counts) == oracle.whole_pubs[actor]
-        assert sum(counts[:3]) == oracle.whole_oa[actor]
+    baselines = [exact_counts(counts, unit) for counts in result.baselines.values()]
+    assert sum(x for x, _, _ in baselines) == oracle.world_whole_pubs
+    assert sum(oa for _, oa, _ in baselines) == oracle.world_whole_oa
+    # An actor's are its cell counts summed over fields, per status, which
+    # must be whole multiples of the unit: the indicator table divides them.
+    for actor, by_field in result.cells.items():
+        whole = {}
+        for status, total in zip(OAStatus, map(sum, zip(*by_field.values())),
+                                 strict=True):
+            whole[status], rest = divmod(total, unit)
+            assert rest == 0, f"{actor} {status.value}: {total} not a multiple of {unit}"
+        assert sum(whole.values()) == oracle.whole_pubs[actor]
+        assert sum(whole[t] for t in OA_TYPES) == oracle.whole_oa[actor]
 
     # Derived per-actor quantities, including the indicator itself.
-    grouped = result.cells_by_actor()
+    assert sorted(result.cells) == oracle.actors()
     for actor in oracle.actors():
-        cells = grouped[actor]
         expected = oracle.noai(actor)
         if expected is None:
             with pytest.raises(UndefinedIndicator):
-                noai(cells, result.baselines)
+                noai(result.cells[actor], result.baselines)
         else:
-            assert noai(cells, result.baselines) == float(expected)
+            assert noai(result.cells[actor], result.baselines) == float(expected)
 
 
 class TestOracleEquivalence:
@@ -191,10 +193,8 @@ class TestOracleEquivalence:
         combined = agg.finish()
         for level in LEVELS:
             solo = aggregate(corpus, REG10, level)
-            assert combined[level].cells.keys() == solo.cells.keys()
-            for key, cell in combined[level].cells.items():
-                assert cell.pub_count == solo.cells[key].pub_count
-                assert cell.oa_count == solo.cells[key].oa_count
+            assert combined[level].unit == solo.unit
+            assert combined[level].cells == solo.cells
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("level", LEVELS)
@@ -207,7 +207,7 @@ class TestOracleEquivalence:
         full = aggregate(corpus, REG10, level)
         assert world.baselines == full.baselines
         assert world.years == full.years
-        assert world.cells == {} and world.whole_counts == {}
+        assert world.cells == {}
 
     def test_order_stability(self):
         # Integer tallies make every output independent of record order.
@@ -235,32 +235,30 @@ class TestCountingRules:
             rec("r2", ("Health Care Sciences & Services",), countries=("FRA",)),
         ]
         result = aggregate(corpus, table_registry, Level.OST_DISCIPLINE)
-        b = result.baselines
-        assert b["Computer science"].pub_count == Fraction(2, 3)
-        assert b["Medical research"].pub_count == Fraction(4, 3)
-        assert b["Computer science"].oa_count == Fraction(2, 3)
-        assert b["Medical research"].oa_count == Fraction(1, 3)
+        b = {f: exact_counts(counts, result.unit) for f, counts in result.baselines.items()}
+        assert b["Computer science"][:2] == (Fraction(2, 3), Fraction(2, 3))
+        assert b["Medical research"][:2] == (Fraction(4, 3), Fraction(1, 3))
 
-        fra_mr = result.cells[("FRA", "Medical research")]
-        assert fra_mr.pub_count == Fraction(4, 3)
-        usa_cs = result.cells[("USA", "Computer science")]
-        assert usa_cs.pub_count == Fraction(2, 3)
+        fra_mr = exact_counts(result.cells["FRA"]["Medical research"], result.unit)
+        assert fra_mr[0] == Fraction(4, 3)
+        usa_cs = exact_counts(result.cells["USA"]["Computer science"], result.unit)
+        assert usa_cs[0] == Fraction(2, 3)
 
         # Whole counting: every distinct signatory gets the full record.
         rows = build_indicator_table({Level.OST_DISCIPLINE: result}).by_actor()
         assert rows["FRA"].n_pubs_whole == 2
         assert rows["FRA"].n_oa_whole == 1
         assert rows["USA"].n_pubs_whole == 1
-        assert sum(base.pub_count for base in b.values()) == 2
+        assert sum(x for x, _, _ in b.values()) == 2
 
     def test_multi_status_counts_once_under_winner(self, reg10):
         r = rec("r1", ("Mathematics",), statuses=(OAStatus.GOLD, OAStatus.GREEN),
                 countries=("FRA",))
         result = aggregate([r], reg10, Level.SUBJECT_CATEGORY)
-        cell = result.cells[("FRA", "Mathematics")]
-        assert cell.oa_count == 1.0
-        assert cell.oa_by_type[OAStatus.GOLD] == 1.0
-        assert cell.oa_by_type[OAStatus.GREEN] == 0.0
+        _, oa, by_type = exact_counts(result.cells["FRA"]["Mathematics"], result.unit)
+        assert oa == 1
+        assert by_type[OAStatus.GOLD] == 1
+        assert by_type[OAStatus.GREEN] == 0
 
     def test_actorless_record_feeds_world_baseline_only(self, reg10):
         corpus = [
@@ -268,9 +266,9 @@ class TestCountingRules:
             rec("r2", ("Economics",), countries=("FRA",)),
         ]
         result = aggregate(corpus, reg10, Level.SUBJECT_CATEGORY)
-        assert result.baselines["Economics"].pub_count == 2
-        assert result.cells[("FRA", "Economics")].pub_count == 1
-        assert result.actors() == {"FRA"}
+        assert exact_counts(result.baselines["Economics"], result.unit)[0] == 2
+        assert exact_counts(result.cells["FRA"]["Economics"], result.unit)[0] == 1
+        assert set(result.cells) == {"FRA"}
 
 
 class TestInvariants:
@@ -280,12 +278,14 @@ class TestInvariants:
         corpus = random_corpus(seed=seed, n_records=250)
         result = aggregate(corpus, REG10, level)
         # Conservation: world fractional counts sum to the record count.
-        total_x = sum(b.pub_count for b in result.baselines.values())
+        total_x = sum(exact_counts(b, result.unit)[0] for b in result.baselines.values())
         assert total_x == len(corpus)
         # Dominance and per-type decomposition on every cell.
-        for cell in list(result.cells.values()) + list(result.baselines.values()):
-            assert cell.oa_count <= cell.pub_count
-            assert sum(cell.oa_by_type[t] for t in OA_TYPES) == cell.oa_count
+        vectors = [c for by_field in result.cells.values() for c in by_field.values()]
+        for counts in vectors + list(result.baselines.values()):
+            x, oa, by_type = exact_counts(counts, result.unit)
+            assert oa <= x
+            assert sum(by_type.values()) == oa
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -293,9 +293,8 @@ class TestInvariants:
         corpus = random_corpus(seed=seed, n_records=250)
         result = aggregate(corpus, REG10, Level.OST_DISCIPLINE)
         table = build_indicator_table({Level.OST_DISCIPLINE: result})
-        grouped = result.cells_by_actor()
         for row in table.rows:
-            total = oa_share_of_cells(grouped[row.actor])
+            total = oa_share_of_cells(result.cells[row.actor].values())
             assert abs(sum(row.oa_type_shares.values()) - total) <= TOL
 
     def test_world_actor_indicator_is_exactly_one(self):
@@ -307,14 +306,12 @@ class TestInvariants:
         ]
         for level in LEVELS:
             result = aggregate(corpus, REG10, level)
-            cells = result.cells_by_actor()["WORLD"]
-            assert noai(cells, result.baselines) == 1.0
+            assert noai(result.cells["WORLD"], result.baselines) == 1.0
 
 
 def oa_share_of_cells(cells):
-    x = sum(c.pub_count for c in cells)
-    oa = sum(c.oa_count for c in cells)
-    return 100.0 * oa / x
+    totals = [sum(c) for c in zip(*cells)]
+    return 100.0 * sum(totals[:3]) / sum(totals)
 
 
 class TestShares:
@@ -324,40 +321,20 @@ class TestShares:
             rec("r2", ("Mathematics",), countries=("A",)),
         ]
         result = aggregate(corpus, reg10, Level.SUBJECT_CATEGORY)
-        assert oa_share(result.cells[("A", "Mathematics")]) == pytest.approx(50.0)
+        assert oa_share(result.cells["A"]["Mathematics"]) == pytest.approx(50.0)
 
     def test_oa_share_undefined_on_empty(self):
-        empty = WorldBaseline(field="f", level=Level.SUBJECT_CATEGORY,
-                              counts=(0, 0, 0, 0), unit=1)
         with pytest.raises(UndefinedShare):
-            oa_share(empty)
+            oa_share((0, 0, 0, 0))
 
-    def test_normalized_share_value(self, reg10):
+    def test_single_field_indicator_is_its_normalized_share(self, reg10):
         # Actor at 100% OA in a field where the world is at 50%.
         corpus = [
             rec("r1", ("Economics",), statuses=(OAStatus.GREEN,), countries=("A",)),
             rec("r2", ("Economics",)),
         ]
         result = aggregate(corpus, reg10, Level.SUBJECT_CATEGORY)
-        share = normalized_share(result.cells[("A", "Economics")],
-                                 result.baselines["Economics"])
-        assert share.value == 2.0
-
-    def test_normalized_share_undefined_when_world_closed(self, reg10):
-        corpus = [rec("r1", ("Economics",), countries=("A",))]
-        result = aggregate(corpus, reg10, Level.SUBJECT_CATEGORY)
-        share = normalized_share(result.cells[("A", "Economics")],
-                                 result.baselines["Economics"])
-        assert share.value is None
-
-    def test_normalized_share_mismatch_raises(self, reg10):
-        agg = ActorFieldAggregate(actor="A", field="f1",
-                                  level=Level.SUBJECT_CATEGORY,
-                                  counts=(0, 0, 0, 1), unit=1)
-        base = WorldBaseline(field="f2", level=Level.SUBJECT_CATEGORY,
-                             counts=(1, 0, 0, 0), unit=1)
-        with pytest.raises(ValueError):
-            normalized_share(agg, base)
+        assert noai(result.cells["A"], result.baselines) == 2.0
 
     def test_undefined_fields_left_out_of_weighting(self, reg10):
         # Economics: world all closed (share undefined there); Sociology:
@@ -370,14 +347,13 @@ class TestShares:
             rec("r4", ("Sociology",)),
         ]
         result = aggregate(corpus, reg10, Level.SUBJECT_CATEGORY)
-        cells = result.cells_by_actor()["A"]
-        assert noai(cells, result.baselines) == 2.0
+        assert noai(result.cells["A"], result.baselines) == 2.0
 
     def test_indicator_undefined_when_no_field_qualifies(self, reg10):
         corpus = [rec("r1", ("Economics",), countries=("A",))]
         result = aggregate(corpus, reg10, Level.SUBJECT_CATEGORY)
         with pytest.raises(UndefinedIndicator):
-            noai(result.cells_by_actor()["A"], result.baselines)
+            noai(result.cells["A"], result.baselines)
 
 
 def series(corpus, registry, level):
