@@ -336,6 +336,22 @@ class TestShares:
         result = aggregate(corpus, reg10, Level.SUBJECT_CATEGORY)
         assert noai(result.cells["A"], result.baselines) == 2.0
 
+    def test_normalized_share_undefined_when_world_closed(self, reg10):
+        # The only field's world share is 0%, so the actor's normalized share
+        # there is undefined and its table row carries no indicator, while its
+        # counts and OA share are still reported.
+        corpus = [rec("r1", ("Economics",), countries=("A",))]
+        results = {Level.SUBJECT_CATEGORY: aggregate(corpus, reg10, Level.SUBJECT_CATEGORY)}
+        (row,) = build_indicator_table(results).rows
+        assert row.noai == {Level.SUBJECT_CATEGORY: None}
+        assert (row.n_pubs_whole, row.n_oa_whole, row.oa_share) == (1, 0, 0.0)
+
+    def test_normalized_share_mismatch_raises(self):
+        # An actor field with no world baseline is an error, not a field
+        # silently left out of the weighting.
+        with pytest.raises(KeyError):
+            noai({"f1": (0, 0, 0, 1)}, {"f2": (1, 0, 0, 0)})
+
     def test_undefined_fields_left_out_of_weighting(self, reg10):
         # Economics: world all closed (share undefined there); Sociology:
         # world 50% OA, actor 100%. The indicator must weight Sociology
