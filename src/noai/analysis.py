@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 from .errors import DegenerateInput, EmptyTable, MismatchedActorSets
 from .model import IndicatorRow, IndicatorTable, Level

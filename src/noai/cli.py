@@ -23,6 +23,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 from collections.abc import Iterable, Mapping, Sequence
 
@@ -56,7 +57,6 @@ from .model import (
     Level,
     OAStatus,
 )
-from .synth import generate, load_synth_spec, write_spec_actors, write_spec_registry
 
 INDICATOR_COLUMNS = (
     "actor",
@@ -92,6 +92,26 @@ def _parse_window(text: str) -> tuple[int, int]:
     if lo > hi:
         raise argparse.ArgumentTypeError(f"window start {lo} is after end {hi}")
     return lo, hi
+
+
+def _parse_top_n(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+def _parse_min_pubs(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return x
 
 
 def _parse_doc_types(text: str) -> frozenset[DocType]:
@@ -176,9 +196,9 @@ def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
         p.add_argument("--actors", help="actor registry CSV (display names, groups)")
         p.add_argument("--actor-kind", choices=[k.value for k in ActorKind],
                        default=ActorKind.COUNTRY.value, help="which actor ids to credit")
-        p.add_argument("--min-pubs", type=float, metavar="X",
+        p.add_argument("--min-pubs", type=_parse_min_pubs, metavar="X",
                        help="keep actors with fractional output strictly above X")
-        p.add_argument("--top-n", type=int, metavar="N",
+        p.add_argument("--top-n", type=_parse_top_n, metavar="N",
                        help="keep only the N largest producers")
         p.add_argument("--group", help="keep only actors in this group")
 
@@ -438,6 +458,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    # Imported here so that no other command pays for loading numpy.
+    from .synth import generate, load_synth_spec, write_spec_actors, write_spec_registry
+
     spec = load_synth_spec(args.spec)
     n = generate(spec, args.out)
     outputs = [args.out]

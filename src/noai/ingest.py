@@ -49,6 +49,8 @@ REASON_UNKNOWN_CATEGORY = "unknown_category"
 
 _DOC_TYPES = {d.value: d for d in DocType}
 _RAW_OA = {s.value: s for s in (OAStatus.GOLD, OAStatus.BRONZE, OAStatus.GREEN)}
+_NO_STATUS: frozenset[OAStatus] = frozenset()
+_EMPTY: list = []  # default for absent array fields; never mutated
 
 #: Cap on per-line messages kept in CorpusStats; counts are always complete.
 MAX_KEPT_DIAGNOSTICS = 50
@@ -91,57 +93,63 @@ class _EmptyCategories(ValueError):
     """A record whose schema is valid apart from its empty category list."""
 
 
+def _strings(value, name: str) -> None:
+    """Require a JSON array of non-empty strings."""
+    if type(value) is not list:
+        raise ValueError(f"{name} must be an array of non-empty strings")
+    for v in value:
+        if type(v) is not str or not v:
+            raise ValueError(f"{name} must be an array of non-empty strings")
+
+
 def _parse_line(obj: dict) -> PublicationRecord:
-    """Build a record from a parsed JSON object; ValueError on schema violations."""
+    """Build a record from a decoded JSON object; ValueError on schema violations.
+
+    This is the one place where a record is checked: each field is checked
+    once and the record is built with its final types. JSON decoding yields
+    exact `str`, `int`, `bool` and `list` values, so exact type tests suffice,
+    and `type(year) is int` keeps a bool from passing as a year.
+    """
     rec_id = obj.get("id")
-    if not isinstance(rec_id, str) or not rec_id:
+    if type(rec_id) is not str or not rec_id:
         raise ValueError("missing or invalid id")
     year = obj.get("year")
-    if isinstance(year, bool) or not isinstance(year, int):
+    if type(year) is not int:
         raise ValueError("missing or invalid year")
     doc_type = _DOC_TYPES.get(obj.get("doc_type"))
     if doc_type is None:
         raise ValueError(f"invalid doc_type {obj.get('doc_type')!r}")
-    oa = obj.get("oa", [])
-    if not isinstance(oa, list):
+    oa = obj.get("oa", _EMPTY)
+    if type(oa) is not list:
         raise ValueError("oa must be an array")
-    statuses = set()
-    for s in oa:
-        status = _RAW_OA.get(s)
-        if status is None:
-            raise ValueError(f"invalid oa status {s!r}")
-        statuses.add(status)
+    statuses = _NO_STATUS
+    if oa:
+        found = []
+        for s in oa:
+            status = _RAW_OA.get(s)
+            if status is None:
+                raise ValueError(f"invalid oa status {s!r}")
+            found.append(status)
+        statuses = frozenset(found)
     categories = obj.get("categories")
-    if not isinstance(categories, list) or not all(
-        isinstance(c, str) and c for c in categories
-    ):
-        raise ValueError("categories must be an array of non-empty strings")
-    # Duplicate categories carry no extra information; keep first occurrences.
-    deduped = tuple(dict.fromkeys(categories))
+    _strings(categories, "categories")
     doi = obj.get("doi", False)
-    if not isinstance(doi, bool):
+    if type(doi) is not bool:
         raise ValueError("doi must be a boolean")
-    countries = obj.get("countries", [])
-    institutions = obj.get("institutions", [])
-    for name, value in (("countries", countries), ("institutions", institutions)):
-        if not isinstance(value, list) or not all(isinstance(v, str) and v for v in value):
-            raise ValueError(f"{name} must be an array of non-empty strings")
-    if not deduped:
+    countries = obj.get("countries", _EMPTY)
+    _strings(countries, "countries")
+    institutions = obj.get("institutions", _EMPTY)
+    _strings(institutions, "institutions")
+    if not categories:
         # Raised after the rest of the schema checks so the reason is specific.
         raise _EmptyCategories("categories is empty")
+    # Duplicate categories carry no extra information; keep first occurrences.
+    deduped = tuple(categories) if len(categories) == 1 else tuple(dict.fromkeys(categories))
     # A JSON escape can yield a lone surrogate, which no UTF-8 output can
     # hold; encoding raises UnicodeEncodeError, a ValueError.
     "".join((rec_id, *deduped, *countries, *institutions)).encode("utf-8")
-    return PublicationRecord(
-        id=rec_id,
-        year=year,
-        doc_type=doc_type,
-        raw_statuses=frozenset(statuses),
-        subject_categories=deduped,
-        has_doi=doi,
-        countries=frozenset(countries),
-        institutions=frozenset(institutions),
-    )
+    return PublicationRecord(rec_id, year, doc_type, statuses, deduped, doi,
+                             frozenset(countries), frozenset(institutions))
 
 
 class CorpusReader:
@@ -171,9 +179,10 @@ class CorpusReader:
 
     def __iter__(self) -> Iterator[PublicationRecord]:
         opts = self.options
+        doc_types, window, require_doi = opts.doc_types, opts.window, opts.require_doi
         stats = self.stats
         registry = self.registry
-        known = registry.categories if registry is not None else None
+        known = frozenset(registry.categories) if registry is not None else None
         seen_ids: set[str] = set()
         try:
             stream = open(self.path, "rb")
@@ -190,7 +199,7 @@ class CorpusReader:
                 stats.records_read += 1
                 try:
                     obj = json.loads(line.decode("utf-8"))
-                    if not isinstance(obj, dict):
+                    if type(obj) is not dict:
                         raise ValueError("line is not an object")
                     record = _parse_line(obj)
                 except (ValueError, TypeError, RecursionError) as exc:
@@ -203,15 +212,13 @@ class CorpusReader:
                         raise MalformedRecord(line_no, f"{reason}: {exc}") from exc
                     self._reject(line_no, reason, str(exc))
                     continue
-                if opts.doc_types is not None and record.doc_type not in opts.doc_types:
+                if doc_types is not None and record.doc_type not in doc_types:
                     self._reject(line_no, REASON_DOC_TYPE)
                     continue
-                if opts.window is not None and not (
-                    opts.window[0] <= record.year <= opts.window[1]
-                ):
+                if window is not None and not window[0] <= record.year <= window[1]:
                     self._reject(line_no, REASON_YEAR)
                     continue
-                if opts.require_doi and not record.has_doi:
+                if require_doi and not record.has_doi:
                     self._reject(line_no, REASON_NO_DOI)
                     continue
                 if record.id in seen_ids:
@@ -219,16 +226,15 @@ class CorpusReader:
                         raise MalformedRecord(line_no, f"duplicate id {record.id!r}")
                     self._reject(line_no, REASON_DUPLICATE_ID, record.id)
                     continue
-                if known is not None:
+                if known is not None and not known.issuperset(record.subject_categories):
                     missing = [c for c in record.subject_categories if c not in known]
-                    if missing:
-                        if opts.strict:
-                            raise UnknownCategory(
-                                f"line {line_no}: record {record.id!r} has unknown "
-                                f"categories {missing}"
-                            )
-                        self._reject(line_no, REASON_UNKNOWN_CATEGORY, ", ".join(missing))
-                        continue
+                    if opts.strict:
+                        raise UnknownCategory(
+                            f"line {line_no}: record {record.id!r} has unknown "
+                            f"categories {missing}"
+                        )
+                    self._reject(line_no, REASON_UNKNOWN_CATEGORY, ", ".join(missing))
+                    continue
                 seen_ids.add(record.id)
                 stats.records_accepted += 1
                 if stats.year_min is None or record.year < stats.year_min:

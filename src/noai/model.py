@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import UnknownCategory
 
@@ -138,13 +138,14 @@ def resolve_status(
     return OAStatus.CLOSED
 
 
-@dataclass(frozen=True, slots=True)
-class PublicationRecord:
-    """One indexed publication.
+class PublicationRecord(NamedTuple):
+    """One indexed publication, an immutable record with final field types.
 
     subject_categories keeps input order (the first entry is the primary
-    category); countries and institutions are sets because geographic credit
-    is whole per distinct actor, not per signatory occurrence.
+    category) and holds no duplicates; countries and institutions are sets
+    because geographic credit is whole per distinct actor, not per signatory
+    occurrence. The record checks nothing: `ingest._parse_line` is where
+    outside input is validated, and builders pass these exact types.
     """
 
     id: str
@@ -155,21 +156,6 @@ class PublicationRecord:
     has_doi: bool
     countries: frozenset[str]
     institutions: frozenset[str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "raw_statuses", frozenset(self.raw_statuses))
-        object.__setattr__(self, "subject_categories", tuple(self.subject_categories))
-        object.__setattr__(self, "countries", frozenset(self.countries))
-        object.__setattr__(self, "institutions", frozenset(self.institutions))
-        if not self.subject_categories:
-            raise ValueError(f"record {self.id!r}: no subject categories")
-        if len(set(self.subject_categories)) != len(self.subject_categories):
-            raise ValueError(f"record {self.id!r}: duplicate subject categories")
-        if not self.raw_statuses <= RAW_STATUSES:
-            raise ValueError(f"record {self.id!r}: invalid raw statuses {self.raw_statuses}")
-
-    def actors(self, kind: ActorKind) -> frozenset[str]:
-        return self.countries if kind is ActorKind.COUNTRY else self.institutions
 
 
 @dataclass(frozen=True, slots=True)

@@ -495,11 +495,11 @@ def iter_records(spec: SynthSpec) -> Iterator[PublicationRecord]:
                 id=f"r{start + i:08d}",
                 year=int(plan.years[year_idx[i]]),
                 doc_type=DocType(plan.doc_types[doc_idx[i]]),
-                raw_statuses=statuses,
+                raw_statuses=frozenset(statuses),
                 subject_categories=categories,
                 has_doi=bool(has_doi[i]),
-                countries=[aid for k, aid in country_ids if signs[i, k]],
-                institutions=[aid for k, aid in inst_ids if signs[i, k]],
+                countries=frozenset([aid for k, aid in country_ids if signs[i, k]]),
+                institutions=frozenset([aid for k, aid in inst_ids if signs[i, k]]),
             )
 
 

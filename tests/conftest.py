@@ -10,7 +10,6 @@ from fractions import Fraction
 import pytest
 
 from noai.model import (
-    ActorKind,
     ClassificationRegistry,
     DocType,
     OAStatus,
@@ -52,11 +51,11 @@ def table_record() -> PublicationRecord:
         id="w1",
         year=2016,
         doc_type=DocType.ARTICLE,
-        raw_statuses=(OAStatus.GOLD,),
+        raw_statuses=frozenset({OAStatus.GOLD}),
         subject_categories=TABLE_CATS,
         has_doi=True,
-        countries=("FRA", "USA"),
-        institutions=("univ-x",),
+        countries=frozenset({"FRA", "USA"}),
+        institutions=frozenset({"univ-x"}),
     )
 
 
@@ -124,11 +123,11 @@ def random_corpus(seed: int, n_records: int,
             id=f"p{i:06d}",
             year=rng.randint(2015, 2019),
             doc_type=rng.choice(doc_types),
-            raw_statuses=statuses,
-            subject_categories=cats,
+            raw_statuses=frozenset(statuses),
+            subject_categories=tuple(cats),
             has_doi=rng.random() < 0.9,
-            countries=countries,
-            institutions=institutions,
+            countries=frozenset(countries),
+            institutions=frozenset(institutions),
         ))
     return records
 

@@ -75,7 +75,8 @@ class BruteForce:
             for cat in rec.subject_categories:
                 fracs[field_of(registry, cat, level)] += Fraction(1, k)
 
-            actors = rec.actors(actor_kind)
+            actors = (rec.countries if actor_kind is ActorKind.COUNTRY
+                      else rec.institutions)
             for f, frac in fracs.items():
                 self.world[f].x += frac
                 if is_oa:

@@ -9,29 +9,23 @@ engine; the two must agree, never share code.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
-import json
 import math
 import os
 import random
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from conftest import (
-    ACTORS20,
-    CATS10,
     REG10,
     TABLE_CATS,
     TABLE_REGISTRY,
     exact_counts,
     random_corpus,
-    registry_csv_text,
 )
 from noai.analysis import filter_actors, noai_metric, rank, rank_shift, spearman
 from noai.engine import (
@@ -70,9 +64,9 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 def make_record(rec_id, cats, statuses=(), countries=(), institutions=(),
                 year=2016, doc=DocType.ARTICLE):
     return PublicationRecord(
-        id=rec_id, year=year, doc_type=doc, raw_statuses=statuses,
-        subject_categories=cats, has_doi=True, countries=countries,
-        institutions=institutions,
+        id=rec_id, year=year, doc_type=doc, raw_statuses=frozenset(statuses),
+        subject_categories=tuple(cats), has_doi=True, countries=frozenset(countries),
+        institutions=frozenset(institutions),
     )
 
 
@@ -153,8 +147,7 @@ def test_03_world_unit_invariant():
              for f in spec.fields})
         agg = Aggregator(registry, levels)
         for record in iter_records(spec):
-            agg.add(dataclasses.replace(
-                record, countries=record.countries | {"WORLD"}))
+            agg.add(record._replace(countries=record.countries | {"WORLD"}))
         for level, result in agg.finish().items():
             value = noai(result.cells["WORLD"], result.baselines)
             worst = max(worst, abs(value - 1.0))

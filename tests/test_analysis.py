@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noai.analysis import (
-    ASCENDING,
     DESCENDING,
     filter_actors,
     metric_value,

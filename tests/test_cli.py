@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_corpus, registry_csv_text, REG10
+from conftest import registry_csv_text, REG10
 from noai.cli import INDICATOR_COLUMNS, main
 from noai.ingest import write_corpus
 from noai.model import DocType, OAStatus, PublicationRecord
@@ -21,9 +21,9 @@ from noai.model import DocType, OAStatus, PublicationRecord
 def rec(rec_id, cats, statuses=(), countries=(), year=2018,
         doc=DocType.ARTICLE, doi=True, institutions=()):
     return PublicationRecord(
-        id=rec_id, year=year, doc_type=doc, raw_statuses=statuses,
-        subject_categories=cats, has_doi=doi, countries=countries,
-        institutions=institutions,
+        id=rec_id, year=year, doc_type=doc, raw_statuses=frozenset(statuses),
+        subject_categories=tuple(cats), has_doi=doi, countries=frozenset(countries),
+        institutions=frozenset(institutions),
     )
 
 
@@ -53,6 +53,20 @@ def ws(tmp_path, monkeypatch):
         encoding="utf-8",
     )
     return tmp_path
+
+
+def child_env():
+    """The environment for a child process that imports the package under test.
+
+    A child may run in another directory: give it the package by an absolute
+    path, since a relative PYTHONPATH entry would not resolve.
+    """
+    import noai
+
+    package_root = str(Path(noai.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [package_root] + [p for p in inherited if p]))
 
 
 def parse_csv(text):
@@ -97,6 +111,21 @@ class TestUsageErrors:
     def test_bad_flag_values(self, ws, flag, value):
         with pytest.raises(SystemExit) as exc:
             main(base_args(ws) + [flag, value])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["indicators", "rank", "compare"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--top-n", "0"),
+        ("--top-n", "-1"),
+        ("--top-n", "two"),
+        ("--min-pubs", "nan"),
+        ("--min-pubs", "inf"),
+    ])
+    def test_bad_actor_filter_values(self, ws, command, flag, value):
+        # A negative --top-n would slice off the smallest producers and a NaN
+        # --min-pubs would drop every actor, both silently.
+        with pytest.raises(SystemExit) as exc:
+            main(base_args(ws, command) + [flag, value])
         assert exc.value.code == 2
 
     def test_unknown_level_is_usage_error(self, ws):
@@ -419,6 +448,15 @@ class TestSynthCommand:
         assert main(["synth", "--spec", str(ws / "nope.json"),
                      "--out", str(ws / "x.jsonl")]) == 3
 
+    def test_only_synth_loads_numpy(self):
+        # A fresh interpreter: this one has long imported the generator.
+        probe = ("import sys, noai.cli; "
+                 "print(sorted({'numpy', 'noai.synth'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", probe], env=child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestInstitutions:
     def test_actor_kind_and_group(self, ws, capsys, tmp_path):
@@ -451,19 +489,11 @@ class TestInstitutions:
 
 class TestDemoPipeline:
     def test_walkthrough_writes_every_output(self, tmp_path):
-        import noai
-
-        # The child runs in tmp_path: give it the package under test by an
-        # absolute path, since a relative PYTHONPATH entry would not resolve.
-        package_root = str(Path(noai.__file__).resolve().parents[1])
-        inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [package_root] + [p for p in inherited if p]))
         script = Path(__file__).resolve().parents[1] / "scripts" / "demo_pipeline.py"
         proc = subprocess.run(
             [sys.executable, str(script), "--out-dir", str(tmp_path),
              "--n-records", "500"],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+            cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         for name in ("indicators.csv", "rank.csv", "series.csv"):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ACTORS20, CATS10, REG10, exact_counts, random_corpus
+from conftest import CATS10, REG10, exact_counts, random_corpus
 from noai.engine import (
     Aggregator,
     build_indicator_table,
@@ -47,9 +46,9 @@ def aggregate(corpus, registry, level, **kwargs):
 
 def rec(rec_id, cats, statuses=(), countries=(), year=2018, doc=DocType.ARTICLE):
     return PublicationRecord(
-        id=rec_id, year=year, doc_type=doc, raw_statuses=statuses,
-        subject_categories=cats, has_doi=True, countries=countries,
-        institutions=(),
+        id=rec_id, year=year, doc_type=doc, raw_statuses=frozenset(statuses),
+        subject_categories=tuple(cats), has_doi=True, countries=frozenset(countries),
+        institutions=frozenset(),
     )
 
 
@@ -301,7 +300,7 @@ class TestInvariants:
         # An actor present on every record reproduces the baseline cells
         # exactly, so the indicator is 1.0 with no tolerance at all.
         corpus = [
-            dataclasses.replace(r, countries=frozenset(r.countries) | {"WORLD"})
+            r._replace(countries=r.countries | {"WORLD"})
             for r in random_corpus(seed=77, n_records=400)
         ]
         for level in LEVELS:

@@ -37,7 +37,6 @@ from noai.ingest import (
 )
 from noai.model import (
     ActorKind,
-    ClassificationRegistry,
     DocType,
     OAStatus,
     PublicationRecord,
@@ -85,6 +84,26 @@ class TestParsing:
         assert records[0].subject_categories == ("A", "B")
         assert stats.records_accepted == 1
 
+    def test_category_order_kept(self, tmp_path):
+        # The first category is the primary one, so input order survives.
+        path = corpus_file(tmp_path, [line(categories=["B cat", "A cat", "B cat"])])
+        records, _ = load_corpus(path)
+        assert records[0].subject_categories == ("B cat", "A cat")
+
+    def test_fields_built_with_final_types(self, tmp_path):
+        path = corpus_file(tmp_path, [line(oa=["green", "gold", "green"],
+                                           countries=["FRA", "FRA", "USA"],
+                                           institutions=["u1", "u1"])])
+        records, _ = load_corpus(path)
+        rec = records[0]
+        assert type(rec.raw_statuses) is frozenset
+        assert rec.raw_statuses == {OAStatus.GREEN, OAStatus.GOLD}
+        assert type(rec.subject_categories) is tuple
+        assert type(rec.countries) is frozenset
+        assert rec.countries == {"FRA", "USA"}
+        assert type(rec.institutions) is frozenset
+        assert rec.institutions == {"u1"}
+
     def test_blank_lines_skipped_uncounted(self, tmp_path):
         path = corpus_file(tmp_path, [line(), "", "   ", line(id="r2")])
         records, stats = load_corpus(path)
@@ -101,6 +120,9 @@ class TestParsing:
         line(doc_type="thesis"),
         line(oa=["diamond"]),
         line(oa="gold"),
+        # Closed is what no raw status means; it is never a raw status itself.
+        line(oa=["closed"]),
+        line(year=True),
         line(categories="Mathematics"),
         line(categories=[""]),
         line(doi="yes"),
@@ -235,8 +257,8 @@ class TestRegistryGate:
     def test_validate_corpus_per_record_granularity(self, reg10):
         recs = [
             PublicationRecord(id=f"r{i}", year=2018, doc_type=DocType.ARTICLE,
-                              raw_statuses=(), subject_categories=("Palmistry",),
-                              has_doi=True, countries=(), institutions=())
+                              raw_statuses=frozenset(), subject_categories=("Palmistry",),
+                              has_doi=True, countries=frozenset(), institutions=frozenset())
             for i in range(3)
         ]
         diags = validate_corpus(recs, reg10)
@@ -245,8 +267,8 @@ class TestRegistryGate:
 
     def test_validate_corpus_clean(self, reg10):
         recs = [PublicationRecord(id="r", year=2018, doc_type=DocType.ARTICLE,
-                                  raw_statuses=(), subject_categories=("Economics",),
-                                  has_doi=True, countries=(), institutions=())]
+                                  raw_statuses=frozenset(), subject_categories=("Economics",),
+                                  has_doi=True, countries=frozenset(), institutions=frozenset())]
         assert validate_corpus(recs, reg10) == []
 
 
@@ -263,9 +285,9 @@ class TestRoundTrip:
     def test_serialization_is_canonical(self):
         rec = PublicationRecord(
             id="r", year=2018, doc_type=DocType.ARTICLE,
-            raw_statuses=(OAStatus.GREEN, OAStatus.GOLD),
+            raw_statuses=frozenset({OAStatus.GREEN, OAStatus.GOLD}),
             subject_categories=("B", "A"), has_doi=False,
-            countries=("ZWE", "ALB"), institutions=(),
+            countries=frozenset({"ZWE", "ALB"}), institutions=frozenset(),
         )
         obj = serialize_record(rec)
         assert obj["oa"] == ["gold", "green"]
@@ -279,8 +301,8 @@ class TestRoundTrip:
     def test_single_record_round_trip(self, statuses, year, doi, tmp_path_factory):
         rec = PublicationRecord(
             id="r", year=year, doc_type=DocType.LETTER,
-            raw_statuses=statuses, subject_categories=("C1", "C2"),
-            has_doi=doi, countries=("FRA",), institutions=("u1",),
+            raw_statuses=frozenset(statuses), subject_categories=("C1", "C2"),
+            has_doi=doi, countries=frozenset({"FRA"}), institutions=frozenset({"u1"}),
         )
         path = tmp_path_factory.mktemp("rt") / "one.jsonl"
         write_corpus([rec], str(path))

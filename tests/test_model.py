@@ -13,13 +13,9 @@ from noai.model import (
     DEFAULT_PRIORITY,
     ERC_SUBFIELDS,
     OST_DISCIPLINES,
-    RAW_STATUSES,
-    ActorKind,
     ClassificationRegistry,
-    DocType,
     Level,
     OAStatus,
-    PublicationRecord,
     erc_panel,
     is_canonical_erc_subfield,
     is_canonical_ost_discipline,
@@ -99,45 +95,6 @@ class TestNomenclatures:
         assert is_canonical_erc_subfield("SH6")
         assert not is_canonical_erc_subfield("SH7")
         assert not is_canonical_erc_subfield("PE11")
-
-
-class TestPublicationRecord:
-    def _make(self, **overrides):
-        kwargs = dict(
-            id="r1", year=2018, doc_type=DocType.ARTICLE,
-            raw_statuses=(OAStatus.GOLD,),
-            subject_categories=("Mathematics",),
-            has_doi=True, countries=("FRA",), institutions=(),
-        )
-        kwargs.update(overrides)
-        return PublicationRecord(**kwargs)
-
-    def test_coerces_collection_types(self):
-        rec = self._make(countries=["FRA", "FRA", "USA"])
-        assert rec.countries == frozenset({"FRA", "USA"})
-        assert isinstance(rec.subject_categories, tuple)
-        assert isinstance(rec.raw_statuses, frozenset)
-
-    def test_category_order_preserved(self):
-        rec = self._make(subject_categories=["B cat", "A cat"])
-        assert rec.subject_categories == ("B cat", "A cat")
-
-    def test_rejects_empty_categories(self):
-        with pytest.raises(ValueError):
-            self._make(subject_categories=())
-
-    def test_rejects_duplicate_categories(self):
-        with pytest.raises(ValueError):
-            self._make(subject_categories=("Mathematics", "Mathematics"))
-
-    def test_rejects_closed_as_raw_status(self):
-        with pytest.raises(ValueError):
-            self._make(raw_statuses=(OAStatus.CLOSED,))
-
-    def test_actor_access_by_kind(self):
-        rec = self._make(countries=("FRA",), institutions=("u1", "u2"))
-        assert rec.actors(ActorKind.COUNTRY) == {"FRA"}
-        assert rec.actors(ActorKind.INSTITUTION) == {"u1", "u2"}
 
 
 class TestClassificationRegistry:
