@@ -49,8 +49,6 @@ REASON_UNKNOWN_CATEGORY = "unknown_category"
 
 _DOC_TYPES = {d.value: d for d in DocType}
 _RAW_OA = {s.value: s for s in (OAStatus.GOLD, OAStatus.BRONZE, OAStatus.GREEN)}
-_NO_STATUS: frozenset[OAStatus] = frozenset()
-_EMPTY: list = []  # default for absent array fields; never mutated
 
 #: Cap on per-line messages kept in CorpusStats; counts are always complete.
 MAX_KEPT_DIAGNOSTICS = 50
@@ -119,36 +117,33 @@ def _parse_line(obj: dict) -> PublicationRecord:
     doc_type = _DOC_TYPES.get(obj.get("doc_type"))
     if doc_type is None:
         raise ValueError(f"invalid doc_type {obj.get('doc_type')!r}")
-    oa = obj.get("oa", _EMPTY)
+    oa = obj.get("oa", [])
     if type(oa) is not list:
         raise ValueError("oa must be an array")
-    statuses = _NO_STATUS
-    if oa:
-        found = []
-        for s in oa:
-            status = _RAW_OA.get(s)
-            if status is None:
-                raise ValueError(f"invalid oa status {s!r}")
-            found.append(status)
-        statuses = frozenset(found)
+    statuses = []
+    for s in oa:
+        status = _RAW_OA.get(s)
+        if status is None:
+            raise ValueError(f"invalid oa status {s!r}")
+        statuses.append(status)
     categories = obj.get("categories")
     _strings(categories, "categories")
     doi = obj.get("doi", False)
     if type(doi) is not bool:
         raise ValueError("doi must be a boolean")
-    countries = obj.get("countries", _EMPTY)
+    countries = obj.get("countries", [])
     _strings(countries, "countries")
-    institutions = obj.get("institutions", _EMPTY)
+    institutions = obj.get("institutions", [])
     _strings(institutions, "institutions")
     if not categories:
         # Raised after the rest of the schema checks so the reason is specific.
         raise _EmptyCategories("categories is empty")
     # Duplicate categories carry no extra information; keep first occurrences.
-    deduped = tuple(categories) if len(categories) == 1 else tuple(dict.fromkeys(categories))
+    deduped = tuple(dict.fromkeys(categories))
     # A JSON escape can yield a lone surrogate, which no UTF-8 output can
     # hold; encoding raises UnicodeEncodeError, a ValueError.
     "".join((rec_id, *deduped, *countries, *institutions)).encode("utf-8")
-    return PublicationRecord(rec_id, year, doc_type, statuses, deduped, doi,
+    return PublicationRecord(rec_id, year, doc_type, frozenset(statuses), deduped, doi,
                              frozenset(countries), frozenset(institutions))
 
 
@@ -179,10 +174,9 @@ class CorpusReader:
 
     def __iter__(self) -> Iterator[PublicationRecord]:
         opts = self.options
-        doc_types, window, require_doi = opts.doc_types, opts.window, opts.require_doi
         stats = self.stats
         registry = self.registry
-        known = frozenset(registry.categories) if registry is not None else None
+        known = registry.categories if registry is not None else None
         seen_ids: set[str] = set()
         try:
             stream = open(self.path, "rb")
@@ -212,13 +206,15 @@ class CorpusReader:
                         raise MalformedRecord(line_no, f"{reason}: {exc}") from exc
                     self._reject(line_no, reason, str(exc))
                     continue
-                if doc_types is not None and record.doc_type not in doc_types:
+                if opts.doc_types is not None and record.doc_type not in opts.doc_types:
                     self._reject(line_no, REASON_DOC_TYPE)
                     continue
-                if window is not None and not window[0] <= record.year <= window[1]:
+                if opts.window is not None and not (
+                    opts.window[0] <= record.year <= opts.window[1]
+                ):
                     self._reject(line_no, REASON_YEAR)
                     continue
-                if require_doi and not record.has_doi:
+                if opts.require_doi and not record.has_doi:
                     self._reject(line_no, REASON_NO_DOI)
                     continue
                 if record.id in seen_ids:
@@ -226,15 +222,16 @@ class CorpusReader:
                         raise MalformedRecord(line_no, f"duplicate id {record.id!r}")
                     self._reject(line_no, REASON_DUPLICATE_ID, record.id)
                     continue
-                if known is not None and not known.issuperset(record.subject_categories):
+                if known is not None:
                     missing = [c for c in record.subject_categories if c not in known]
-                    if opts.strict:
-                        raise UnknownCategory(
-                            f"line {line_no}: record {record.id!r} has unknown "
-                            f"categories {missing}"
-                        )
-                    self._reject(line_no, REASON_UNKNOWN_CATEGORY, ", ".join(missing))
-                    continue
+                    if missing:
+                        if opts.strict:
+                            raise UnknownCategory(
+                                f"line {line_no}: record {record.id!r} has unknown "
+                                f"categories {missing}"
+                            )
+                        self._reject(line_no, REASON_UNKNOWN_CATEGORY, ", ".join(missing))
+                        continue
                 seen_ids.add(record.id)
                 stats.records_accepted += 1
                 if stats.year_min is None or record.year < stats.year_min:
