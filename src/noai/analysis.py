@@ -156,6 +156,8 @@ def filter_actors(
     group: str | None = None,
 ) -> IndicatorTable:
     """Keep rows with x_total strictly above min_pubs and, if given, in group."""
+    if math.isnan(min_pubs):
+        raise ValueError("min_pubs must be a number, got nan")
     rows = tuple(
         row
         for row in table.rows
@@ -166,5 +168,7 @@ def filter_actors(
 
 def top_actors(table: IndicatorTable, n: int) -> IndicatorTable:
     """The n largest producers by x_total; ties break lexicographically by id."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     rows = tuple(sorted(table.rows, key=lambda r: (-r.x_total, r.actor))[:n])
     return IndicatorTable(actor_kind=table.actor_kind, levels=table.levels, rows=rows)

@@ -136,28 +136,36 @@ class Aggregator:
         self._world: Counter = Counter()
 
     def add(self, record: PublicationRecord) -> None:
-        # Resolve multi-status once per record: one OA type everywhere.
-        status = OAStatus.CLOSED
-        for candidate in self._priority:
-            if candidate in record.raw_statuses:
-                status = candidate
-                break
-        if self._actor_kind is ActorKind.COUNTRY:
-            actors = record.countries
-        elif self._actor_kind is ActorKind.INSTITUTION:
-            actors = record.institutions
-        else:
-            actors = ()
-        categories = record.subject_categories
-        k = len(categories)
-        for category in categories:
-            self._world[record.year, category, k, status] += 1
-            for actor in actors:
-                self._actors[actor, category, k, status] += 1
+        self.add_all((record,))
 
     def add_all(self, corpus: Iterable[PublicationRecord]) -> None:
+        priority = self._priority
+        by_country = self._actor_kind is ActorKind.COUNTRY
+        by_institution = self._actor_kind is ActorKind.INSTITUTION
+        world = self._world
+        tally = self._actors
+        closed = OAStatus.CLOSED
         for record in corpus:
-            self.add(record)
+            # Resolve multi-status once per record: one OA type everywhere.
+            raw = record.raw_statuses
+            status = closed
+            for candidate in priority:
+                if candidate in raw:
+                    status = candidate
+                    break
+            if by_country:
+                actors = record.countries
+            elif by_institution:
+                actors = record.institutions
+            else:
+                actors = ()
+            year = record.year
+            categories = record.subject_categories
+            k = len(categories)
+            for category in categories:
+                world[year, category, k, status] += 1
+                for actor in actors:
+                    tally[actor, category, k, status] += 1
 
     def finish(self) -> dict[Level, AggregationResult]:
         ks = {k for _, _, k, _ in self._world}

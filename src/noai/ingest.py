@@ -50,6 +50,11 @@ REASON_UNKNOWN_CATEGORY = "unknown_category"
 _DOC_TYPES = {d.value: d for d in DocType}
 _RAW_OA = {s.value: s for s in (OAStatus.GOLD, OAStatus.BRONZE, OAStatus.GREEN)}
 
+# The C scanner behind json.loads, without its wrapper: (value, end index).
+_raw_decode = json.JSONDecoder().raw_decode
+# A NamedTuple's own __new__ is a Python function; tuple's builds the same record.
+_new_record = tuple.__new__
+
 #: Cap on per-line messages kept in CorpusStats; counts are always complete.
 MAX_KEPT_DIAGNOSTICS = 50
 
@@ -100,13 +105,15 @@ def _strings(value, name: str) -> None:
             raise ValueError(f"{name} must be an array of non-empty strings")
 
 
-def _parse_line(obj: dict) -> PublicationRecord:
+def _parse_line(obj: dict, escaped: bool = True) -> PublicationRecord:
     """Build a record from a decoded JSON object; ValueError on schema violations.
 
     This is the one place where a record is checked: each field is checked
     once and the record is built with its final types. JSON decoding yields
     exact `str`, `int`, `bool` and `list` values, so exact type tests suffice,
-    and `type(year) is int` keeps a bool from passing as a year.
+    and `type(year) is int` keeps a bool from passing as a year. `escaped`
+    False says that the line held no `\\u` escape, the only source of a lone
+    surrogate in text decoded as strict UTF-8, so that check is skipped.
     """
     rec_id = obj.get("id")
     if type(rec_id) is not str or not rec_id:
@@ -140,15 +147,22 @@ def _parse_line(obj: dict) -> PublicationRecord:
         raise _EmptyCategories("categories is empty")
     # Duplicate categories carry no extra information; keep first occurrences.
     deduped = tuple(dict.fromkeys(categories))
-    # A JSON escape can yield a lone surrogate, which no UTF-8 output can
-    # hold; encoding raises UnicodeEncodeError, a ValueError.
-    "".join((rec_id, *deduped, *countries, *institutions)).encode("utf-8")
-    return PublicationRecord(rec_id, year, doc_type, frozenset(statuses), deduped, doi,
-                             frozenset(countries), frozenset(institutions))
+    if escaped:
+        # A JSON escape can yield a lone surrogate, which no UTF-8 output can
+        # hold; encoding raises UnicodeEncodeError, a ValueError.
+        "".join((rec_id, *deduped, *countries, *institutions)).encode("utf-8")
+    return _new_record(PublicationRecord, (rec_id, year, doc_type, frozenset(statuses),
+                                           deduped, doi, frozenset(countries),
+                                           frozenset(institutions)))
 
 
 class CorpusReader:
-    """Streaming corpus reader; `stats` is complete once iteration finishes.
+    """Streaming corpus reader.
+
+    `stats` is complete once a pass ends: when the file is exhausted, when
+    strict mode aborts on a line, or when the consumer closes the iterator
+    after any number of records. While a pass is suspended between records,
+    its read and accepted counts and its year range are not yet in `stats`.
 
     When a registry is given, records with categories outside it are rejected
     (fatal in strict mode). Filters never raise: they only reject.
@@ -174,6 +188,11 @@ class CorpusReader:
 
     def __iter__(self) -> Iterator[PublicationRecord]:
         opts = self.options
+        strict = opts.strict
+        doc_types = opts.doc_types
+        window = opts.window
+        require_doi = opts.require_doi
+        reject = self._reject
         stats = self.stats
         registry = self.registry
         known = registry.categories if registry is not None else None
@@ -182,63 +201,87 @@ class CorpusReader:
             stream = open(self.path, "rb")
         except OSError as exc:
             raise IoFailure(f"cannot open corpus {self.path}: {exc}") from exc
-        with stream:
-            # \r, \n and \r\n all end a line, as in text mode; JSON strings
-            # cannot hold a raw line break.
-            lines = (line for chunk in stream for line in chunk.splitlines())
-            for line_no, line in enumerate(lines, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                stats.records_read += 1
-                try:
-                    obj = json.loads(line.decode("utf-8"))
-                    if type(obj) is not dict:
-                        raise ValueError("line is not an object")
-                    record = _parse_line(obj)
-                except (ValueError, TypeError, RecursionError) as exc:
-                    reason = (
-                        REASON_EMPTY_CATEGORIES
-                        if isinstance(exc, _EmptyCategories)
-                        else REASON_MALFORMED
-                    )
-                    if opts.strict:
-                        raise MalformedRecord(line_no, f"{reason}: {exc}") from exc
-                    self._reject(line_no, reason, str(exc))
-                    continue
-                if opts.doc_types is not None and record.doc_type not in opts.doc_types:
-                    self._reject(line_no, REASON_DOC_TYPE)
-                    continue
-                if opts.window is not None and not (
-                    opts.window[0] <= record.year <= opts.window[1]
-                ):
-                    self._reject(line_no, REASON_YEAR)
-                    continue
-                if opts.require_doi and not record.has_doi:
-                    self._reject(line_no, REASON_NO_DOI)
-                    continue
-                if record.id in seen_ids:
-                    if opts.strict:
-                        raise MalformedRecord(line_no, f"duplicate id {record.id!r}")
-                    self._reject(line_no, REASON_DUPLICATE_ID, record.id)
-                    continue
-                if known is not None:
-                    missing = [c for c in record.subject_categories if c not in known]
-                    if missing:
-                        if opts.strict:
-                            raise UnknownCategory(
-                                f"line {line_no}: record {record.id!r} has unknown "
-                                f"categories {missing}"
-                            )
-                        self._reject(line_no, REASON_UNKNOWN_CATEGORY, ", ".join(missing))
+        # Per-line bookkeeping stays in locals; `finally` hands it to stats
+        # however the pass ends.
+        line_no = 0
+        read = stats.records_read
+        accepted = stats.records_accepted
+        lo = stats.year_min
+        hi = stats.year_max
+        try:
+            for chunk in stream:
+                # \r, \n and \r\n all end a line, as in text mode; JSON strings
+                # cannot hold a raw line break.
+                for line in chunk.splitlines():
+                    line_no += 1
+                    line = line.strip()
+                    if not line:
                         continue
-                seen_ids.add(record.id)
-                stats.records_accepted += 1
-                if stats.year_min is None or record.year < stats.year_min:
-                    stats.year_min = record.year
-                if stats.year_max is None or record.year > stats.year_max:
-                    stats.year_max = record.year
-                yield record
+                    read += 1
+                    try:
+                        text = line.decode("utf-8")
+                        try:
+                            obj, end = _raw_decode(text)
+                        except ValueError:
+                            end = -1
+                        if end != len(text):
+                            # Not one JSON value: json.loads raises with its
+                            # own reason (a BOM, extra data, a syntax error).
+                            obj = json.loads(text)
+                        if type(obj) is not dict:
+                            raise ValueError("line is not an object")
+                        record = _parse_line(obj, "\\u" in text)
+                    except (ValueError, TypeError, RecursionError) as exc:
+                        reason = (
+                            REASON_EMPTY_CATEGORIES
+                            if isinstance(exc, _EmptyCategories)
+                            else REASON_MALFORMED
+                        )
+                        if strict:
+                            raise MalformedRecord(line_no, f"{reason}: {exc}") from exc
+                        reject(line_no, reason, str(exc))
+                        continue
+                    if doc_types is not None and record.doc_type not in doc_types:
+                        reject(line_no, REASON_DOC_TYPE)
+                        continue
+                    year = record.year
+                    if window is not None and not (window[0] <= year <= window[1]):
+                        reject(line_no, REASON_YEAR)
+                        continue
+                    if require_doi and not record.has_doi:
+                        reject(line_no, REASON_NO_DOI)
+                        continue
+                    rec_id = record.id
+                    if rec_id in seen_ids:
+                        if strict:
+                            raise MalformedRecord(line_no, f"duplicate id {rec_id!r}")
+                        reject(line_no, REASON_DUPLICATE_ID, rec_id)
+                        continue
+                    if known is not None:
+                        missing = [c for c in record.subject_categories if c not in known]
+                        if missing:
+                            if strict:
+                                raise UnknownCategory(
+                                    f"line {line_no}: record {rec_id!r} has unknown "
+                                    f"categories {missing}"
+                                )
+                            reject(line_no, REASON_UNKNOWN_CATEGORY, ", ".join(missing))
+                            continue
+                    seen_ids.add(rec_id)
+                    accepted += 1
+                    if lo is None:
+                        lo = hi = year
+                    elif year < lo:
+                        lo = year
+                    elif year > hi:
+                        hi = year
+                    yield record
+        finally:
+            stream.close()
+            stats.records_read = read
+            stats.records_accepted = accepted
+            stats.year_min = lo
+            stats.year_max = hi
 
 
 def load_corpus(

@@ -43,7 +43,6 @@ from noai.model import (
     Level,
     OAStatus,
     PublicationRecord,
-    resolve_status,
 )
 from noai.synth import iter_records, world_spec
 from oracle import BruteForce, textbook_spearman
@@ -114,7 +113,13 @@ def test_01_mixed_counting_fixture():
 
 
 def test_02_status_priority_exhaustive():
-    """All 8 raw-status subsets resolve as gold, then bronze, then green."""
+    """All 8 raw-status subsets tally as gold, then bronze, then green.
+
+    Each subset is one record in an Aggregator, the code the CLI runs; the
+    record must land in the expected status slot of its world baseline and
+    of its country's cell, and nowhere else.
+    """
+    category = TABLE_CATS[0]
     problems = []
     for subset in itertools.chain.from_iterable(
             itertools.combinations((GOLD, BRONZE, GREEN), k) for k in range(4)):
@@ -127,9 +132,16 @@ def test_02_status_priority_exhaustive():
             expected = GREEN
         else:
             expected = CLOSED
-        got = resolve_status(present)
-        if got is not expected:
-            problems.append(f"{sorted(s.value for s in present)} -> {got.value}")
+        agg = Aggregator(TABLE_REGISTRY, (Level.SUBJECT_CATEGORY,))
+        agg.add_all([make_record("r", (category,), present, ("FRA",))])
+        result = agg.finish()[Level.SUBJECT_CATEGORY]
+        want = [result.unit if s is expected else 0 for s in OAStatus]
+        for where, got in (("world", result.baselines[category]),
+                           ("FRA", result.cells["FRA"][category])):
+            if got != want:
+                problems.append(
+                    f"{sorted(s.value for s in present)} -> {where} {got}, "
+                    f"want {expected.value}")
     report("02 status priority (8 subsets)", not problems, "; ".join(problems))
 
 

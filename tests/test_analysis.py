@@ -238,3 +238,14 @@ class TestFilters:
     def test_top_actors_n_beyond_size(self):
         table = make_table([("A", 1.0, 0.0, 1.0)])
         assert len(top_actors(table, 10).rows) == 1
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_top_actors_rejects_n_below_one(self, n):
+        table = make_table([("A", 1.0, 0.0, 1.0), ("B", 2.0, 0.0, 1.0)])
+        with pytest.raises(ValueError, match="at least 1"):
+            top_actors(table, n)
+
+    def test_nan_threshold_rejected(self):
+        table = make_table([("A", 50.0, 0.0, 1.0)])
+        with pytest.raises(ValueError, match="nan"):
+            filter_actors(table, min_pubs=float("nan"))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -34,6 +35,9 @@ from noai.model import (
 from oracle import OA_TYPES, BruteForce
 
 TOL = 1e-9
+RAW = (OAStatus.GOLD, OAStatus.BRONZE, OAStatus.GREEN)
+#: Every --priority order of the three raw statuses.
+PRIORITIES = tuple(itertools.permutations(RAW))
 LEVELS = (Level.SUBJECT_CATEGORY, Level.OST_DISCIPLINE, Level.ERC_SUBFIELD)
 
 
@@ -178,12 +182,30 @@ class TestOracleEquivalence:
         assert oracle.actors()  # the draw must produce signed records
         assert_matches_oracle(result, oracle)
 
-    def test_priority_override_both_routes(self):
+    @pytest.mark.parametrize("priority", PRIORITIES)
+    def test_priority_override_both_routes(self, priority):
         corpus = random_corpus(seed=11, n_records=300)
-        priority = (OAStatus.GREEN, OAStatus.BRONZE, OAStatus.GOLD)
         result = aggregate(corpus, REG10, Level.OST_DISCIPLINE, priority=priority)
         oracle = BruteForce(corpus, REG10, Level.OST_DISCIPLINE, priority=priority)
         assert_matches_oracle(result, oracle)
+
+    @pytest.mark.parametrize("priority", PRIORITIES)
+    def test_priority_one_record_slots(self, priority):
+        # Every raw-status subset lands in the slot of the first status of
+        # the order that it holds, closed when it holds none.
+        category = CATS10[0]
+        for n in range(4):
+            for subset in itertools.combinations(RAW, n):
+                expected = next((s for s in priority if s in subset), OAStatus.CLOSED)
+                record = PublicationRecord("r", 2016, DocType.ARTICLE, frozenset(subset),
+                                           (category,), True, frozenset({"FRA"}),
+                                           frozenset())
+                agg = Aggregator(REG10, (Level.SUBJECT_CATEGORY,), priority=priority)
+                agg.add_all([record])
+                result = agg.finish()[Level.SUBJECT_CATEGORY]
+                want = [result.unit if s is expected else 0 for s in OAStatus]
+                assert result.baselines[category] == want, subset
+                assert result.cells["FRA"][category] == want, subset
 
     def test_multi_level_pass_equals_single_level_passes(self):
         corpus = random_corpus(seed=21, n_records=300)

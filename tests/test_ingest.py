@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import noai.ingest as ingest
 from conftest import CATS10, REG10, random_corpus, registry_csv_text
 from noai.errors import (
     DuplicateCategory,
@@ -433,6 +435,55 @@ class TestStatsDict:
         assert d["year_range"] == [2018, 2018]
 
 
+class TestStatsComplete:
+    """`reader.stats` is complete however a pass ends."""
+
+    LINES = [
+        line(id="a", year=2016),
+        "",
+        "oops",
+        line(id="b", year=2019),
+        line(id="a"),
+        line(id="c", categories=[]),
+        line(id="d", year=2015),
+        "{",
+        line(id="e", year=2020),
+    ]
+
+    def test_full_read(self, tmp_path):
+        reader = CorpusReader(corpus_file(tmp_path, self.LINES))
+        assert [r.id for r in reader] == ["a", "b", "d", "e"]
+        assert reader.stats.as_dict() == {
+            "records_read": 8, "records_accepted": 4, "records_rejected": 4,
+            "rejection_reasons": {REASON_DUPLICATE_ID: 1, REASON_EMPTY_CATEGORIES: 1,
+                                  REASON_MALFORMED: 2},
+            "year_range": [2015, 2020],
+        }
+
+    def test_strict_abort(self, tmp_path):
+        reader = CorpusReader(corpus_file(tmp_path, self.LINES),
+                              options=IngestOptions(strict=True))
+        seen = []
+        with pytest.raises(MalformedRecord, match="line 3"):
+            for record in reader:
+                seen.append(record.id)
+        assert seen == ["a"]
+        assert reader.stats.as_dict() == {
+            "records_read": 2, "records_accepted": 1, "records_rejected": 0,
+            "rejection_reasons": {}, "year_range": [2016, 2016],
+        }
+
+    def test_consumer_closes_after_k_records(self, tmp_path):
+        reader = CorpusReader(corpus_file(tmp_path, self.LINES))
+        records = iter(reader)
+        assert [next(records).id, next(records).id] == ["a", "b"]
+        records.close()
+        assert reader.stats.as_dict() == {
+            "records_read": 3, "records_accepted": 2, "records_rejected": 1,
+            "rejection_reasons": {REASON_MALFORMED: 1}, "year_range": [2016, 2019],
+        }
+
+
 # Field values for the schema checks: valid and wrongly typed ones, lone
 # surrogates (JSON-escaped by json.dumps) and a category the registry lacks.
 _TEXT = st.text(st.sampled_from("aZ\u00e9\x00\ud800\udfff"), max_size=3)
@@ -453,23 +504,77 @@ _RECORD = st.fixed_dictionaries({}, optional={
     "countries": st.lists(st.sampled_from(["FRA", "USA"]) | _TEXT, max_size=2) | _JSON,
     "institutions": st.lists(_TEXT, max_size=2) | _JSON,
 })
+
+
+def _edge(**fields) -> bytes:
+    return line(**{"categories": [CATS10[0]], **fields}).encode("ascii")
+
+
+# Lines where decoding with the bare scanner and with json.loads can part:
+# what json.loads rejects around a valid value, values it accepts beyond
+# strict JSON, deep nesting, and \u escapes, lone surrogates included.
+_EDGES = (
+    b"\xef\xbb\xbf" + _edge(),
+    _edge() + b" x",
+    _edge() + _edge(id="r2"),
+    _edge(year=float("nan")),
+    _edge(year=float("inf")),
+    _edge(extra=[float("nan"), float("-inf")]),
+    _edge(year=10**30),
+    _edge(extra="deep").replace(b'"deep"', b"[" * 3000 + b"]" * 3000),
+    b"[1]",
+    b'"r1"',
+    b"3",
+    b"null",
+    _edge(id="r\u00e9", categories=[CATS10[0], "\u00e9"], countries=["\u00e9"]),
+    _edge(id="r\ud800"),
+    _edge(categories=[CATS10[0], "\udfff"]),
+    _edge(countries=["\ud800"]),
+    _edge(institutions=["\udfff"]),
+    _edge(id="r\\u00e9"),
+)
 _LINE = st.one_of(
     _RECORD.map(lambda obj: json.dumps(obj).encode("ascii")),
     st.binary(max_size=40),
     _TEXT.map(lambda text: text.encode("utf-8", "surrogatepass")),
+    st.sampled_from(_EDGES),
 )
+_OPTIONS = st.builds(
+    IngestOptions,
+    doc_types=st.none() | st.just(frozenset({DocType.ARTICLE})),
+    window=st.none() | st.just((2015, 2019)),
+    require_doi=st.booleans(),
+    strict=st.booleans())
+
+
+def _outcome(reader):
+    """The records a pass yields, how it ended, and the reader's stats."""
+    records = []
+    error = None
+    try:
+        for record in reader:
+            records.append(record)
+    except NoaiError as exc:
+        error = (type(exc), str(exc))
+    return records, error, reader.stats.as_dict(), reader.stats.diagnostics
+
+
+def _loads_outcome(path, registry, options):
+    """`_outcome` of a reader that decodes every line with json.loads and
+    runs every check of `_parse_line`."""
+    def no_scanner(text):
+        raise ValueError("decode with json.loads")
+
+    parse = ingest._parse_line
+    with mock.patch.object(ingest, "_raw_decode", no_scanner), \
+            mock.patch.object(ingest, "_parse_line", lambda obj, escaped: parse(obj)):
+        return _outcome(CorpusReader(path, registry, options))
 
 
 class TestFuzz:
     @settings(max_examples=300, deadline=None)
-    @given(lines=st.lists(_LINE, max_size=8),
-           with_registry=st.booleans(),
-           options=st.builds(
-               IngestOptions,
-               doc_types=st.none() | st.just(frozenset({DocType.ARTICLE})),
-               window=st.none() | st.just((2015, 2019)),
-               require_doi=st.booleans(),
-               strict=st.booleans()))
+    @given(lines=st.lists(_LINE, max_size=8), with_registry=st.booleans(),
+           options=_OPTIONS)
     def test_any_bytes_are_read_or_counted(self, lines, with_registry, options,
                                            tmp_path_factory):
         path = tmp_path_factory.mktemp("fuzz") / "corpus.jsonl"
@@ -484,3 +589,15 @@ class TestFuzz:
         assert len(records) == stats.records_accepted
         assert stats.records_read == stats.records_accepted + stats.records_rejected
         assert sum(stats.rejection_reasons.values()) == stats.records_rejected
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(_LINE, max_size=8), with_registry=st.booleans(),
+           options=_OPTIONS)
+    def test_scanner_reads_as_json_loads(self, lines, with_registry, options,
+                                         tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("fuzz") / "corpus.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(b"\n".join(lines))
+        registry = REG10 if with_registry else None
+        assert (_outcome(CorpusReader(path, registry, options))
+                == _loads_outcome(path, registry, options))
