@@ -19,7 +19,6 @@ from .engine import (
     AggregationResult,
     Aggregator,
     build_indicator_table,
-    fraction_entries,
     noai,
     oa_share,
     yearly_series,
@@ -29,7 +28,6 @@ from .ingest import (
     CorpusReader,
     IngestOptions,
     load_actor_registry,
-    load_corpus,
     load_registry,
     validate_corpus,
     write_corpus,
@@ -44,7 +42,6 @@ from .model import (
     Level,
     OAStatus,
     PublicationRecord,
-    resolve_status,
 )
 
 __all__ = [
@@ -64,13 +61,10 @@ __all__ = [
     "OAStatus",
     "PublicationRecord",
     "build_indicator_table",
-    "fraction_entries",
     "load_actor_registry",
-    "load_corpus",
     "load_registry",
     "noai",
     "oa_share",
-    "resolve_status",
     "validate_corpus",
     "write_corpus",
     "yearly_series",

@@ -1,132 +1,70 @@
 """Rankings, rank-shift analysis and tie-aware Spearman correlation.
 
-The default rank convention is ascending: rank 1 is the least-open actor, so
-an actor whose rank number grows after normalization gained places toward the
-open end of the table.
+Ranks are ascending: rank 1 is the least-open actor, so an actor whose rank
+number grows after normalization gained places toward the open end of the
+table.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import DegenerateInput, EmptyTable, MismatchedActorSets
-from .model import IndicatorRow, IndicatorTable, Level
-
-ASCENDING = "ascending"
-DESCENDING = "descending"
-
-#: Rankable metric names; noai metrics are suffixed with the level.
-METRICS = (
-    "oa_share",
-    "x_total",
-    "noai_subject_category",
-    "noai_ost_discipline",
-    "noai_erc_subfield",
-)
-
-_NOAI_METRICS = {
-    "noai_subject_category": Level.SUBJECT_CATEGORY,
-    "noai_ost_discipline": Level.OST_DISCIPLINE,
-    "noai_erc_subfield": Level.ERC_SUBFIELD,
-}
-
-
-def noai_metric(level: Level) -> str:
-    return "noai_" + level.value.replace("-", "_")
-
-
-def metric_value(row: IndicatorRow, metric: str) -> float | None:
-    if metric == "oa_share":
-        return row.oa_share
-    if metric == "x_total":
-        return row.x_total
-    level = _NOAI_METRICS.get(metric)
-    if level is None:
-        raise ValueError(f"unknown metric {metric!r}")
-    return row.noai.get(level)
+from .model import IndicatorTable
 
 
 @dataclass(frozen=True, slots=True)
 class RankRow:
-    actor: str
-    value: float
     rank: int        # competition rank (ties share the minimum), for display
     avg_rank: float  # ties averaged, for correlation
 
 
-@dataclass(frozen=True)
-class RankTable:
-    metric: str
-    convention: str
-    rows: tuple[RankRow, ...]
-    excluded: tuple[str, ...] = ()
+def rank(values: Mapping[str, float]) -> dict[str, RankRow]:
+    """Rank actors by value, ascending, ties broken by actor id.
 
-    def by_actor(self) -> dict[str, RankRow]:
-        return {row.actor: row for row in self.rows}
-
-    def actors(self) -> frozenset[str]:
-        return frozenset(row.actor for row in self.rows)
-
-
-def rank(table: IndicatorTable, metric: str, convention: str = ASCENDING) -> RankTable:
-    """Rank the table's actors by a metric.
-
-    Rows with an undefined metric are excluded and recorded on the result.
-    Ties get the minimum rank for display and the average rank for correlation.
+    Returns actor -> RankRow in rank order. Ties get the minimum rank for
+    display and the average rank for correlation.
     """
-    if convention not in (ASCENDING, DESCENDING):
-        raise ValueError(f"unknown convention {convention!r}")
-    if not table.rows:
+    if not values:
         raise EmptyTable("cannot rank an empty indicator table")
-    valued = []
-    excluded = []
-    for row in table.rows:
-        value = metric_value(row, metric)
-        if value is None:
-            excluded.append(row.actor)
-        else:
-            valued.append((value, row.actor))
-    if not valued:
-        raise EmptyTable(f"metric {metric!r} undefined for every row")
-    sign = 1.0 if convention == ASCENDING else -1.0
-    valued.sort(key=lambda pair: (sign * pair[0], pair[1]))
-    rows = []
+    ordered = sorted(values.items(), key=lambda item: (item[1], item[0]))
+    ranks = {}
     i = 0
-    n = len(valued)
+    n = len(ordered)
     while i < n:
         j = i
-        while j < n and valued[j][0] == valued[i][0]:
+        while j < n and ordered[j][1] == ordered[i][1]:
             j += 1
         # Positions are 1-based; the tie group spans positions i+1 .. j.
-        avg = (i + 1 + j) / 2
-        for value, actor in valued[i:j]:
-            rows.append(RankRow(actor=actor, value=value, rank=i + 1, avg_rank=avg))
+        row = RankRow(rank=i + 1, avg_rank=(i + 1 + j) / 2)
+        for actor, _ in ordered[i:j]:
+            ranks[actor] = row
         i = j
-    return RankTable(
-        metric=metric, convention=convention, rows=tuple(rows), excluded=tuple(excluded)
-    )
+    return ranks
 
 
-def spearman(ranks_a: RankTable, ranks_b: RankTable) -> float:
-    """Tie-aware Spearman rho: Pearson correlation of the average-rank vectors."""
-    actors_a = ranks_a.actors()
-    actors_b = ranks_b.actors()
-    if actors_a != actors_b:
-        missing = actors_a.symmetric_difference(actors_b)
+def _same_actors(ranks_a: Mapping[str, RankRow], ranks_b: Mapping[str, RankRow]) -> None:
+    if ranks_a.keys() != ranks_b.keys():
+        missing = ranks_a.keys() ^ ranks_b.keys()
         raise MismatchedActorSets(f"rank tables disagree on actors: {sorted(missing)}")
-    n = len(actors_a)
+
+
+def spearman(ranks_a: Mapping[str, RankRow], ranks_b: Mapping[str, RankRow]) -> float:
+    """Tie-aware Spearman rho: Pearson correlation of the average-rank vectors."""
+    _same_actors(ranks_a, ranks_b)
+    n = len(ranks_a)
     if n < 2:
         raise DegenerateInput(f"need at least 2 actors, got {n}")
-    b_by_actor = ranks_b.by_actor()
     # Average ranks always sum to n(n+1)/2, so both means are exactly (n+1)/2.
     mean = (n + 1) / 2
     num = 0.0
     var_a = 0.0
     var_b = 0.0
-    for row in ranks_a.rows:
+    for actor, row in ranks_a.items():
         da = row.avg_rank - mean
-        db = b_by_actor[row.actor].avg_rank - mean
+        db = ranks_b[actor].avg_rank - mean
         num += da * db
         var_a += da * da
         var_b += db * db
@@ -135,19 +73,16 @@ def spearman(ranks_a: RankTable, ranks_b: RankTable) -> float:
     return num / math.sqrt(var_a * var_b)
 
 
-def rank_shift(share_ranks: RankTable, noai_ranks: RankTable) -> dict[str, int]:
+def rank_shift(share_ranks: Mapping[str, RankRow],
+               noai_ranks: Mapping[str, RankRow]) -> dict[str, int]:
     """Per-actor rank delta (normalized minus plain), on display ranks.
 
     Positive means the actor gained places toward the open end of the ranking
     once its disciplinary mix was taken into account.
     """
-    if share_ranks.actors() != noai_ranks.actors():
-        missing = share_ranks.actors().symmetric_difference(noai_ranks.actors())
-        raise MismatchedActorSets(f"rank tables disagree on actors: {sorted(missing)}")
-    noai_by_actor = noai_ranks.by_actor()
-    return {
-        row.actor: noai_by_actor[row.actor].rank - row.rank for row in share_ranks.rows
-    }
+    _same_actors(share_ranks, noai_ranks)
+    return {actor: noai_ranks[actor].rank - row.rank
+            for actor, row in share_ranks.items()}
 
 
 def filter_actors(

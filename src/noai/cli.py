@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -28,15 +27,7 @@ import sys
 from collections.abc import Iterable, Mapping, Sequence
 
 from . import __version__
-from .analysis import (
-    ASCENDING,
-    filter_actors,
-    noai_metric,
-    rank,
-    rank_shift,
-    spearman,
-    top_actors,
-)
+from .analysis import filter_actors, rank, rank_shift, spearman, top_actors
 from .engine import AggregationResult, Aggregator, build_indicator_table, yearly_series
 from .errors import EmptyWindow, NoaiError
 from .ingest import (
@@ -163,8 +154,6 @@ def _parse_levels(text: str) -> tuple[Level, ...]:
             raise UsageError(f"unknown level {part!r} (valid: {valid})") from None
         if level not in levels:
             levels.append(level)
-    if not levels:
-        raise UsageError("empty level list")
     return tuple(levels)
 
 
@@ -323,7 +312,7 @@ def _table(args: argparse.Namespace,
            levels: Sequence[Level]) -> tuple[IndicatorTable, CorpusStats]:
     """The per-actor table of `levels`, after the row filters of the flags."""
     registry = load_registry(args.registry)
-    actors_meta = load_actor_registry(args.actors) if args.actors else None
+    actors_meta = load_actor_registry(args.actors) if args.actors is not None else None
     results, stats = _tally(args, registry, levels, ActorKind(args.actor_kind))
     table = build_indicator_table(results, actors_meta)
     if args.min_pubs is not None or args.group is not None:
@@ -357,7 +346,7 @@ def cmd_indicators(args: argparse.Namespace) -> int:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    levels = _parse_levels(args.level or _DEFAULT_RANK_LEVELS)
+    levels = _parse_levels(_DEFAULT_RANK_LEVELS if args.level is None else args.level)
     table, stats = _table(args, levels)
 
     # One consistent actor set: drop rows whose indicator is undefined at
@@ -370,33 +359,30 @@ def cmd_rank(args: argparse.Namespace) -> int:
                   + ", ".join(undefined), file=sys.stderr)
         else:
             kept.append(r)
-    table = dataclasses.replace(table, rows=tuple(kept))
 
-    share_ranks = rank(table, "oa_share", ASCENDING)
-    share_by_actor = share_ranks.by_actor()
-    ordered = sorted(table.rows, key=lambda r: (share_by_actor[r.actor].rank, r.actor))
+    share_ranks = rank({r.actor: r.oa_share for r in kept})
+    ordered = sorted(kept, key=lambda r: (share_ranks[r.actor].rank, r.actor))
     rows = [
         {
             "actor": r.actor,
             "display_name": r.display_name,
             "x_total": r.x_total,
             "oa_share": r.oa_share,
-            "oa_share_rank": share_by_actor[r.actor].rank,
+            "oa_share_rank": share_ranks[r.actor].rank,
         }
         for r in ordered
     ]
     header = ["actor", "display_name", "x_total", "oa_share", "oa_share_rank"]
     rho: dict[str, float] = {}
     for level in levels:
-        noai_ranks = rank(table, noai_metric(level), ASCENDING)
+        noai_ranks = rank({r.actor: r.noai[level] for r in kept})
         rho[level.value] = spearman(share_ranks, noai_ranks)
         shifts = rank_shift(share_ranks, noai_ranks)
-        noai_by_actor = noai_ranks.by_actor()
         suffix = level.value.replace("-", "_")
         header += [f"noai_{suffix}", f"noai_rank_{suffix}", f"rank_delta_{suffix}"]
         for r, row in zip(ordered, rows):
             row[f"noai_{suffix}"] = r.noai[level]
-            row[f"noai_rank_{suffix}"] = noai_by_actor[r.actor].rank
+            row[f"noai_rank_{suffix}"] = noai_ranks[r.actor].rank
             row[f"rank_delta_{suffix}"] = shifts[r.actor]
 
     _emit(args, stats, header, (r.values() for r in rows),
@@ -408,7 +394,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 def cmd_series(args: argparse.Namespace) -> int:
     level = Level.OST_DISCIPLINE
-    if args.level:
+    if args.level is not None:
         levels = _parse_levels(args.level)
         if len(levels) != 1:
             raise UsageError("series takes a single level")
@@ -464,10 +450,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     spec = load_synth_spec(args.spec)
     n = generate(spec, args.out)
     outputs = [args.out]
-    if args.registry_out:
+    if args.registry_out is not None:
         write_spec_registry(spec, args.registry_out)
         outputs.append(args.registry_out)
-    if args.actors_out:
+    if args.actors_out is not None:
         write_spec_actors(spec, args.actors_out)
         outputs.append(args.actors_out)
     print(f"wrote {n} records to {args.out}", file=sys.stderr)

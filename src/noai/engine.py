@@ -51,20 +51,6 @@ _CLOSED = _SLOT[OAStatus.CLOSED]
 Counts = list[int]
 
 
-def fraction_entries(
-    categories: Sequence[str],
-    registry: ClassificationRegistry,
-    level: Level,
-) -> dict[str, float]:
-    """field id -> weight for a record's category list at a level.
-
-    Each of the k distinct categories carries 1/k; at coarser levels a field's
-    weight is (categories mapping to it)/k, never re-fractionated.
-    """
-    counts = Counter(registry.classify(c, level) for c in categories)
-    return {f: n / len(categories) for f, n in counts.items()}
-
-
 @dataclass(frozen=True)
 class AggregationResult:
     """One level's projection of an Aggregator tally, as counts over `unit`.

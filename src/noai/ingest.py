@@ -284,17 +284,6 @@ class CorpusReader:
             stats.year_max = hi
 
 
-def load_corpus(
-    path,
-    registry: ClassificationRegistry | None = None,
-    options: IngestOptions | None = None,
-) -> tuple[list[PublicationRecord], CorpusStats]:
-    """Read a whole corpus file into memory; use CorpusReader to stream instead."""
-    reader = CorpusReader(path, registry, options)
-    records = list(reader)
-    return records, reader.stats
-
-
 def serialize_record(record: PublicationRecord) -> dict:
     return {
         "id": record.id,

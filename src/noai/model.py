@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple
-
-from .errors import UnknownCategory
+from typing import Mapping, NamedTuple
 
 
 class OAStatus(str, Enum):
@@ -96,11 +94,6 @@ ERC_SUBFIELDS: Mapping[str, str] = {
 }
 
 
-def erc_panel(subfield_id: str) -> str:
-    """Panel group (LS, PE or SH) of an ERC sub-field id."""
-    return subfield_id.rstrip("0123456789")
-
-
 def _normalize_dashes(name: str) -> str:
     # Nomenclature files in the wild mix hyphens with en/em dashes.
     return " ".join(name.replace("–", "-").replace("—", "-").split())
@@ -118,24 +111,6 @@ def is_canonical_ost_discipline(name: str) -> bool:
 
 def is_canonical_erc_subfield(subfield_id: str) -> bool:
     return subfield_id in ERC_SUBFIELDS
-
-
-def resolve_status(
-    raw_statuses: Iterable[OAStatus],
-    priority: tuple[OAStatus, ...] = DEFAULT_PRIORITY,
-) -> OAStatus:
-    """Collapse a record's raw OA statuses to a single one.
-
-    A record carrying several statuses counts once, under the highest-priority
-    status present (default order: gold, bronze, green). No status means closed.
-    """
-    statuses = frozenset(raw_statuses)
-    if not statuses <= RAW_STATUSES:
-        raise ValueError(f"not raw OA statuses: {statuses - RAW_STATUSES}")
-    for status in priority:
-        if status in statuses:
-            return status
-    return OAStatus.CLOSED
 
 
 class PublicationRecord(NamedTuple):
@@ -185,25 +160,8 @@ class ClassificationRegistry:
 
     categories: Mapping[str, tuple[str, str]]
 
-    @property
-    def ost_disciplines(self) -> frozenset[str]:
-        return frozenset(d for d, _ in self.categories.values())
-
-    @property
-    def erc_subfields(self) -> frozenset[str]:
-        return frozenset(s for _, s in self.categories.values())
-
     def __contains__(self, category: str) -> bool:
         return category in self.categories
-
-    def classify(self, category: str, level: Level) -> str:
-        """Field id of a category at the given level; identity at category level."""
-        if level is Level.SUBJECT_CATEGORY:
-            return category
-        mapped = self.categories.get(category)
-        if mapped is None:
-            raise UnknownCategory(f"subject category {category!r} not in registry")
-        return mapped[0] if level is Level.OST_DISCIPLINE else mapped[1]
 
     def field_map(self, level: Level) -> Mapping[str, str] | None:
         """category -> field lookup table for a level; None at category level."""

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from noai.ingest import CorpusReader
 from noai.model import (
     ClassificationRegistry,
     DocType,
@@ -130,6 +131,12 @@ def random_corpus(seed: int, n_records: int,
             institutions=frozenset(institutions),
         ))
     return records
+
+
+def load_corpus(path, registry=None, options=None):
+    """A whole corpus file read into memory, with the reader's stats."""
+    reader = CorpusReader(path, registry, options)
+    return list(reader), reader.stats
 
 
 def registry_csv_text(registry: ClassificationRegistry) -> str:

@@ -25,15 +25,11 @@ from conftest import (
     TABLE_CATS,
     TABLE_REGISTRY,
     exact_counts,
+    load_corpus,
     random_corpus,
 )
-from noai.analysis import filter_actors, noai_metric, rank, rank_shift, spearman
-from noai.engine import (
-    Aggregator,
-    build_indicator_table,
-    fraction_entries,
-    noai,
-)
+from noai.analysis import filter_actors, rank, rank_shift, spearman
+from noai.engine import Aggregator, build_indicator_table, noai
 from noai.model import (
     ActorKind,
     ClassificationRegistry,
@@ -70,22 +66,17 @@ def make_record(rec_id, cats, statuses=(), countries=(), institutions=(),
 
 
 def test_01_mixed_counting_fixture():
-    """Three categories, two disciplines, two countries: exact credit split."""
+    """Three categories, two disciplines, two countries: exact credit split.
+
+    One record in an Aggregator, the code the CLI runs: each category takes
+    1/3, and the two categories that share a discipline pool 2/3 there.
+    """
     t0 = time.perf_counter()
     tol = 1e-12
     record = make_record("fixture", TABLE_CATS, (GOLD,), ("FRA", "USA"))
     problems = []
-
-    sc = fraction_entries(TABLE_CATS, TABLE_REGISTRY, Level.SUBJECT_CATEGORY)
-    for cat in TABLE_CATS:
-        if abs(sc[cat] - 1 / 3) > tol:
-            problems.append(f"category fraction {cat}={sc[cat]}")
-
-    ost = fraction_entries(TABLE_CATS, TABLE_REGISTRY, Level.OST_DISCIPLINE)
-    if abs(ost["Computer science"] - 2 / 3) > tol:
-        problems.append(f"discipline fraction CS={ost['Computer science']}")
-    if abs(ost["Medical research"] - 1 / 3) > tol:
-        problems.append(f"discipline fraction MR={ost['Medical research']}")
+    sc = {cat: 1 / 3 for cat in TABLE_CATS}
+    ost = {"Computer science": 2 / 3, "Medical research": 1 / 3}
 
     agg = Aggregator(TABLE_REGISTRY,
                      (Level.SUBJECT_CATEGORY, Level.OST_DISCIPLINE))
@@ -96,10 +87,15 @@ def test_01_mixed_counting_fixture():
     by_category = results[Level.SUBJECT_CATEGORY]
     by_discipline = results[Level.OST_DISCIPLINE]
     for country in ("FRA", "USA"):
+        if set(by_category.cells[country]) != set(sc):
+            problems.append(f"{country} categories {sorted(by_category.cells[country])}")
         for cat, frac in sc.items():
             x, oa, _ = exact_counts(by_category.cells[country][cat], by_category.unit)
             if abs(x - frac) > tol or abs(oa - frac) > tol:
                 problems.append(f"{country}/{cat} credit {x}")
+        if set(by_discipline.cells[country]) != set(ost):
+            problems.append(
+                f"{country} disciplines {sorted(by_discipline.cells[country])}")
         for disc, frac in ost.items():
             x, _, _ = exact_counts(by_discipline.cells[country][disc], by_discipline.unit)
             if abs(x - frac) > tol:
@@ -292,18 +288,7 @@ def test_05_conservation(trials):
 
 def spearman_of(xs, ys) -> float:
     actors = [f"A{i:03d}" for i in range(len(xs))]
-    rows = tuple(
-        IndicatorRow(
-            actor=a, display_name=a, kind=ActorKind.COUNTRY, group=None,
-            x_total=100.0, oa_share=x, noai={Level.SUBJECT_CATEGORY: y},
-            oa_type_shares={}, n_oa_whole=0, n_pubs_whole=100,
-        )
-        for a, x, y in zip(actors, xs, ys)
-    )
-    table = IndicatorTable(actor_kind=ActorKind.COUNTRY,
-                           levels=(Level.SUBJECT_CATEGORY,), rows=rows)
-    return spearman(rank(table, "oa_share"),
-                    rank(table, noai_metric(Level.SUBJECT_CATEGORY)))
+    return spearman(rank(dict(zip(actors, xs))), rank(dict(zip(actors, ys))))
 
 
 def test_06_spearman_reference():
@@ -372,8 +357,9 @@ def test_07_normalization_direction():
         problems.append("baseline ordering broken")
 
     table = build_indicator_table({Level.SUBJECT_CATEGORY: result})
-    metric = noai_metric(Level.SUBJECT_CATEGORY)
-    shifts = rank_shift(rank(table, "oa_share"), rank(table, metric))
+    share_ranks = rank({r.actor: r.oa_share for r in table.rows})
+    noai_ranks = rank({r.actor: r.noai[Level.SUBJECT_CATEGORY] for r in table.rows})
+    shifts = rank_shift(share_ranks, noai_ranks)
     if not shifts["E"] > 0:
         problems.append(f"E shift {shifts['E']}")
     if not shifts["B"] < 0:
@@ -409,7 +395,6 @@ def test_09_format_round_trip(tmp_path, monkeypatch, capsys):
     import csv as csv_mod
 
     from noai.cli import INDICATOR_COLUMNS, main
-    from noai.ingest import load_corpus
     from noai.synth import generate, write_spec_actors, write_spec_registry
 
     monkeypatch.chdir(tmp_path)

@@ -6,16 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noai.analysis import (
-    DESCENDING,
-    filter_actors,
-    metric_value,
-    noai_metric,
-    rank,
-    rank_shift,
-    spearman,
-    top_actors,
-)
+from noai.analysis import filter_actors, rank, rank_shift, spearman, top_actors
 from noai.errors import DegenerateInput, EmptyTable, MismatchedActorSets
 from noai.model import ActorKind, IndicatorRow, IndicatorTable, Level, OAStatus
 from oracle import competition_ranks, textbook_spearman
@@ -38,109 +29,62 @@ def make_table(rows_spec) -> IndicatorTable:
                           levels=(Level.SUBJECT_CATEGORY,), rows=rows)
 
 
-def vector_table(values, metric="oa_share"):
-    """A table whose chosen metric runs through the given values."""
-    spec = []
-    for i, v in enumerate(values):
-        actor = f"A{i:03d}"
-        if metric == "oa_share":
-            spec.append((actor, 100.0, v, 1.0))
-        elif metric == "x_total":
-            spec.append((actor, v, 0.0, 1.0))
-        else:
-            spec.append((actor, 100.0, 0.0, v))
-    return make_table(spec)
+def ranks_of(values):
+    """The ranks of values given for actors A000, A001, ... in turn."""
+    return rank({f"A{i:03d}": v for i, v in enumerate(values)})
 
 
 class TestRank:
     def test_ascending_rank_one_is_lowest(self):
-        table = vector_table([30.0, 10.0, 20.0])
-        ranks = rank(table, "oa_share")
-        assert [(r.actor, r.rank) for r in ranks.rows] == [
+        ranks = ranks_of([30.0, 10.0, 20.0])
+        assert [(actor, r.rank) for actor, r in ranks.items()] == [
             ("A001", 1), ("A002", 2), ("A000", 3)]
 
-    def test_descending_convention(self):
-        table = vector_table([30.0, 10.0, 20.0])
-        ranks = rank(table, "oa_share", DESCENDING)
-        assert ranks.by_actor()["A000"].rank == 1
-        assert ranks.by_actor()["A001"].rank == 3
-
     def test_ties_share_minimum_display_rank(self):
-        table = vector_table([1.0, 2.0, 2.0, 3.0])
-        ranks = rank(table, "oa_share")
-        by = ranks.by_actor()
+        by = ranks_of([1.0, 2.0, 2.0, 3.0])
         assert [by[f"A{i:03d}"].rank for i in range(4)] == [1, 2, 2, 4]
         assert [by[f"A{i:03d}"].avg_rank for i in range(4)] == [1.0, 2.5, 2.5, 4.0]
+        # Within a tie, rank order is actor id order.
+        assert list(rank({"B": 2.0, "A": 2.0, "C": 1.0})) == ["C", "A", "B"]
 
     def test_competition_ranks_match_oracle(self):
         values = [5.0, 1.0, 3.0, 3.0, 1.0, 8.0]
-        table = vector_table(values)
-        by = rank(table, "oa_share").by_actor()
+        by = ranks_of(values)
         expected = competition_ranks(values)
         for i, exp in enumerate(expected):
             assert by[f"A{i:03d}"].rank == exp
 
-    def test_undefined_metric_rows_excluded(self):
-        table = make_table([("A", 50.0, 10.0, 1.2), ("B", 50.0, 20.0, None)])
-        ranks = rank(table, noai_metric(Level.SUBJECT_CATEGORY))
-        assert ranks.excluded == ("B",)
-        assert ranks.actors() == {"A"}
-
     def test_empty_table_raises(self):
-        with pytest.raises(EmptyTable):
-            rank(make_table([]), "oa_share")
-
-    def test_all_undefined_raises(self):
-        table = make_table([("A", 50.0, 10.0, None)])
-        with pytest.raises(EmptyTable):
-            rank(table, noai_metric(Level.SUBJECT_CATEGORY))
-
-    def test_unknown_metric_raises(self):
-        table = vector_table([1.0, 2.0])
-        with pytest.raises(ValueError):
-            rank(table, "citations")
-
-    def test_metric_accessors(self):
-        row = make_table([("A", 50.0, 10.0, 1.2)]).rows[0]
-        assert metric_value(row, "oa_share") == 10.0
-        assert metric_value(row, "x_total") == 50.0
-        assert metric_value(row, "noai_subject_category") == 1.2
-        assert noai_metric(Level.OST_DISCIPLINE) == "noai_ost_discipline"
+        with pytest.raises(EmptyTable, match="cannot rank an empty indicator table"):
+            rank({})
 
 
 class TestSpearman:
     def test_identical_orders_give_exactly_one(self):
         values = [3.0, 1.0, 4.0, 1.5, 9.0]
-        a = rank(vector_table(values, "oa_share"), "oa_share")
-        b = rank(vector_table(values, "x_total"), "x_total")
-        assert spearman(a, b) == 1.0
+        assert spearman(ranks_of(values), ranks_of(values)) == 1.0
 
     def test_reversed_orders_give_exactly_minus_one(self):
         values = [3.0, 1.0, 4.0, 1.5, 9.0]
-        a = rank(vector_table(values, "oa_share"), "oa_share")
-        b = rank(vector_table([-v for v in values], "x_total"), "x_total")
-        assert spearman(a, b) == -1.0
+        assert spearman(ranks_of(values), ranks_of([-v for v in values])) == -1.0
 
     def test_two_points(self):
-        a = rank(vector_table([1.0, 2.0], "oa_share"), "oa_share")
-        b = rank(vector_table([5.0, 3.0], "x_total"), "x_total")
-        assert spearman(a, b) == -1.0
+        assert spearman(ranks_of([1.0, 2.0]), ranks_of([5.0, 3.0])) == -1.0
 
     def test_mismatched_actor_sets(self):
-        a = rank(vector_table([1.0, 2.0]), "oa_share")
-        b = rank(make_table([("A000", 1.0, 1.0, 1.0), ("XXX", 2.0, 2.0, 1.0)]),
-                 "oa_share")
+        a = ranks_of([1.0, 2.0])
+        b = rank({"A000": 1.0, "XXX": 2.0})
         with pytest.raises(MismatchedActorSets):
             spearman(a, b)
 
     def test_single_actor_degenerate(self):
-        a = rank(vector_table([1.0]), "oa_share")
+        a = ranks_of([1.0])
         with pytest.raises(DegenerateInput):
             spearman(a, a)
 
     def test_constant_vector_degenerate(self):
-        a = rank(vector_table([1.0, 2.0, 3.0]), "oa_share")
-        b = rank(vector_table([7.0, 7.0, 7.0], "x_total"), "x_total")
+        a = ranks_of([1.0, 2.0, 3.0])
+        b = ranks_of([7.0, 7.0, 7.0])
         with pytest.raises(DegenerateInput):
             spearman(a, b)
 
@@ -150,8 +94,8 @@ class TestSpearman:
     def test_tie_free_matches_textbook(self, values):
         n = len(values)
         other = list(range(n, 0, -1))  # any strict order works as the pair
-        a = rank(vector_table(values, "oa_share"), "oa_share")
-        b = rank(vector_table([float(v) for v in other], "x_total"), "x_total")
+        a = ranks_of(values)
+        b = ranks_of([float(v) for v in other])
         expected = textbook_spearman(values, other)
         assert spearman(a, b) == pytest.approx(expected, abs=1e-12)
 
@@ -165,8 +109,8 @@ class TestSpearman:
                                 min_size=n, max_size=n))
         if len(set(xs)) < 2 or len(set(ys)) < 2:
             return
-        a = rank(vector_table([float(v) for v in xs], "oa_share"), "oa_share")
-        b = rank(vector_table([float(v) for v in ys], "x_total"), "x_total")
+        a = ranks_of([float(v) for v in xs])
+        b = ranks_of([float(v) for v in ys])
         expected = textbook_spearman(xs, ys)
         assert spearman(a, b) == pytest.approx(expected, abs=1e-12)
 
@@ -176,27 +120,17 @@ class TestRankShift:
         # B is last by share but first once normalized: delta -2 on the
         # ascending ranks means it moved toward rank 1, i.e. looked worse
         # raw than normalized... the sign convention is noai minus share.
-        table = make_table([
-            ("A", 100.0, 10.0, 1.5),
-            ("B", 100.0, 30.0, 0.5),
-            ("C", 100.0, 20.0, 1.0),
-        ])
-        share = rank(table, "oa_share")
-        by_noai = rank(table, "noai_subject_category")
-        shifts = rank_shift(share, by_noai)
-        assert shifts == {"A": 2, "B": -2, "C": 0}
+        share = rank({"A": 10.0, "B": 30.0, "C": 20.0})
+        by_noai = rank({"A": 1.5, "B": 0.5, "C": 1.0})
+        assert rank_shift(share, by_noai) == {"A": 2, "B": -2, "C": 0}
 
     def test_zero_shift_on_identical_rankings(self):
-        table = make_table([("A", 1.0, 1.0, 1.0), ("B", 2.0, 2.0, 2.0)])
-        share = rank(table, "oa_share")
-        by_noai = rank(table, "noai_subject_category")
-        assert set(rank_shift(share, by_noai).values()) == {0}
+        ranks = rank({"A": 1.0, "B": 2.0})
+        assert set(rank_shift(ranks, ranks).values()) == {0}
 
     def test_mismatch_raises(self):
-        t1 = vector_table([1.0, 2.0])
-        t2 = make_table([("A000", 1.0, 1.0, 1.0)])
         with pytest.raises(MismatchedActorSets):
-            rank_shift(rank(t1, "oa_share"), rank(t2, "oa_share"))
+            rank_shift(ranks_of([1.0, 2.0]), rank({"A000": 1.0}))
 
 
 class TestFilters:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import registry_csv_text, REG10
+from conftest import load_corpus, registry_csv_text, REG10
 from noai.cli import INDICATOR_COLUMNS, main
 from noai.ingest import write_corpus
 from noai.model import DocType, OAStatus, PublicationRecord
@@ -128,8 +128,14 @@ class TestUsageErrors:
             main(base_args(ws, command) + [flag, value])
         assert exc.value.code == 2
 
-    def test_unknown_level_is_usage_error(self, ws):
-        assert main(base_args(ws, "rank") + ["--level", "galaxy"]) == 2
+    @pytest.mark.parametrize("command,value", [
+        ("rank", "galaxy"),
+        ("rank", ""),
+        ("series", ""),
+    ])
+    def test_unknown_level_is_usage_error(self, ws, command, value):
+        # An empty value names no level; it does not fall back to the default.
+        assert main(base_args(ws, command) + ["--level", value]) == 2
 
     def test_series_rejects_multiple_levels(self, ws):
         code = main(base_args(ws, "series")
@@ -152,11 +158,14 @@ class TestUsageErrors:
 
 
 class TestDataErrors:
-    def test_missing_corpus_file(self, ws, capsys):
-        code = main(["indicators", "--corpus", str(ws / "nope.jsonl"),
-                     "--registry", str(ws / "registry.csv")])
-        assert code == 3
-        assert "nope.jsonl" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv,named", [
+        (["--corpus", "nope.jsonl", "--registry", "registry.csv"], "nope.jsonl"),
+        (["--corpus", "corpus.jsonl", "--registry", "registry.csv", "--actors", ""],
+         "actor registry"),
+    ])
+    def test_missing_input_file(self, ws, capsys, argv, named):
+        assert main(["indicators", *argv]) == 3
+        assert named in capsys.readouterr().err
 
     def test_empty_corpus_message(self, ws, capsys):
         (ws / "empty.jsonl").write_text("", encoding="utf-8")
@@ -183,6 +192,12 @@ class TestDataErrors:
         assert code == 3
         assert "at least 2 actors" in capsys.readouterr().err
 
+    def test_rank_empty_after_filters(self, ws, capsys):
+        code = main(base_args(ws, "rank") + ["--min-pubs", "1e9"])
+        assert code == 3
+        assert capsys.readouterr().err.endswith(
+            "noai: cannot rank an empty indicator table\n")
+
 
 class TestIndicators:
     def test_csv_contract(self, ws, capsys):
@@ -198,7 +213,6 @@ class TestIndicators:
 
     def test_values_consistent_with_library(self, ws, capsys):
         from noai.engine import Aggregator, build_indicator_table
-        from noai.ingest import load_corpus
         from noai.model import Level
 
         assert main(base_args(ws)) == 0
@@ -327,6 +341,25 @@ class TestRankCompare:
         assert all(r["rank_delta_subject_category"] == 0
                    for r in payload["rows"])
 
+    def test_undefined_indicator_excluded(self, ws, capsys, tmp_path):
+        # ZZZ's only field is closed world-wide, so its indicator is undefined
+        # at every level: it is left out of every ranking, and stderr says so.
+        corpus = [
+            rec("a1", ("Mathematics",), (OAStatus.GOLD,), ("AAA",)),
+            rec("a2", ("Mathematics",), (), ("BBB",)),
+            rec("a3", ("Mathematics",), (OAStatus.GOLD,), ("BBB",)),
+            rec("z1", ("Sociology",), (), ("ZZZ",)),
+        ]
+        write_corpus(corpus, str(tmp_path / "undefined.jsonl"))
+        assert main(["rank", "--corpus", str(tmp_path / "undefined.jsonl"),
+                     "--registry", str(ws / "registry.csv"),
+                     "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert ("excluded ZZZ: indicator undefined at subject-category, ost-discipline"
+                in captured.err)
+        rows = json.loads(captured.out)["rows"]
+        assert [r["actor"] for r in rows] == ["BBB", "AAA"]
+
     def test_json_has_spearman_block(self, ws, capsys):
         assert main(base_args(ws, "compare") + ["--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -444,9 +477,14 @@ class TestSynthCommand:
         assert main(["synth", "--spec", str(ws / "bad.json"),
                      "--out", str(ws / "x.jsonl")]) == 3
 
-    def test_missing_spec_file(self, ws):
-        assert main(["synth", "--spec", str(ws / "nope.json"),
-                     "--out", str(ws / "x.jsonl")]) == 3
+    @pytest.mark.parametrize("extra", [
+        ["--spec", "nope.json"],
+        ["--spec", "spec.json", "--registry-out", ""],
+        ["--spec", "spec.json", "--actors-out", ""],
+    ])
+    def test_missing_spec_or_empty_path(self, ws, extra):
+        self.spec_file(ws)
+        assert main(["synth", *extra, "--out", str(ws / "x.jsonl")]) == 3
 
     def test_only_synth_loads_numpy(self):
         # A fresh interpreter: this one has long imported the generator.

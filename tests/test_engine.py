@@ -14,7 +14,6 @@ from conftest import CATS10, REG10, exact_counts, random_corpus
 from noai.engine import (
     Aggregator,
     build_indicator_table,
-    fraction_entries,
     noai,
     oa_share,
     yearly_series,
@@ -56,56 +55,67 @@ def rec(rec_id, cats, statuses=(), countries=(), year=2018, doc=DocType.ARTICLE)
     )
 
 
-class TestFractionEntries:
+def one_record_cells(cats, registry, level):
+    """The one actor's cells of a one-record tally at a level, and its unit."""
+    result = aggregate([rec("r1", cats, countries=("FRA",))], registry, level)
+    return result.cells["FRA"], result.unit
+
+
+class TestOneRecordWeights:
     def test_three_categories_at_category_level(self, table_registry, table_record):
-        entries = fraction_entries(table_record.subject_categories,
-                                   table_registry, Level.SUBJECT_CATEGORY)
-        assert set(entries) == set(table_record.subject_categories)
-        for w in entries.values():
-            assert abs(w - 1 / 3) <= 1e-12
+        cells, unit = one_record_cells(table_record.subject_categories,
+                                       table_registry, Level.SUBJECT_CATEGORY)
+        assert set(cells) == set(table_record.subject_categories)
+        for counts in cells.values():
+            assert abs(exact_counts(counts, unit)[0] - 1 / 3) <= 1e-12
 
     def test_pooling_at_discipline_level(self, table_registry, table_record):
         # Two of the three categories share a discipline: 2/3 + 1/3,
         # computed as one division, never by re-splitting.
-        entries = fraction_entries(table_record.subject_categories,
-                                   table_registry, Level.OST_DISCIPLINE)
-        assert entries == {
+        cells, unit = one_record_cells(table_record.subject_categories,
+                                       table_registry, Level.OST_DISCIPLINE)
+        assert {f: exact_counts(c, unit)[0] for f, c in cells.items()} == {
             "Computer science": pytest.approx(2 / 3, abs=1e-12),
             "Medical research": pytest.approx(1 / 3, abs=1e-12),
         }
 
     def test_pooling_at_subfield_level(self, table_registry, table_record):
-        entries = fraction_entries(table_record.subject_categories,
-                                   table_registry, Level.ERC_SUBFIELD)
-        assert entries == {
+        cells, unit = one_record_cells(table_record.subject_categories,
+                                       table_registry, Level.ERC_SUBFIELD)
+        assert {f: exact_counts(c, unit)[0] for f, c in cells.items()} == {
             "PE6": pytest.approx(2 / 3, abs=1e-12),
             "LS7": pytest.approx(1 / 3, abs=1e-12),
         }
 
     def test_single_category_is_whole(self, reg10):
-        assert fraction_entries(("Mathematics",), reg10,
-                                Level.OST_DISCIPLINE) == {"Mathematics": 1.0}
+        cells, unit = one_record_cells(("Mathematics",), reg10, Level.OST_DISCIPLINE)
+        assert {f: exact_counts(c, unit)[0] for f, c in cells.items()} == {
+            "Mathematics": 1}
 
-    def test_unknown_category_raises_at_coarser_level(self, reg10):
-        with pytest.raises(UnknownCategory):
-            fraction_entries(("Palmistry",), reg10, Level.ERC_SUBFIELD)
+    @pytest.mark.parametrize("level", [Level.OST_DISCIPLINE, Level.ERC_SUBFIELD])
+    def test_unknown_category_raises_at_coarser_level(self, reg10, level):
+        agg = Aggregator(reg10, (level,))
+        agg.add(rec("r1", ("Palmistry",), countries=("FRA",)))
+        with pytest.raises(UnknownCategory, match="Palmistry"):
+            agg.finish()
 
     def test_unknown_category_fine_at_category_level(self, reg10):
-        assert fraction_entries(("Palmistry",), reg10,
-                                Level.SUBJECT_CATEGORY) == {"Palmistry": 1.0}
+        cells, unit = one_record_cells(("Palmistry",), reg10, Level.SUBJECT_CATEGORY)
+        assert {f: exact_counts(c, unit)[0] for f, c in cells.items()} == {
+            "Palmistry": 1}
 
     @given(st.lists(st.sampled_from(CATS10), min_size=1, max_size=6, unique=True),
            st.sampled_from(LEVELS))
     def test_weights_sum_to_one(self, cats, level):
-        entries = fraction_entries(tuple(cats), REG10, level)
-        assert abs(sum(entries.values()) - 1.0) <= 1e-12
-        assert all(w > 0 for w in entries.values())
+        cells, unit = one_record_cells(cats, REG10, level)
+        assert sum(sum(c) for c in cells.values()) == unit
+        assert all(sum(c) > 0 for c in cells.values())
 
     @given(st.lists(st.sampled_from(CATS10), min_size=1, max_size=6, unique=True))
     def test_category_level_uniform(self, cats):
-        entries = fraction_entries(tuple(cats), REG10, Level.SUBJECT_CATEGORY)
+        cells, unit = one_record_cells(cats, REG10, Level.SUBJECT_CATEGORY)
         k = len(cats)
-        assert all(w == 1.0 / k for w in entries.values())
+        assert all(sum(c) == unit // k for c in cells.values())
 
 
 def assert_matches_oracle(result, oracle: BruteForce):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noai.ingest as ingest
-from conftest import CATS10, REG10, random_corpus, registry_csv_text
+from conftest import CATS10, REG10, load_corpus, random_corpus, registry_csv_text
 from noai.errors import (
     DuplicateCategory,
     IoFailure,
@@ -31,7 +31,6 @@ from noai.ingest import (
     CorpusReader,
     IngestOptions,
     load_actor_registry,
-    load_corpus,
     load_registry,
     serialize_record,
     validate_corpus,

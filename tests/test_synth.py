@@ -7,9 +7,10 @@ from collections import Counter
 
 import pytest
 
+from conftest import load_corpus
 from noai.errors import InvalidSpec, IoFailure
-from noai.ingest import load_actor_registry, load_corpus, load_registry
-from noai.model import ActorKind, OAStatus, resolve_status
+from noai.ingest import load_actor_registry, load_registry
+from noai.model import ActorKind, OAStatus
 from noai.synth import (
     CHUNK,
     FieldDef,
@@ -25,6 +26,7 @@ from noai.synth import (
     write_spec_actors,
     write_spec_registry,
 )
+from oracle import resolve
 
 FIELDS3 = (
     FieldDef("Mathematics", "Mathematics", "PE1"),
@@ -98,7 +100,7 @@ class TestDeterminism:
         assert any(len(a.raw_statuses) == 2 for a, _ in pairs)
         for a, b in pairs:
             assert b.raw_statuses <= a.raw_statuses
-            assert resolve_status(a.raw_statuses) == resolve_status(b.raw_statuses)
+            assert resolve(a) == resolve(b)
 
     def test_extra_categories_never_change_primary(self):
         multi = list(iter_records(small_spec(multi_category_rate=0.5)))
@@ -235,7 +237,7 @@ class TestConvergence:
         for r in iter_records(spec):
             cat = r.subject_categories[0]
             totals[cat] += 1
-            status = resolve_status(r.raw_statuses)
+            status = resolve(r)
             if status is not OAStatus.CLOSED:
                 opens[cat] += 1
                 by_type[cat][status] += 1
