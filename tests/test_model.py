@@ -5,6 +5,7 @@ from __future__ import annotations
 from noai.model import (
     ERC_SUBFIELDS,
     OST_DISCIPLINES,
+    ClassificationRegistry,
     Level,
     is_canonical_erc_subfield,
     is_canonical_ost_discipline,
@@ -36,15 +37,26 @@ class TestNomenclatures:
 
 
 class TestClassificationRegistry:
+    def test_identity_at_category_level(self, table_registry):
+        # Category level never consults the registry mapping.
+        assert table_registry.field_map(Level.SUBJECT_CATEGORY) is None
+
+    def test_mapping_at_coarser_levels(self, table_registry):
+        fmap = table_registry.field_map(Level.OST_DISCIPLINE)
+        assert fmap["Medical Informatics"] == "Computer science"
+        fmap = table_registry.field_map(Level.ERC_SUBFIELD)
+        assert fmap["Health Care Sciences & Services"] == "LS7"
+
     def test_contains(self, table_registry):
         assert "Medical Informatics" in table_registry
         assert "Basket Weaving" not in table_registry
 
     def test_field_map(self, table_registry):
-        # Category level never consults the registry mapping.
-        assert table_registry.field_map(Level.SUBJECT_CATEGORY) is None
         fmap = table_registry.field_map(Level.OST_DISCIPLINE)
         assert fmap["Computer Science, Information Systems"] == "Computer science"
-        assert fmap["Medical Informatics"] == "Computer science"
-        fmap = table_registry.field_map(Level.ERC_SUBFIELD)
-        assert fmap["Health Care Sciences & Services"] == "LS7"
+        assert "Basket Weaving" not in fmap
+
+    def test_discipline_and_subfield_sets(self):
+        reg = ClassificationRegistry({"c1": ("D1", "PE1"), "c2": ("D1", "LS2")})
+        assert set(reg.field_map(Level.OST_DISCIPLINE).values()) == {"D1"}
+        assert set(reg.field_map(Level.ERC_SUBFIELD).values()) == {"PE1", "LS2"}
