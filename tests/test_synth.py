@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,8 @@ from noai.synth import (
     write_spec_registry,
 )
 from oracle import resolve
+
+DEMO_SPEC = Path(__file__).resolve().parents[1] / "data" / "synth_demo.json"
 
 FIELDS3 = (
     FieldDef("Mathematics", "Mathematics", "PE1"),
@@ -273,3 +277,113 @@ class TestConvergence:
         seen = Counter(r.doc_type.value for r in iter_records(spec))
         assert set(seen) == {"article", "review"}
         assert abs(seen["article"] / 12_000 - 0.5) < 0.03
+
+
+def institution_heavy_spec() -> SynthSpec:
+    """400 institutions over 250 categories, about 8 signing each record."""
+    fields = tuple(FieldDef(f"Category {j:03d}", f"Discipline {j % 11}",
+                            f"Subfield {j % 25}") for j in range(250))
+    profiles = {f.subject_category: OAProfile(0.05 + 0.04 * (j % 5),
+                                              0.04 + 0.02 * (j % 3),
+                                              0.06 + 0.05 * (j % 4))
+                for j, f in enumerate(fields)}
+    n_records = 3000
+    weights = (0.2, 0.15, 0.13, 0.11, 0.1, 0.09, 0.08, 0.06, 0.05, 0.03)
+    actors = tuple(
+        SynthActor(
+            id=f"I{a:03d}", kind=ActorKind.INSTITUTION,
+            volume=8.0 * n_records / 400 * (0.5 + (a % 11) / 10.0),
+            specialization=dict(zip(
+                (fields[(a * 7 + 3 * k) % 250].subject_category
+                 for k in range(len(weights))), weights)),
+        )
+        for a in range(400)
+    )
+    return SynthSpec(seed=5, n_records=n_records, years=(2015, 2019),
+                     fields=fields, oa_profiles=profiles, actors=actors,
+                     multi_category_rate=0.6, multi_status_rate=0.25,
+                     has_doi_rate=0.95)
+
+
+def escaped_names_spec() -> SynthSpec:
+    """No actors; category names that json.dumps must escape."""
+    names = ("Économie", 'Say "when"', "Back\\slash", "数学", "Tab\there",
+             "Emoji \U0001f600")
+    fields = tuple(FieldDef(n, "Humanities", "SH6") for n in names)
+    profiles = {n: OAProfile(0.2, 0.1, 0.3) for n in names}
+    return SynthSpec(seed=3, n_records=600, years=(2018, 2018), fields=fields,
+                     oa_profiles=profiles, multi_category_rate=0.5,
+                     multi_status_rate=0.5, has_doi_rate=0.5,
+                     doc_type_weights={"letter": 1.0, "proceeding": 3.0})
+
+
+def always_multi_category_spec() -> SynthSpec:
+    """Every record asks for extra categories among three fields, so
+    colliding candidates probe past the primary and each other."""
+    actors = (
+        SynthActor("FRA", ActorKind.COUNTRY, 200.0,
+                   {"Mathematics": 0.5, "History": 0.5}),
+        SynthActor("u-1", ActorKind.INSTITUTION, 120.0, {"Cell Biology": 1.0}),
+    )
+    return small_spec(seed=4, n_records=800, multi_category_rate=1.0,
+                      multi_status_rate=0.3, actors=actors)
+
+
+def chunk_boundary_spec() -> SynthSpec:
+    """One chunk and 77 records; actors of both kinds, declared out of id order."""
+    actors = (
+        SynthActor("b", ActorKind.COUNTRY, 900.0, {"Mathematics": 1.0}),
+        SynthActor("Ünï", ActorKind.INSTITUTION, 700.0,
+                   {"Cell Biology": 0.7, "History": 0.3}),
+        SynthActor("a10", ActorKind.COUNTRY, 1500.0,
+                   {"History": 0.2, "Cell Biology": 0.8}),
+        SynthActor("A", ActorKind.INSTITUTION, 2500.0,
+                   {"Mathematics": 0.4, "History": 0.6}),
+        SynthActor("a9", ActorKind.COUNTRY, 3000.0,
+                   {"Mathematics": 0.3, "Cell Biology": 0.3, "History": 0.4}),
+    )
+    return small_spec(seed=6, n_records=CHUNK + 77, years=(2010, 2020),
+                      multi_category_rate=0.3, multi_status_rate=0.4,
+                      has_doi_rate=0.8, actors=actors)
+
+
+def one_field_spec() -> SynthSpec:
+    """A single field, a zero-volume actor with no specialization at all."""
+    field = FieldDef("Mathematics", "Mathematics", "PE1")
+    actors = (
+        SynthActor("ZERO", ActorKind.COUNTRY, 0.0, {}),
+        SynthActor("ONE", ActorKind.INSTITUTION, 150.0, {"Mathematics": 1.0}),
+    )
+    return SynthSpec(seed=8, n_records=400, years=(2016, 2017), fields=(field,),
+                     oa_profiles={"Mathematics": OAProfile(0.3, 0.2, 0.1)},
+                     actors=actors, multi_category_rate=1.0,
+                     multi_status_rate=0.5)
+
+
+#: SHA-256 of `generate`'s output for each spec; the bytes are the contract.
+GOLDEN = {
+    "synth_demo": (lambda: load_synth_spec(str(DEMO_SPEC)),
+                   "6577958e5db4014c386e3c5a789f99babc2d18b0eb49e68d1ba0945d849a1b0a"),
+    "world_spec_7_10000": (lambda: world_spec(7, 10_000),
+                           "985ca9a2396b94bce37cb077a5e821ea592fffe190da646a1232677b677b928c"),
+    "institution_heavy": (institution_heavy_spec,
+                         "28b7635751a4d413a33c822eec1bb609f61eec754a7c24000e384192a522d3e0"),
+    "escaped_names": (escaped_names_spec,
+                     "e22afbd29ea5839d2e01659db97a37ae485937c54b6bad8240dc98bb39f18829"),
+    "always_multi_category": (always_multi_category_spec,
+                             "b8928fea70d634ca657f856e975efa137a9d4a2a2cf1c495d38e144631787010"),
+    "chunk_boundary": (chunk_boundary_spec,
+                      "951a2e65351fbbd5fa53b02d2233271b2b5d446bc0e594152219b3e61e035c40"),
+    "one_field": (one_field_spec,
+                 "28d48a77b253b74aa943c20055a822d548b99d564142033b9ea89bf391b755e6"),
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_output_digest(self, tmp_path, name):
+        make_spec, digest = GOLDEN[name]
+        spec = make_spec()
+        path = tmp_path / "golden.jsonl"
+        assert generate(spec, str(path)) == spec.n_records
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
