@@ -30,7 +30,6 @@ from .ingest import (
     load_actor_registry,
     load_registry,
     validate_corpus,
-    write_corpus,
 )
 from .model import (
     Actor,
@@ -66,6 +65,5 @@ __all__ = [
     "noai",
     "oa_share",
     "validate_corpus",
-    "write_corpus",
     "yearly_series",
 ]

@@ -109,8 +109,6 @@ def _parse_doc_types(text: str) -> frozenset[DocType]:
     out = set()
     for part in text.split(","):
         part = part.strip()
-        if not part:
-            continue
         try:
             out.add(DocType(part))
         except ValueError:
@@ -118,8 +116,6 @@ def _parse_doc_types(text: str) -> frozenset[DocType]:
             raise argparse.ArgumentTypeError(
                 f"unknown doc type {part!r} (valid: {valid})"
             ) from None
-    if not out:
-        raise argparse.ArgumentTypeError("empty doc type list")
     return frozenset(out)
 
 
@@ -448,7 +444,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     from .synth import generate, load_synth_spec, write_spec_actors, write_spec_registry
 
     spec = load_synth_spec(args.spec)
-    n = generate(spec, args.out)
+    # The small outputs first, so that a path that cannot be written fails
+    # before any record is generated.
     outputs = [args.out]
     if args.registry_out is not None:
         write_spec_registry(spec, args.registry_out)
@@ -456,6 +453,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.actors_out is not None:
         write_spec_actors(spec, args.actors_out)
         outputs.append(args.actors_out)
+    n = generate(spec, args.out)
     print(f"wrote {n} records to {args.out}", file=sys.stderr)
     _write_manifest(args, {"records_written": n}, outputs)
     return 0

@@ -34,7 +34,6 @@ from .model import (
     DocType,
     OAStatus,
     PublicationRecord,
-    DEFAULT_PRIORITY,
     is_canonical_erc_subfield,
     is_canonical_ost_discipline,
 )
@@ -282,34 +281,6 @@ class CorpusReader:
             stats.records_accepted = accepted
             stats.year_min = lo
             stats.year_max = hi
-
-
-def serialize_record(record: PublicationRecord) -> dict:
-    return {
-        "id": record.id,
-        "year": record.year,
-        "doc_type": record.doc_type.value,
-        "oa": [s.value for s in DEFAULT_PRIORITY if s in record.raw_statuses],
-        "categories": list(record.subject_categories),
-        "doi": record.has_doi,
-        "countries": sorted(record.countries),
-        "institutions": sorted(record.institutions),
-    }
-
-
-def write_corpus(records: Iterable[PublicationRecord], path) -> int:
-    """Write records as canonical JSON Lines; returns the number written."""
-    n = 0
-    try:
-        out = open(path, "w", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write corpus {path}: {exc}") from exc
-    with out:
-        for record in records:
-            out.write(json.dumps(serialize_record(record), separators=(",", ":")))
-            out.write("\n")
-            n += 1
-    return n
 
 
 @dataclass(frozen=True)

@@ -25,21 +25,17 @@ of OA records carry a second, strictly lower-priority status.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidSpec, IoFailure
-from .ingest import ACTOR_COLUMNS, REGISTRY_COLUMNS, write_corpus
-from .model import (
-    ActorKind,
-    DocType,
-    OAStatus,
-    PublicationRecord,
-)
+from .ingest import ACTOR_COLUMNS, REGISTRY_COLUMNS
+from .model import ActorKind, DocType
 
 CHUNK = 4096
 
@@ -351,191 +347,227 @@ def load_synth_spec(path: str) -> SynthSpec:
 
 
 class _SamplingPlan:
-    """Arrays precomputed from a spec, shared by all chunks."""
+    """Arrays and JSON fragments precomputed from a spec, shared by all chunks.
+
+    Only a spec with records has a plan, and so at least one field.
+    """
 
     def __init__(self, spec: SynthSpec):
         self.spec = spec
-        self.n_fields = len(spec.fields)
-        self.categories = spec.categories()
-        self.years = np.arange(spec.years[0], spec.years[1] + 1)
+        self.n_fields = n_fields = len(spec.fields)
+        categories = spec.categories()
+        self.n_years = spec.years[1] - spec.years[0] + 1
 
         order = [d.value for d in DocType]
         weights = np.array(
             [spec.doc_type_weights.get(name, 0.0) for name in order]
         )
-        self.doc_types = order
         self.doc_cum = np.cumsum(weights / weights.sum())
         self.doc_cum[-1] = 1.0
 
-        profiles = [spec.oa_profiles[c] for c in self.categories]
+        profiles = [spec.oa_profiles[c] for c in categories]
         self.gold_edge = np.array([p.gold for p in profiles])
         self.bronze_edge = np.array([p.gold + p.bronze for p in profiles])
         self.green_edge = np.array([p.total for p in profiles])
 
+        # q[i, j] = volume_i * specialization_i(field j).
+        column = {cat: j for j, cat in enumerate(categories)}
+        q = np.zeros((len(spec.actors), n_fields))
+        for i, actor in enumerate(spec.actors):
+            for cat, w in actor.specialization.items():
+                q[i, column[cat]] = actor.volume * w
+
         # Primary-field mixture: volume-weighted blend of actor profiles,
-        # uniform when nothing is declared.
-        mix = np.zeros(self.n_fields) if self.n_fields else np.zeros(0)
-        for actor in spec.actors:
-            for j, cat in enumerate(self.categories):
-                mix[j] += actor.volume * actor.specialization.get(cat, 0.0)
-        if self.n_fields and mix.sum() <= 0.0:
-            mix = np.ones(self.n_fields)
-        self.field_dist = mix / mix.sum() if self.n_fields else mix
-        if self.n_fields:
-            self.field_cum = np.cumsum(self.field_dist)
-            self.field_cum[-1] = 1.0
-        else:
-            self.field_cum = mix
+        # uniform when nothing is declared.  Summed actor by actor, in spec
+        # order: a pairwise sum could change last bits, and so the draws.
+        mix = np.zeros(n_fields)
+        for row in q:
+            mix += row
+        if mix.sum() <= 0.0:
+            mix = np.ones(n_fields)
+        field_dist = mix / mix.sum()
+        self.field_cum = np.cumsum(field_dist)
+        self.field_cum[-1] = 1.0
 
         # Signing probability per (actor, field), clipped to [0, 1]:
-        # q = volume * specialization / (n_records * field_dist), which
-        # makes each actor's expected record count equal its volume.
-        self.actors = spec.actors
-        self.sign_prob = np.zeros((len(spec.actors), self.n_fields))
-        if spec.n_records > 0:
-            for i, actor in enumerate(spec.actors):
-                for j, cat in enumerate(self.categories):
-                    g = self.field_dist[j]
-                    if g <= 0.0:
-                        continue
-                    q = actor.volume * actor.specialization.get(cat, 0.0)
-                    self.sign_prob[i, j] = min(1.0, q / (spec.n_records * g))
+        # q / (n_records * field_dist), which makes each actor's expected
+        # record count equal its volume.  A field never drawn gets 0.
+        sign_prob = np.zeros_like(q)
+        np.divide(q, spec.n_records * field_dist, out=sign_prob,
+                  where=field_dist > 0.0)
+        np.minimum(sign_prob, 1.0, out=sign_prob)
+
+        # Per actor kind, the actors in id order: their sign-matrix columns
+        # and probability rows, and their ids as JSON strings.  A row's
+        # signers then come out of np.nonzero already sorted.
+        self.signers = []
+        for kind in (ActorKind.COUNTRY, ActorKind.INSTITUTION):
+            members = sorted((a.id, i) for i, a in enumerate(spec.actors)
+                             if a.kind is kind)
+            rows = np.array([i for _, i in members], dtype=np.int64)
+            self.signers.append((
+                _N_FIXED_COLS + rows,
+                sign_prob[rows],
+                _fragments(aid for aid, _ in members),
+            ))
 
         self.n_cols = _N_FIXED_COLS + len(spec.actors)
+        self.years = _fragments(range(spec.years[0], spec.years[1] + 1))
+        self.doc_types = _fragments(order)
+        self.categories = _fragments(categories)
+        self.more_categories = "," + self.categories
 
 
-def _pick_extras(primary: int, cand_1: int, cand_2: int, n_extras: int,
-                 n_fields: int) -> list[int]:
-    """Resolve extra-category candidates to distinct non-primary indices.
-
-    A candidate colliding with an already-chosen index probes linearly,
-    so the result is deterministic in the candidates alone.
-    """
-    n_extras = min(n_extras, n_fields - 1)
-    chosen = [primary]
-    for cand in (cand_1, cand_2)[:n_extras]:
-        idx = cand
-        while idx in chosen:
-            idx = (idx + 1) % n_fields
-        chosen.append(idx)
-    return chosen[1:]
+def _fragments(values: Iterable) -> np.ndarray:
+    """Each value's JSON text, in an object array to index by code arrays."""
+    return np.array([json.dumps(v, separators=(",", ":")) for v in values],
+                    dtype=object)
 
 
-def iter_records(spec: SynthSpec) -> Iterator[PublicationRecord]:
-    """Yield the corpus for ``spec``, deterministically in ``spec.seed``."""
-    validate_spec(spec)
-    if spec.n_records == 0:
-        return
-    plan = _SamplingPlan(spec)
-    n_years = len(plan.years)
+# The `oa` list of a record by status code.  A second status is always of
+# lower priority, so each list is in priority order.
+_OA_LISTS = np.array(['[]', '["gold"]', '["gold","bronze"]', '["gold","green"]',
+                      '["bronze"]', '["bronze","green"]', '["green"]'], dtype=object)
+_DOI = np.array(["false", "true"], dtype=object)
+
+# The fixed key order of a corpus line, as `ingest` documents it.
+_LINE = ('{"id":"r%08d","year":%s,"doc_type":%s,"oa":%s,"categories":[%s],'
+         '"doi":%s,"countries":[%s],"institutions":[%s]}\n')
+
+
+def _probe(idx: np.ndarray, taken: tuple[np.ndarray, ...],
+           n_fields: int) -> np.ndarray:
+    """Step each candidate index linearly past the indices taken in its row,
+    so the result is deterministic in the candidates alone.  A run of taken
+    indices is at most ``len(taken)`` long, so that many steps suffice."""
+    for _ in taken:
+        hit = np.logical_or.reduce([idx == t for t in taken])
+        idx = np.where(hit, (idx + 1) % n_fields, idx)
+    return idx
+
+
+def _signer_lists(signs: np.ndarray, ids: np.ndarray) -> list[str]:
+    """The comma-joined JSON ids of each row's signers, "" for none."""
+    rows, cols = np.nonzero(signs)
+    out = [""] * len(signs)
+    if rows.size:
+        names = ids[cols].tolist()
+        present, first = np.unique(rows, return_index=True)
+        bounds = first.tolist() + [rows.size]
+        for k, row in enumerate(present.tolist()):
+            out[row] = ",".join(names[bounds[k]:bounds[k + 1]])
+    return out
+
+
+def _chunk_text(plan: _SamplingPlan, chunk_index: int, start: int, m: int) -> str:
+    """The JSON lines of records ``start`` to ``start + m``, drawn from chunk
+    ``chunk_index``'s stream."""
+    spec = plan.spec
     n_fields = plan.n_fields
-    country_ids = [(i, a.id) for i, a in enumerate(plan.actors)
-                   if a.kind is ActorKind.COUNTRY]
-    inst_ids = [(i, a.id) for i, a in enumerate(plan.actors)
-                if a.kind is ActorKind.INSTITUTION]
+    stream = np.random.Generator(
+        np.random.Philox(key=spec.seed, counter=[0, 0, 0, chunk_index])
+    )
+    u = stream.random((m, plan.n_cols))
 
-    for chunk_index, start in enumerate(range(0, spec.n_records, CHUNK)):
-        m = min(CHUNK, spec.n_records - start)
-        stream = np.random.Generator(
-            np.random.Philox(key=spec.seed, counter=[0, 0, 0, chunk_index])
-        )
-        u = stream.random((m, plan.n_cols))
+    year_idx = np.minimum((u[:, _COL_YEAR] * plan.n_years).astype(np.int64),
+                          plan.n_years - 1)
+    doc_idx = np.minimum(
+        np.searchsorted(plan.doc_cum, u[:, _COL_DOC_TYPE], side="right"),
+        len(plan.doc_types) - 1,
+    )
+    has_doi = u[:, _COL_DOI] < spec.has_doi_rate
+    primary = np.minimum(
+        np.searchsorted(plan.field_cum, u[:, _COL_PRIMARY], side="right"),
+        n_fields - 1,
+    )
 
-        year_idx = np.minimum((u[:, _COL_YEAR] * n_years).astype(np.int64),
-                              n_years - 1)
-        doc_idx = np.searchsorted(plan.doc_cum, u[:, _COL_DOC_TYPE],
-                                  side="right")
-        doc_idx = np.minimum(doc_idx, len(plan.doc_types) - 1)
-        has_doi = u[:, _COL_DOI] < spec.has_doi_rate
-        is_multi_cat = u[:, _COL_MULTI_CAT] < spec.multi_category_rate
-        n_extras = np.where(u[:, _COL_EXTRA_COUNT] < 0.5, 1, 2)
-        primary = np.minimum(
-            np.searchsorted(plan.field_cum, u[:, _COL_PRIMARY], side="right"),
-            n_fields - 1,
-        )
-        cand_1 = np.minimum((u[:, _COL_EXTRA_1] * n_fields).astype(np.int64),
-                            n_fields - 1)
-        cand_2 = np.minimum((u[:, _COL_EXTRA_2] * n_fields).astype(np.int64),
-                            n_fields - 1)
+    # Categories: the primary, then up to two distinct extras.
+    is_multi = u[:, _COL_MULTI_CAT] < spec.multi_category_rate
+    n_extras = np.where(u[:, _COL_EXTRA_COUNT] < 0.5, 1, 2)
+    n_extras = np.where(is_multi, np.minimum(n_extras, n_fields - 1), 0)
+    cand_1, cand_2 = (
+        np.minimum((u[:, col] * n_fields).astype(np.int64), n_fields - 1)
+        for col in (_COL_EXTRA_1, _COL_EXTRA_2)
+    )
+    extra_1 = _probe(cand_1, (primary,), n_fields)
+    extra_2 = _probe(cand_2, (primary, extra_1), n_fields)
+    one, two = n_extras >= 1, n_extras >= 2
+    categories = plan.categories[primary]
+    categories[one] += plan.more_categories[extra_1[one]]
+    categories[two] += plan.more_categories[extra_2[two]]
 
-        v = u[:, _COL_OA]
-        is_gold = v < plan.gold_edge[primary]
-        is_bronze = ~is_gold & (v < plan.bronze_edge[primary])
-        is_green = ~is_gold & ~is_bronze & (v < plan.green_edge[primary])
-        wants_second = u[:, _COL_MULTI_STATUS] < spec.multi_status_rate
-        second_sel = u[:, _COL_SECOND_STATUS]
+    # OA status code, indexing _OA_LISTS.
+    v = u[:, _COL_OA]
+    is_gold = v < plan.gold_edge[primary]
+    is_bronze = ~is_gold & (v < plan.bronze_edge[primary])
+    is_green = ~is_gold & ~is_bronze & (v < plan.green_edge[primary])
+    second = u[:, _COL_MULTI_STATUS] < spec.multi_status_rate
+    status = np.where(is_gold, np.where(
+        second, np.where(u[:, _COL_SECOND_STATUS] < 0.5, 2, 3), 1), 0)
+    status = np.where(is_bronze, np.where(second, 5, 4), status)
+    status = np.where(is_green, 6, status)
 
-        signs = u[:, _N_FIXED_COLS:] < plan.sign_prob[:, primary].T
-
-        for i in range(m):
-            p = int(primary[i])
-            cat_idx = [p]
-            if is_multi_cat[i]:
-                cat_idx += _pick_extras(p, int(cand_1[i]), int(cand_2[i]),
-                                        int(n_extras[i]), n_fields)
-            categories = tuple(plan.categories[j] for j in cat_idx)
-
-            statuses: list[OAStatus] = []
-            if is_gold[i]:
-                statuses.append(OAStatus.GOLD)
-            elif is_bronze[i]:
-                statuses.append(OAStatus.BRONZE)
-            elif is_green[i]:
-                statuses.append(OAStatus.GREEN)
-            if statuses and wants_second[i]:
-                # The added status is strictly lower priority, so the
-                # resolved status of the record is unchanged.
-                if statuses[0] is OAStatus.GOLD:
-                    statuses.append(OAStatus.BRONZE if second_sel[i] < 0.5
-                                    else OAStatus.GREEN)
-                elif statuses[0] is OAStatus.BRONZE:
-                    statuses.append(OAStatus.GREEN)
-
-            yield PublicationRecord(
-                id=f"r{start + i:08d}",
-                year=int(plan.years[year_idx[i]]),
-                doc_type=DocType(plan.doc_types[doc_idx[i]]),
-                raw_statuses=frozenset(statuses),
-                subject_categories=categories,
-                has_doi=bool(has_doi[i]),
-                countries=frozenset([aid for k, aid in country_ids if signs[i, k]]),
-                institutions=frozenset([aid for k, aid in inst_ids if signs[i, k]]),
-            )
+    countries, institutions = (
+        _signer_lists(u[:, cols] < prob[:, primary].T, ids)
+        for cols, prob, ids in plan.signers
+    )
+    return "".join(map(_LINE.__mod__, zip(
+        range(start, start + m),
+        plan.years[year_idx].tolist(),
+        plan.doc_types[doc_idx].tolist(),
+        _OA_LISTS[status].tolist(),
+        categories.tolist(),
+        _DOI[has_doi.view(np.int8)].tolist(),
+        countries,
+        institutions,
+    )))
 
 
 def generate(spec: SynthSpec, out_path: str) -> int:
-    """Write the corpus for ``spec`` to ``out_path``; return record count."""
-    return write_corpus(iter_records(spec), out_path)
+    """Write the corpus for ``spec`` to ``out_path``, deterministically in
+    ``spec.seed``; return the record count.
+
+    Each chunk of records is drawn as one uniform matrix, turned into its
+    JSON lines with array operations and one format per record, and
+    written at once.
+    """
+    validate_spec(spec)
+    try:
+        out = open(out_path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise IoFailure(f"cannot write corpus {out_path}: {exc}") from exc
+    with out:
+        if spec.n_records == 0:
+            return 0
+        plan = _SamplingPlan(spec)
+        for chunk_index, start in enumerate(range(0, spec.n_records, CHUNK)):
+            out.write(_chunk_text(plan, chunk_index, start,
+                                  min(CHUNK, spec.n_records - start)))
+    return spec.n_records
+
+
+def _write_csv(path: str, what: str, header: Sequence[str],
+               rows: Iterable[Sequence[str]]) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {what} {path}: {exc}") from exc
 
 
 def write_spec_registry(spec: SynthSpec, path: str) -> None:
     """Emit the classification registry implied by the spec's fields."""
-    import csv
-
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(REGISTRY_COLUMNS)
-            for f in spec.fields:
-                writer.writerow(
-                    [f.subject_category, f.ost_discipline, f.erc_subfield]
-                )
-    except OSError as exc:
-        raise IoFailure(f"cannot write registry {path}: {exc}") from exc
+    _write_csv(path, "registry", REGISTRY_COLUMNS,
+               ([f.subject_category, f.ost_discipline, f.erc_subfield]
+                for f in spec.fields))
 
 
 def write_spec_actors(spec: SynthSpec, path: str) -> None:
     """Emit the actor registry implied by the spec's actors."""
-    import csv
-
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(ACTOR_COLUMNS)
-            for a in spec.actors:
-                writer.writerow([a.id, a.kind.value, "", a.id])
-    except OSError as exc:
-        raise IoFailure(f"cannot write actors {path}: {exc}") from exc
+    _write_csv(path, "actors", ACTOR_COLUMNS,
+               ([a.id, a.kind.value, "", a.id] for a in spec.actors))
 
 
 def world_spec(seed: int, n_records: int,

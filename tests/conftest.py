@@ -1,9 +1,11 @@
 """Shared fixtures: a worked three-category publication, a ten-field
-registry whose categories pool many-to-one at the coarser levels, and a
-stdlib-random corpus builder independent of the package's generator."""
+registry whose categories pool many-to-one at the coarser levels, a
+stdlib-random corpus builder independent of the package's generator, and
+the canonical corpus writer that `noai.synth.generate` matches byte for byte."""
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ import pytest
 
 from noai.ingest import CorpusReader
 from noai.model import (
+    DEFAULT_PRIORITY,
     ClassificationRegistry,
     DocType,
     OAStatus,
@@ -131,6 +134,31 @@ def random_corpus(seed: int, n_records: int,
             institutions=frozenset(institutions),
         ))
     return records
+
+
+def serialize_record(record: PublicationRecord) -> dict:
+    """A record as its corpus line's object, in the line's key order."""
+    return {
+        "id": record.id,
+        "year": record.year,
+        "doc_type": record.doc_type.value,
+        "oa": [s.value for s in DEFAULT_PRIORITY if s in record.raw_statuses],
+        "categories": list(record.subject_categories),
+        "doi": record.has_doi,
+        "countries": sorted(record.countries),
+        "institutions": sorted(record.institutions),
+    }
+
+
+def write_corpus(records, path) -> int:
+    """Write records as canonical JSON Lines; returns the number written."""
+    n = 0
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        for record in records:
+            out.write(json.dumps(serialize_record(record), separators=(",", ":")))
+            out.write("\n")
+            n += 1
+    return n
 
 
 def load_corpus(path, registry=None, options=None):

@@ -40,7 +40,7 @@ from noai.model import (
     OAStatus,
     PublicationRecord,
 )
-from noai.synth import iter_records, world_spec
+from noai.synth import generate, world_spec
 from oracle import BruteForce, textbook_spearman
 
 pytestmark = pytest.mark.acceptance
@@ -141,7 +141,7 @@ def test_02_status_priority_exhaustive():
     report("02 status priority (8 subsets)", not problems, "; ".join(problems))
 
 
-def test_03_world_unit_invariant():
+def test_03_world_unit_invariant(tmp_path):
     """An actor present on every record has NOAI exactly 1 at every level."""
     t0 = time.perf_counter()
     tol = 1e-9
@@ -154,7 +154,9 @@ def test_03_world_unit_invariant():
             {f.subject_category: (f.ost_discipline, f.erc_subfield)
              for f in spec.fields})
         agg = Aggregator(registry, levels)
-        for record in iter_records(spec):
+        path = tmp_path / f"world-{seed}.jsonl"
+        generate(spec, str(path))
+        for record in load_corpus(path)[0]:
             agg.add(record._replace(countries=record.countries | {"WORLD"}))
         for level, result in agg.finish().items():
             value = noai(result.cells["WORLD"], result.baselines)
@@ -180,7 +182,7 @@ class TrialOutcome:
         self.conservation_problems = []
 
 
-def synthetic_trial(seed: int):
+def synthetic_trial(seed: int, tmp_dir: Path):
     """One seeded corpus of at most 1000 records, 20 actors, 10 fields."""
     if seed < 40:
         n = 200 + (seed * 37) % 801
@@ -189,16 +191,19 @@ def synthetic_trial(seed: int):
     registry = ClassificationRegistry(
         {f.subject_category: (f.ost_discipline, f.erc_subfield)
          for f in spec.fields})
-    return list(iter_records(spec)), registry
+    path = tmp_dir / f"trial-{seed}.jsonl"
+    generate(spec, str(path))
+    return load_corpus(path)[0], registry
 
 
 @pytest.fixture(scope="module")
-def trials() -> TrialOutcome:
+def trials(tmp_path_factory) -> TrialOutcome:
     tol = 1e-9
     out = TrialOutcome()
+    tmp_dir = tmp_path_factory.mktemp("trials")
     levels = tuple(Level)
     for seed in range(50):
-        records, registry = synthetic_trial(seed)
+        records, registry = synthetic_trial(seed, tmp_dir)
         level = levels[seed % 3]
         oracle = BruteForce(records, registry, level)
         agg = Aggregator(registry, (level,))

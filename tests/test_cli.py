@@ -12,9 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import load_corpus, registry_csv_text, REG10
+from conftest import load_corpus, registry_csv_text, write_corpus, REG10
 from noai.cli import INDICATOR_COLUMNS, main
-from noai.ingest import write_corpus
 from noai.model import DocType, OAStatus, PublicationRecord
 
 
@@ -102,6 +101,8 @@ class TestUsageErrors:
         ("--window", "2019:2015"),
         ("--window", "a:b"),
         ("--doc-types", "thesis"),
+        ("--doc-types", "article,"),
+        ("--doc-types", ""),
         ("--priority", "gold,bronze"),
         ("--priority", "gold,gold,green"),
         ("--priority", "gold,bronze,diamond"),
@@ -112,6 +113,13 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(base_args(ws) + [flag, value])
         assert exc.value.code == 2
+
+    def test_empty_doc_type_item_is_named(self, ws, capsys):
+        # Like an empty --level item, an empty doc type is not skipped.
+        with pytest.raises(SystemExit) as exc:
+            main(base_args(ws, "series") + ["--doc-types", "article,"])
+        assert exc.value.code == 2
+        assert "unknown doc type ''" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["indicators", "rank", "compare"])
     @pytest.mark.parametrize("flag,value", [
@@ -485,6 +493,12 @@ class TestSynthCommand:
     def test_missing_spec_or_empty_path(self, ws, extra):
         self.spec_file(ws)
         assert main(["synth", *extra, "--out", str(ws / "x.jsonl")]) == 3
+
+    @pytest.mark.parametrize("flag", ["--registry-out", "--actors-out"])
+    def test_unwritable_side_output_fails_before_generating(self, ws, flag):
+        demo = Path(__file__).resolve().parents[1] / "data" / "synth_demo.json"
+        assert main(["synth", "--spec", str(demo), "--out", "c.jsonl", flag, ""]) == 3
+        assert not (ws / "c.jsonl").exists()
 
     def test_only_synth_loads_numpy(self):
         # A fresh interpreter: this one has long imported the generator.

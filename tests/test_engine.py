@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CATS10, REG10, exact_counts, random_corpus
+from conftest import CATS10, REG10, exact_counts, random_corpus, write_corpus
 from noai.engine import (
     Aggregator,
     build_indicator_table,
@@ -23,7 +23,7 @@ from noai.errors import (
     UndefinedShare,
     UnknownCategory,
 )
-from noai.ingest import CorpusReader, IngestOptions, write_corpus
+from noai.ingest import CorpusReader, IngestOptions
 from noai.model import (
     ActorKind,
     DocType,

@@ -10,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noai.ingest as ingest
-from conftest import CATS10, REG10, load_corpus, random_corpus, registry_csv_text
+from conftest import (
+    CATS10,
+    REG10,
+    load_corpus,
+    random_corpus,
+    registry_csv_text,
+    serialize_record,
+    write_corpus,
+)
 from noai.errors import (
     DuplicateCategory,
     IoFailure,
@@ -32,9 +40,7 @@ from noai.ingest import (
     IngestOptions,
     load_actor_registry,
     load_registry,
-    serialize_record,
     validate_corpus,
-    write_corpus,
 )
 from noai.model import (
     ActorKind,

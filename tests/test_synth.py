@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import load_corpus
+from conftest import load_corpus, write_corpus
 from noai.errors import InvalidSpec, IoFailure
 from noai.ingest import load_actor_registry, load_registry
 from noai.model import ActorKind, OAStatus
@@ -20,7 +20,6 @@ from noai.synth import (
     SynthActor,
     SynthSpec,
     generate,
-    iter_records,
     load_synth_spec,
     spec_from_dict,
     spec_to_dict,
@@ -52,6 +51,13 @@ def small_spec(**overrides) -> SynthSpec:
     )
     kwargs.update(overrides)
     return SynthSpec(**kwargs)
+
+
+def generated(spec: SynthSpec, tmp_path, name: str = "corpus.jsonl") -> list:
+    """The records `generate` writes for ``spec``, read back from its file."""
+    path = tmp_path / name
+    generate(spec, str(path))
+    return load_corpus(path)[0]
 
 
 def spec_obj(**overrides) -> dict:
@@ -86,29 +92,30 @@ class TestDeterminism:
         generate(small_spec(seed=2), str(p2))
         assert p1.read_bytes() != p2.read_bytes()
 
-    def test_chunked_draws_are_prefix_stable(self):
+    def test_chunked_draws_are_prefix_stable(self, tmp_path):
         # Records draw from per-chunk counter streams, so with no actors
         # (whose signing odds depend on n) a longer run extends a shorter
         # one without disturbing it.
-        short = list(iter_records(small_spec(n_records=CHUNK)))
-        long = list(iter_records(small_spec(n_records=CHUNK + 100)))
-        assert long[:CHUNK] == short
+        short, long = tmp_path / "short.jsonl", tmp_path / "long.jsonl"
+        generate(small_spec(n_records=CHUNK), str(short))
+        generate(small_spec(n_records=CHUNK + 100), str(long))
+        assert long.read_bytes().splitlines()[:CHUNK] == short.read_bytes().splitlines()
 
-    def test_added_statuses_never_change_resolution(self):
+    def test_added_statuses_never_change_resolution(self, tmp_path):
         # Regenerating with the multi-status channel off flips dedicated
         # draw columns only: the same records come out, minus the extra
         # lower-priority statuses.
-        noisy = list(iter_records(small_spec(multi_status_rate=0.5)))
-        clean = list(iter_records(small_spec(multi_status_rate=0.0)))
+        noisy = generated(small_spec(multi_status_rate=0.5), tmp_path, "noisy.jsonl")
+        clean = generated(small_spec(multi_status_rate=0.0), tmp_path, "clean.jsonl")
         pairs = list(zip(noisy, clean))
         assert any(len(a.raw_statuses) == 2 for a, _ in pairs)
         for a, b in pairs:
             assert b.raw_statuses <= a.raw_statuses
             assert resolve(a) == resolve(b)
 
-    def test_extra_categories_never_change_primary(self):
-        multi = list(iter_records(small_spec(multi_category_rate=0.5)))
-        single = list(iter_records(small_spec(multi_category_rate=0.0)))
+    def test_extra_categories_never_change_primary(self, tmp_path):
+        multi = generated(small_spec(multi_category_rate=0.5), tmp_path, "multi.jsonl")
+        single = generated(small_spec(multi_category_rate=0.0), tmp_path, "single.jsonl")
         assert any(len(r.subject_categories) > 1 for r in multi)
         for a, b in zip(multi, single):
             assert a.subject_categories[0] == b.subject_categories[0]
@@ -184,12 +191,12 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             spec_from_dict(obj)
 
-    def test_zero_volume_actor_allowed_without_weights(self):
+    def test_zero_volume_actor_allowed_without_weights(self, tmp_path):
         obj = spec_obj(actors=[
             {"id": "A", "kind": "country", "volume": 0, "specialization": {}}
         ])
         spec = spec_from_dict(obj)
-        records = list(iter_records(spec))
+        records = generated(spec, tmp_path)
         assert all("A" not in r.countries for r in records)
 
 
@@ -219,12 +226,12 @@ class TestOutputs:
         signed = set().union(*(r.countries for r in records))
         assert signed <= set(actors)
 
-    def test_record_shape(self):
+    def test_record_shape(self, tmp_path):
         spec = small_spec(n_records=1000, multi_category_rate=0.4,
                           multi_status_rate=0.3, has_doi_rate=0.5)
         cats = {f.subject_category for f in FIELDS3}
         ids = set()
-        for r in iter_records(spec):
+        for r in generated(spec, tmp_path):
             ids.add(r.id)
             assert 2015 <= r.year <= 2017
             assert set(r.subject_categories) <= cats
@@ -233,12 +240,12 @@ class TestOutputs:
 
 
 class TestConvergence:
-    def test_per_field_oa_rates_track_profiles(self):
+    def test_per_field_oa_rates_track_profiles(self, tmp_path):
         spec = small_spec(n_records=24_000, multi_category_rate=0.0)
         totals = Counter()
         opens = Counter()
         by_type = {c: Counter() for c in PROFILES3}
-        for r in iter_records(spec):
+        for r in generated(spec, tmp_path):
             cat = r.subject_categories[0]
             totals[cat] += 1
             status = resolve(r)
@@ -251,7 +258,7 @@ class TestConvergence:
             assert abs(opens[cat] / n - prof.total) < 0.03
             assert abs(by_type[cat][OAStatus.GOLD] / n - prof.gold) < 0.03
 
-    def test_actor_volumes_and_profiles_track_spec(self):
+    def test_actor_volumes_and_profiles_track_spec(self, tmp_path):
         actors = (
             SynthActor(id="BIG", kind=ActorKind.COUNTRY, volume=6000.0,
                        specialization={"Mathematics": 0.6, "History": 0.4}),
@@ -261,7 +268,7 @@ class TestConvergence:
         spec = small_spec(n_records=24_000, actors=actors)
         count = Counter()
         fields_of_big = Counter()
-        for r in iter_records(spec):
+        for r in generated(spec, tmp_path):
             for a in r.countries:
                 count[a] += 1
             if "BIG" in r.countries:
@@ -271,10 +278,10 @@ class TestConvergence:
         big_math = fields_of_big["Mathematics"] / count["BIG"]
         assert abs(big_math - 0.6) < 0.05
 
-    def test_doc_type_weights_respected(self):
+    def test_doc_type_weights_respected(self, tmp_path):
         spec = small_spec(n_records=12_000,
                           doc_type_weights={"article": 0.5, "review": 0.5})
-        seen = Counter(r.doc_type.value for r in iter_records(spec))
+        seen = Counter(r.doc_type.value for r in generated(spec, tmp_path))
         assert set(seen) == {"article", "review"}
         assert abs(seen["article"] / 12_000 - 0.5) < 0.03
 
@@ -387,3 +394,11 @@ class TestGolden:
         path = tmp_path / "golden.jsonl"
         assert generate(spec, str(path)) == spec.n_records
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_reader_and_writer_round_trip(self, tmp_path, name):
+        # Test corpora built with the conftest writer share synth's format.
+        path, rewritten = tmp_path / "golden.jsonl", tmp_path / "rewritten.jsonl"
+        generate(GOLDEN[name][0](), str(path))
+        write_corpus(load_corpus(path)[0], str(rewritten))
+        assert rewritten.read_bytes() == path.read_bytes()
