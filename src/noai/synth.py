@@ -158,14 +158,14 @@ def validate_spec(spec: SynthSpec) -> None:
         _require(bool(actor.id), "actor id must be non-empty")
         _require(actor.id not in seen_ids, f"duplicate actor id {actor.id!r}")
         seen_ids.add(actor.id)
-        _require(actor.volume >= 0.0,
-                 f"actor {actor.id!r}: volume must be non-negative")
+        _require(0.0 <= actor.volume < math.inf,
+                 f"actor {actor.id!r}: volume must be finite and non-negative")
         weight_sum = 0.0
         for cat, w in actor.specialization.items():
             _require(cat in cats,
                      f"actor {actor.id!r}: unknown category {cat!r}")
-            _require(w >= 0.0,
-                     f"actor {actor.id!r}: negative weight for {cat!r}")
+            _require(0.0 <= w < math.inf,
+                     f"actor {actor.id!r}: weight for {cat!r} must be finite, >= 0")
             weight_sum += w
         if actor.volume > 0.0:
             _require(math.isclose(weight_sum, 1.0, abs_tol=1e-9),
@@ -183,7 +183,7 @@ def validate_spec(spec: SynthSpec) -> None:
     for name, w in spec.doc_type_weights.items():
         _require(name in {d.value for d in DocType},
                  f"unknown doc type {name!r} in doc_type_weights")
-        _require(w >= 0.0, f"doc type weight for {name!r} must be non-negative")
+        _require(0.0 <= w < math.inf, f"doc type weight for {name!r} must be finite, >= 0")
         weight_total += w
     _require(weight_total > 0.0, "doc_type_weights must not sum to zero")
 
@@ -412,7 +412,6 @@ class _SamplingPlan:
             ))
 
         self.n_cols = _N_FIXED_COLS + len(spec.actors)
-        self.years = _fragments(range(spec.years[0], spec.years[1] + 1))
         self.doc_types = _fragments(order)
         self.categories = _fragments(categories)
         self.more_categories = "," + self.categories
@@ -431,7 +430,7 @@ _OA_LISTS = np.array(['[]', '["gold"]', '["gold","bronze"]', '["gold","green"]',
 _DOI = np.array(["false", "true"], dtype=object)
 
 # The fixed key order of a corpus line, as `ingest` documents it.
-_LINE = ('{"id":"r%08d","year":%s,"doc_type":%s,"oa":%s,"categories":[%s],'
+_LINE = ('{"id":"r%08d","year":%d,"doc_type":%s,"oa":%s,"categories":[%s],'
          '"doi":%s,"countries":[%s],"institutions":[%s]}\n')
 
 
@@ -459,13 +458,13 @@ def _signer_lists(signs: np.ndarray, ids: np.ndarray) -> list[str]:
     return out
 
 
-def _chunk_text(plan: _SamplingPlan, chunk_index: int, start: int, m: int) -> str:
-    """The JSON lines of records ``start`` to ``start + m``, drawn from chunk
-    ``chunk_index``'s stream."""
+def _chunk_text(plan: _SamplingPlan, start: int) -> str:
+    """The JSON lines of the chunk of records from ``start`` on."""
     spec = plan.spec
     n_fields = plan.n_fields
+    m = min(CHUNK, spec.n_records - start)
     stream = np.random.Generator(
-        np.random.Philox(key=spec.seed, counter=[0, 0, 0, chunk_index])
+        np.random.Philox(key=spec.seed, counter=[0, 0, 0, start // CHUNK])
     )
     u = stream.random((m, plan.n_cols))
 
@@ -513,7 +512,7 @@ def _chunk_text(plan: _SamplingPlan, chunk_index: int, start: int, m: int) -> st
     )
     return "".join(map(_LINE.__mod__, zip(
         range(start, start + m),
-        plan.years[year_idx].tolist(),
+        (spec.years[0] + year_idx).tolist(),
         plan.doc_types[doc_idx].tolist(),
         _OA_LISTS[status].tolist(),
         categories.tolist(),
@@ -540,9 +539,8 @@ def generate(spec: SynthSpec, out_path: str) -> int:
         if spec.n_records == 0:
             return 0
         plan = _SamplingPlan(spec)
-        for chunk_index, start in enumerate(range(0, spec.n_records, CHUNK)):
-            out.write(_chunk_text(plan, chunk_index, start,
-                                  min(CHUNK, spec.n_records - start)))
+        for start in range(0, spec.n_records, CHUNK):
+            out.write(_chunk_text(plan, start))
     return spec.n_records
 
 

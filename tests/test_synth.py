@@ -158,6 +158,7 @@ class TestSpecValidation:
         lambda o: o.update(unknown_key=1),
         lambda o: o.update(doc_type_weights={"thesis": 1.0}),
         lambda o: o.update(doc_type_weights={"article": 0.0}),
+        lambda o: o.update(doc_type_weights={"article": float("inf")}),
         lambda o: o["fields"].append(o["fields"][0]),
         lambda o: o["oa_profiles"].update(Palmistry={"gold": 0.1}),
         lambda o: o["oa_profiles"]["Mathematics"].update(gold=0.9, green=0.9),
@@ -174,6 +175,10 @@ class TestSpecValidation:
         {"id": "", "kind": "country", "volume": 10, "specialization": {"Mathematics": 1.0}},
         {"id": "A", "kind": "planet", "volume": 10, "specialization": {"Mathematics": 1.0}},
         {"id": "A", "kind": "country", "volume": -1, "specialization": {"Mathematics": 1.0}},
+        {"id": "A", "kind": "country", "volume": float("inf"),
+         "specialization": {"Mathematics": 1.0}},
+        {"id": "A", "kind": "country", "volume": 0,
+         "specialization": {"Mathematics": float("inf")}},
         {"id": "A", "kind": "country", "volume": 10, "specialization": {"Palmistry": 1.0}},
         {"id": "A", "kind": "country", "volume": 10, "specialization": {"Mathematics": 0.5}},
         {"id": "A", "kind": "country", "volume": 10,
