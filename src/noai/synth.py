@@ -133,10 +133,12 @@ def _as_rate(value: object, name: str) -> float:
 
 def validate_spec(spec: SynthSpec) -> None:
     """Raise InvalidSpec unless ``spec`` is internally consistent."""
-    _require(spec.seed >= 0, "seed must be a non-negative integer")
+    # Philox takes a key below 2**128; numpy draws the years as int64.
+    _require(0 <= spec.seed < 2**128, "seed must be an integer in [0, 2**128)")
     _require(spec.n_records >= 0, "n_records must be non-negative")
     lo, hi = spec.years
-    _require(lo <= hi, f"years must satisfy start <= end, got {lo}:{hi}")
+    _require(-2**31 <= lo <= hi < 2**31,
+             f"years must satisfy -2**31 <= start <= end < 2**31, got {lo}:{hi}")
     _require(spec.n_records == 0 or len(spec.fields) > 0,
              "at least one field is required to generate records")
 

@@ -149,6 +149,8 @@ class TestSpecValidation:
         lambda o: o.pop("seed"),
         lambda o: o.pop("fields"),
         lambda o: o.update(seed="abc"),
+        lambda o: o.update(seed=2**128),
+        lambda o: o.update(years=[2015, 2**63]),
         lambda o: o.update(years=[2019, 2015]),
         lambda o: o.update(years=[2015]),
         lambda o: o.update(n_records=-1),
