@@ -399,9 +399,9 @@ class _SamplingPlan:
                   where=field_dist > 0.0)
         np.minimum(sign_prob, 1.0, out=sign_prob)
 
-        # Per actor kind, the actors in id order: their sign-matrix columns
-        # and probability rows, and their ids as JSON strings.  A row's
-        # signers then come out of np.nonzero already sorted.
+        # Per actor kind, the actors in id order: their sign-matrix columns,
+        # their probabilities as field rows, and their ids as JSON strings.
+        # A row's signers then come out of np.nonzero already sorted.
         self.signers = []
         for kind in (ActorKind.COUNTRY, ActorKind.INSTITUTION):
             members = sorted((a.id, i) for i, a in enumerate(spec.actors)
@@ -409,7 +409,7 @@ class _SamplingPlan:
             rows = np.array([i for _, i in members], dtype=np.int64)
             self.signers.append((
                 _N_FIXED_COLS + rows,
-                sign_prob[rows],
+                np.ascontiguousarray(sign_prob[rows].T),
                 _fragments(aid for aid, _ in members),
             ))
 
@@ -509,7 +509,7 @@ def _chunk_text(plan: _SamplingPlan, start: int) -> str:
     status = np.where(is_green, 6, status)
 
     countries, institutions = (
-        _signer_lists(u[:, cols] < prob[:, primary].T, ids)
+        _signer_lists(u.take(cols, axis=1) < prob[primary], ids)
         for cols, prob, ids in plan.signers
     )
     return "".join(map(_LINE.__mod__, zip(
