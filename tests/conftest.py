@@ -1,6 +1,6 @@
 """Shared fixtures: a worked three-category publication, a ten-field
-registry whose categories pool many-to-one at the coarser levels, a
-stdlib-random corpus builder independent of the package's generator, and
+registry whose categories pool many-to-one at the coarser levels, random
+corpora drawn with the stdlib PRNG rather than the package's generator, and
 the canonical corpus writer that `noai.synth.generate` matches byte for byte."""
 
 from __future__ import annotations
