@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -551,3 +552,129 @@ class TestDemoPipeline:
         for name in ("indicators.csv", "rank.csv", "series.csv"):
             assert (tmp_path / name).is_file()
             assert (tmp_path / f"{name}.manifest.json").is_file()
+
+
+DEMO_SPEC = Path(__file__).resolve().parents[1] / "data" / "synth_demo.json"
+
+#: name -> (command, extra flags). Each runs once per format on the demo
+#: corpus, with relative paths, so that the manifests are byte-stable.
+CLI_GOLDEN = {
+    "indicators": ("indicators", []),
+    "indicators-institution": ("indicators", ["--actor-kind", "institution",
+                                              "--min-pubs", "5"]),
+    "indicators-top": ("indicators", ["--top-n", "3", "--min-pubs", "10"]),
+    "indicators-priority": ("indicators", ["--priority", "green,bronze,gold",
+                                           "--doc-types", "article,review"]),
+    "rank": ("rank", []),
+    "rank-levels": ("rank", ["--level", "erc-subfield,subject-category"]),
+    "compare-window": ("compare", ["--window", "2016:2018"]),
+    "series": ("series", []),
+    "series-category": ("series", ["--level", "subject-category", "--require-doi"]),
+    "validate": ("validate", []),
+}
+#: (name, format) -> (exit code, SHA-256 of the output file, of its manifest
+#: and of stderr).
+CLI_DIGESTS = {
+    ("compare-window", "csv"): (
+        0, "1c92a27094b9a54daaca875bbcb5e3ae3ca96725a82935e5861a780ebaf8b716",
+        "b3a375f76e3a1ead9c2a54eecb2ecd220fc2c07146247bf67fcc2267ffe13c74",
+        "067cf8fab5ad57c70b4198e6c49582d50b48cf6bb21572660161afb93d063dee"),
+    ("compare-window", "json"): (
+        0, "40342ca2e14fa879c49bf3c02c095187843734fd77e3007d55e5730b344283c5",
+        "cfcd873a31fc1b4b9632183f5802beac2f6aece04062242679d95d2288ae70cb",
+        "067cf8fab5ad57c70b4198e6c49582d50b48cf6bb21572660161afb93d063dee"),
+    ("indicators", "csv"): (
+        0, "13bc26c741b17f7d965d928865c50d8d899824797d96030e1c455d52c1a52f60",
+        "71f78f2a6ad76f077688e6611db8af2f087a7bb18faeb4a57549bc6fafd315de",
+        "7319c03e8eddc9c9296d61f1d54d8cdb10b5aef8e8edd505820fe7bdb1a2fa15"),
+    ("indicators", "json"): (
+        0, "c9c0af63daaa2b0e5d0eca4da5012f7c33ee856a71f8335958ee44c1d3523ea6",
+        "73f3a271f39d21069cd165d5ca051c06cbb601bf91aa0caaf4cbfe40caabbe80",
+        "7319c03e8eddc9c9296d61f1d54d8cdb10b5aef8e8edd505820fe7bdb1a2fa15"),
+    ("indicators-institution", "csv"): (
+        0, "fb97608ec32555cb7c34d6ed34ba7e5e08264d593e6685bcfb96d642a2d692e3",
+        "b15099bcb9495ef4c633c327450230ba79dd8bef3e53d72ab4ab7964b626de0c",
+        "7319c03e8eddc9c9296d61f1d54d8cdb10b5aef8e8edd505820fe7bdb1a2fa15"),
+    ("indicators-institution", "json"): (
+        0, "fd76247f6630e413cbefb4e4f4307c81f4adc0b0577ba3623b59bbf10f0b245b",
+        "3c2b1bdf9ce3c6eeb10689e602eecc8ab11fce3c2584374e45ec547e7093893c",
+        "7319c03e8eddc9c9296d61f1d54d8cdb10b5aef8e8edd505820fe7bdb1a2fa15"),
+    ("indicators-priority", "csv"): (
+        0, "36cc036b22ed5634f285bb73a6891ccde54e94ee7d2ad7dbec7ae49db3c23f2d",
+        "64c7cde978a0b31e4df96b9c6b28cbf7f4106c10517dddb67b01139bb7e84395",
+        "d1ad0421fb0f58306b7e43099b7f1441961d9ac168c17b35819c91352a3be3bb"),
+    ("indicators-priority", "json"): (
+        0, "532e3289c8a8315f62386124f94e61ce00b8cc62015a7b84c643378200438598",
+        "c534380868e3f46f91932bcb36d20c2c7ac58c9cb096e3110b62760bd4f6c91f",
+        "d1ad0421fb0f58306b7e43099b7f1441961d9ac168c17b35819c91352a3be3bb"),
+    ("indicators-top", "csv"): (
+        0, "7ed241d5fa9ba8ba76fb6286e246b2a93467e5f38731d8ce151df649d3bbe63b",
+        "239d994a13a6158deeb74b7bb2194be30b4233d84f3ea3f67582b832f12ea416",
+        "7319c03e8eddc9c9296d61f1d54d8cdb10b5aef8e8edd505820fe7bdb1a2fa15"),
+    ("indicators-top", "json"): (
+        0, "afc5278045f356ec4d212fd45709265bc0f7690c3970533fdfa29f6dcf663853",
+        "85487ed7d000caa67d52ab41128b13b1de5e8e1efca75da3ae92cb23a49a5804",
+        "7319c03e8eddc9c9296d61f1d54d8cdb10b5aef8e8edd505820fe7bdb1a2fa15"),
+    ("rank", "csv"): (
+        0, "f362cdb9e77d3aa66b94637f323704e030f6514a23cbb748824e6c788b419217",
+        "a0f228226397e499bb04a61cb38f20af1b822d3a064ea23449dd99af885b41c6",
+        "7319c03e8eddc9c9296d61f1d54d8cdb10b5aef8e8edd505820fe7bdb1a2fa15"),
+    ("rank", "json"): (
+        0, "f761306b88205201a51d19fce769c9c85d3d7dacb6664c4a1d8ba7a03a7380d9",
+        "c8219d6d8f41060254571f7eeedeecdad649c90d77a56fdecc39438c82aae927",
+        "7319c03e8eddc9c9296d61f1d54d8cdb10b5aef8e8edd505820fe7bdb1a2fa15"),
+    ("rank-levels", "csv"): (
+        0, "39dd0bdfefe4fbf6d53928e264d25717ff0768851c3462809f710304d2bda464",
+        "e8d06a0fea166145a21db47006405515a8cea6b0e5dfc94dfef40b0c3f7a492d",
+        "7319c03e8eddc9c9296d61f1d54d8cdb10b5aef8e8edd505820fe7bdb1a2fa15"),
+    ("rank-levels", "json"): (
+        0, "8ebb23ae0f5c95fce42b84531ea9921c13e99b8789ffc56921c52f0c3793a9d7",
+        "697a9ed21d6826b5b7ee4e768b8047ca7a21b63d94911bbf8f1a326a21fd16eb",
+        "7319c03e8eddc9c9296d61f1d54d8cdb10b5aef8e8edd505820fe7bdb1a2fa15"),
+    ("series", "csv"): (
+        0, "c42a45a68a304581c601f4ee0552cc2db3023fdb2ee39fbec9cca1d515cda290",
+        "d8f8a9b34b4bf31586753c59f261971d7ed291756c07d4b71aa400bc9fa43f8f",
+        "7319c03e8eddc9c9296d61f1d54d8cdb10b5aef8e8edd505820fe7bdb1a2fa15"),
+    ("series", "json"): (
+        0, "67482f7e6c7e40d8cc6e6d0cc03916f5904a8608d7ae0749eab163b36e76bfb6",
+        "f05bf037889552b4f2c197bdc8282fc1097a971dc329c5fcb1fa604a01058c4b",
+        "7319c03e8eddc9c9296d61f1d54d8cdb10b5aef8e8edd505820fe7bdb1a2fa15"),
+    ("series-category", "csv"): (
+        0, "e10f0d95859adb10a64ad942fb7566fdc823a931f5c154d969938ac47c4bbca9",
+        "2c425857bd1313c743c23e07aa2a346a9c6e85c67f8cf0d8065204a09034f5f8",
+        "fc31c9a2e55545aef99788c81934ad0d7cbd57c1c33c8724a1b8ac012a4e8230"),
+    ("series-category", "json"): (
+        0, "79d5faf4da29d916ea49223fc737b7e998ea3f7cf20704cc42898a8fef620d0f",
+        "1d0c85087797ff643121e6d2d2decb2a9062d5326ed595a83b0e3be2568ae461",
+        "fc31c9a2e55545aef99788c81934ad0d7cbd57c1c33c8724a1b8ac012a4e8230"),
+    ("validate", "csv"): (
+        0, "c7bf02fb114c5fa9a2f76cdb35d0cd8c31128fb9af381367c54609145a8cf16e",
+        "5ec91517691b0d6c13183bb9fee67e20cd7df4f6eb1c485989752d7e202c0d24",
+        "7319c03e8eddc9c9296d61f1d54d8cdb10b5aef8e8edd505820fe7bdb1a2fa15"),
+    ("validate", "json"): (
+        0, "5dabe23a1a753d18d3206d417d25070dfca6571b497e79024349502487b2e9cc",
+        "7a6455489b8f35867c57b623e09955b0754df9443bc8b5ba91b02dce15ba6980",
+        "7319c03e8eddc9c9296d61f1d54d8cdb10b5aef8e8edd505820fe7bdb1a2fa15"),
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    @pytest.mark.parametrize("name", sorted(CLI_GOLDEN))
+    def test_output_digests(self, tmp_path, monkeypatch, capsys, name, out_format):
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "--spec", str(DEMO_SPEC), "--out", "corpus.jsonl",
+                     "--registry-out", "registry.csv", "--actors-out", "actors.csv"]) == 0
+        capsys.readouterr()
+        command, extra = CLI_GOLDEN[name]
+        argv = [command, "--corpus", "corpus.jsonl", "--registry", "registry.csv"]
+        if command in ("indicators", "rank", "compare"):
+            argv += ["--actors", "actors.csv"]
+        out = f"out.{out_format}"
+        code = main(argv + extra + ["--format", out_format, "--out", out])
+        err = capsys.readouterr().err
+        digests = tuple(hashlib.sha256(data).hexdigest() for data in (
+            (tmp_path / out).read_bytes(),
+            (tmp_path / f"{out}.manifest.json").read_bytes(),
+            err.encode("utf-8")))
+        assert (code, *digests) == CLI_DIGESTS[name, out_format]
