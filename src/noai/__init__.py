@@ -37,7 +37,6 @@ from .model import (
     ClassificationRegistry,
     DocType,
     IndicatorRow,
-    IndicatorTable,
     Level,
     OAStatus,
     PublicationRecord,
@@ -53,7 +52,6 @@ __all__ = [
     "CorpusReader",
     "DocType",
     "IndicatorRow",
-    "IndicatorTable",
     "IngestOptions",
     "Level",
     "NoaiError",

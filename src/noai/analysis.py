@@ -12,7 +12,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import DegenerateInput, EmptyTable, MismatchedActorSets
-from .model import IndicatorTable
+from .model import IndicatorRow
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,24 +86,19 @@ def rank_shift(share_ranks: Mapping[str, RankRow],
 
 
 def filter_actors(
-    table: IndicatorTable,
+    rows: list[IndicatorRow],
     min_pubs: float = 30.0,
     group: str | None = None,
-) -> IndicatorTable:
+) -> list[IndicatorRow]:
     """Keep rows with x_total strictly above min_pubs and, if given, in group."""
     if math.isnan(min_pubs):
         raise ValueError("min_pubs must be a number, got nan")
-    rows = tuple(
-        row
-        for row in table.rows
-        if row.x_total > min_pubs and (group is None or row.group == group)
-    )
-    return IndicatorTable(actor_kind=table.actor_kind, levels=table.levels, rows=rows)
+    return [row for row in rows
+            if row.x_total > min_pubs and (group is None or row.group == group)]
 
 
-def top_actors(table: IndicatorTable, n: int) -> IndicatorTable:
+def top_actors(rows: list[IndicatorRow], n: int) -> list[IndicatorRow]:
     """The n largest producers by x_total; ties break lexicographically by id."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    rows = tuple(sorted(table.rows, key=lambda r: (-r.x_total, r.actor))[:n])
-    return IndicatorTable(actor_kind=table.actor_kind, levels=table.levels, rows=rows)
+    return sorted(rows, key=lambda r: (-r.x_total, r.actor))[:n]

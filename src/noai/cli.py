@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable, Mapping, Sequence
 
@@ -44,7 +45,7 @@ from .model import (
     ActorKind,
     ClassificationRegistry,
     DocType,
-    IndicatorTable,
+    IndicatorRow,
     Level,
     OAStatus,
 )
@@ -215,15 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _json_safe(value):
-    if isinstance(value, (OAStatus, DocType, Level, ActorKind)):
-        return value.value
-    if isinstance(value, frozenset):
-        return sorted(_json_safe(v) for v in value)
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    return value
+    # The enums are str subclasses, which json writes as their values.
+    return sorted(value) if isinstance(value, frozenset) else value
 
 
 def _write_manifest(args: argparse.Namespace, corpus_stats: Mapping,
@@ -305,8 +299,8 @@ def _tally(args: argparse.Namespace, registry: ClassificationRegistry,
 
 
 def _table(args: argparse.Namespace,
-           levels: Sequence[Level]) -> tuple[IndicatorTable, CorpusStats]:
-    """The per-actor table of `levels`, after the row filters of the flags."""
+           levels: Sequence[Level]) -> tuple[list[IndicatorRow], CorpusStats]:
+    """The per-actor rows of `levels`, after the row filters of the flags."""
     registry = load_registry(args.registry)
     actors_meta = load_actor_registry(args.actors) if args.actors is not None else None
     results, stats = _tally(args, registry, levels, ActorKind(args.actor_kind))
@@ -334,7 +328,7 @@ def cmd_indicators(args: argparse.Namespace) -> int:
             r.oa_type_shares[OAStatus.GREEN],
             r.n_oa_whole,
         )))
-        for r in table.rows
+        for r in table
     ]
     _emit(args, stats, INDICATOR_COLUMNS, (r.values() for r in rows),
           {"actor_kind": args.actor_kind, "window": args.window, "rows": rows})
@@ -348,7 +342,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     # One consistent actor set: drop rows whose indicator is undefined at
     # any requested level, and say so, rather than ranking shifting subsets.
     kept = []
-    for r in table.rows:
+    for r in table:
         undefined = [lv.value for lv in levels if r.noai[lv] is None]
         if undefined:
             print(f"excluded {r.actor}: indicator undefined at "
@@ -368,20 +362,19 @@ def cmd_rank(args: argparse.Namespace) -> int:
         }
         for r in ordered
     ]
-    header = ["actor", "display_name", "x_total", "oa_share", "oa_share_rank"]
     rho: dict[str, float] = {}
     for level in levels:
         noai_ranks = rank({r.actor: r.noai[level] for r in kept})
         rho[level.value] = spearman(share_ranks, noai_ranks)
         shifts = rank_shift(share_ranks, noai_ranks)
         suffix = level.value.replace("-", "_")
-        header += [f"noai_{suffix}", f"noai_rank_{suffix}", f"rank_delta_{suffix}"]
         for r, row in zip(ordered, rows):
             row[f"noai_{suffix}"] = r.noai[level]
             row[f"noai_rank_{suffix}"] = noai_ranks[r.actor].rank
             row[f"rank_delta_{suffix}"] = shifts[r.actor]
 
-    _emit(args, stats, header, (r.values() for r in rows),
+    # rank() raised EmptyTable if no actor was kept, so rows[0] exists.
+    _emit(args, stats, list(rows[0]), (r.values() for r in rows),
           {"actor_kind": args.actor_kind, "window": args.window,
            "spearman": rho, "rows": rows},
           preamble=[f"# spearman {lv} {value:.6f}" for lv, value in rho.items()])
@@ -444,18 +437,25 @@ def cmd_synth(args: argparse.Namespace) -> int:
     from .synth import generate, load_synth_spec, write_spec_actors, write_spec_registry
 
     spec = load_synth_spec(args.spec)
-    # The small outputs first, so that a path that cannot be written fails
-    # before any record is generated.
-    outputs = [args.out]
-    if args.registry_out is not None:
-        write_spec_registry(spec, args.registry_out)
-        outputs.append(args.registry_out)
-    if args.actors_out is not None:
-        write_spec_actors(spec, args.actors_out)
-        outputs.append(args.actors_out)
-    n = generate(spec, args.out)
-    print(f"wrote {n} records to {args.out}", file=sys.stderr)
-    _write_manifest(args, {"records_written": n}, outputs)
+    outputs = [p for p in (args.out, args.registry_out, args.actors_out) if p is not None]
+    # A run that cannot write every output removes the files it created.
+    created = [p for p in (*outputs, args.out + ".manifest.json")
+               if not os.path.lexists(p)]
+    try:
+        # The small outputs first, so that a path that cannot be written
+        # fails before any record is generated.
+        if args.registry_out is not None:
+            write_spec_registry(spec, args.registry_out)
+        if args.actors_out is not None:
+            write_spec_actors(spec, args.actors_out)
+        n = generate(spec, args.out)
+        print(f"wrote {n} records to {args.out}", file=sys.stderr)
+        _write_manifest(args, {"records_written": n}, outputs)
+    except (NoaiError, OSError):
+        for path in created:
+            if os.path.lexists(path):
+                os.remove(path)
+        raise
     return 0
 
 

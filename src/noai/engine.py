@@ -34,7 +34,6 @@ from .model import (
     ClassificationRegistry,
     DEFAULT_PRIORITY,
     IndicatorRow,
-    IndicatorTable,
     Level,
     OAStatus,
     PublicationRecord,
@@ -59,7 +58,6 @@ class AggregationResult:
     year -> field -> counts for the world.
     """
 
-    actor_kind: ActorKind | None
     unit: int
     cells: Mapping[str, Mapping[str, Counts]]
     baselines: Mapping[str, Counts]
@@ -100,11 +98,11 @@ def _project(items: Iterable[tuple[str, Counts]],
 class Aggregator:
     """Streaming single-pass tally, projected onto one or more levels at once.
 
-    Feed records with add(); finish() derives the per-level results. The world
-    baseline takes every record exactly once, whether or not any actor of the
-    requested kind appears on it; with actor_kind None no actor is credited
-    and only the world tally is kept. Records are counted as given: year
-    windows and other perimeter filters belong to the reader.
+    Feed records with add_all(); finish() derives the per-level results. The
+    world baseline takes every record exactly once, whether or not any actor
+    of the requested kind appears on it; with actor_kind None no actor is
+    credited and only the world tally is kept. Records are counted as given:
+    year windows and other perimeter filters belong to the reader.
     """
 
     def __init__(
@@ -120,9 +118,6 @@ class Aggregator:
         self._priority = priority
         self._actors: Counter = Counter()
         self._world: Counter = Counter()
-
-    def add(self, record: PublicationRecord) -> None:
-        self.add_all((record,))
 
     def add_all(self, corpus: Iterable[PublicationRecord]) -> None:
         priority = self._priority
@@ -172,7 +167,6 @@ class Aggregator:
             years = {year: _project(by_category.items(), fields)
                      for year, by_category in world.items()}
             results[level] = AggregationResult(
-                actor_kind=self._actor_kind,
                 unit=unit,
                 cells={actor: _project(by_category.items(), fields)
                        for actor, by_category in actors.items()},
@@ -190,6 +184,12 @@ def oa_share(counts: Sequence[int]) -> float:
     if x == 0:
         raise UndefinedShare(f"no publications in {tuple(counts)}")
     return 100 * (x - counts[_CLOSED]) / x
+
+
+def _type_shares(counts: Sequence[int]) -> dict[OAStatus, float]:
+    """Percent of a counts vector's (fractional) publications of each OA type."""
+    x = sum(counts)
+    return {t: 100 * counts[_SLOT[t]] / x for t in _OA_TYPES}
 
 
 def noai(cells: Mapping[str, Sequence[int]], baselines: Mapping[str, Sequence[int]]) -> float:
@@ -237,12 +237,11 @@ def yearly_series(result: AggregationResult) -> list[YearRow]:
     rows = []
     for year, baselines in sorted(result.years.items()):
         total = [sum(c) for c in zip(*baselines.values())]
-        x = sum(total)
         rows.append(
             YearRow(
                 year=year,
-                total_share=100 * (x - total[_CLOSED]) / x,
-                type_shares={t: 100 * total[_SLOT[t]] / x for t in _OA_TYPES},
+                total_share=oa_share(total),
+                type_shares=_type_shares(total),
                 field_shares={f: oa_share(b) for f, b in baselines.items()},
             )
         )
@@ -252,23 +251,21 @@ def yearly_series(result: AggregationResult) -> list[YearRow]:
 def build_indicator_table(
     results: Mapping[Level, AggregationResult],
     actors_meta: Mapping[str, Actor] | None = None,
-) -> IndicatorTable:
-    """Assemble the per-actor indicator table from the level results of one pass.
+) -> list[IndicatorRow]:
+    """The per-actor indicator rows of the level results of one pass.
 
     A record's category fractions sum to one, so an actor's fractional output
     and its OA and OA-type counts equal its whole counts at every level: its
     cell vectors summed and divided by the unit. Only the NOAI depends on the
-    level.
+    level. Rows are sorted by descending x_total, ties by actor id.
     """
     if not results:
         raise ValueError("no aggregation results")
-    levels = tuple(results)
-    first = results[levels[0]]
+    first = next(iter(results.values()))
     rows = []
     for actor, cells in first.cells.items():
         counts = [sum(c) // first.unit for c in zip(*cells.values())]
         pubs = sum(counts)
-        n_oa = pubs - counts[_CLOSED]
         noai_values: dict[Level, float | None] = {}
         for level, result in results.items():
             try:
@@ -280,15 +277,13 @@ def build_indicator_table(
             IndicatorRow(
                 actor=actor,
                 display_name=meta.display_name if meta else actor,
-                kind=first.actor_kind,
                 group=meta.group if meta else None,
                 x_total=float(pubs),
-                oa_share=100 * n_oa / pubs,
+                oa_share=oa_share(counts),
                 noai=noai_values,
-                oa_type_shares={t: 100 * counts[_SLOT[t]] / pubs for t in _OA_TYPES},
-                n_oa_whole=n_oa,
-                n_pubs_whole=pubs,
+                oa_type_shares=_type_shares(counts),
+                n_oa_whole=pubs - counts[_CLOSED],
             )
         )
     rows.sort(key=lambda r: (-r.x_total, r.actor))
-    return IndicatorTable(actor_kind=first.actor_kind, levels=levels, rows=tuple(rows))
+    return rows

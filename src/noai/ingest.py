@@ -290,10 +290,6 @@ class Diagnostic:
     record_id: str
     unknown_categories: tuple[str, ...]
 
-    def __str__(self) -> str:
-        cats = ", ".join(repr(c) for c in self.unknown_categories)
-        return f"record {self.record_id!r}: unknown categories {cats}"
-
 
 def validate_corpus(
     corpus: Iterable[PublicationRecord], registry: ClassificationRegistry

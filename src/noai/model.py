@@ -9,7 +9,7 @@ to exactly one OST discipline and one ERC sub-field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, NamedTuple
 
@@ -173,29 +173,17 @@ class ClassificationRegistry:
 
 @dataclass(frozen=True, slots=True)
 class IndicatorRow:
+    """One actor's results: shares, normalized indicators and whole-counted OA volume.
+
+    Shares are percentages; normalized indicator values are ratios where 1.0
+    means world-typical openness given the actor's disciplinary mix.
+    """
+
     actor: str
     display_name: str
-    kind: ActorKind
     group: str | None
     x_total: float
     oa_share: float
     noai: Mapping[Level, float | None]
     oa_type_shares: Mapping[OAStatus, float]
     n_oa_whole: int
-    n_pubs_whole: int
-
-
-@dataclass(frozen=True)
-class IndicatorTable:
-    """Per-actor results: shares, normalized indicators and whole-counted OA volume.
-
-    Shares are percentages; normalized indicator values are ratios where 1.0
-    means world-typical openness given the actor's disciplinary mix.
-    """
-
-    actor_kind: ActorKind
-    levels: tuple[Level, ...]
-    rows: tuple[IndicatorRow, ...] = field(default_factory=tuple)
-
-    def by_actor(self) -> dict[str, IndicatorRow]:
-        return {row.actor: row for row in self.rows}

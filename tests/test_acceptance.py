@@ -31,11 +31,9 @@ from conftest import (
 from noai.analysis import filter_actors, rank, rank_shift, spearman
 from noai.engine import Aggregator, build_indicator_table, noai
 from noai.model import (
-    ActorKind,
     ClassificationRegistry,
     DocType,
     IndicatorRow,
-    IndicatorTable,
     Level,
     OAStatus,
     PublicationRecord,
@@ -80,7 +78,7 @@ def test_01_mixed_counting_fixture():
 
     agg = Aggregator(TABLE_REGISTRY,
                      (Level.SUBJECT_CATEGORY, Level.OST_DISCIPLINE))
-    agg.add(record)
+    agg.add_all([record])
     results = agg.finish()
     # Whole counting on the geographic axis: each country's credit on a
     # field equals the field fraction times one.
@@ -156,8 +154,8 @@ def test_03_world_unit_invariant(tmp_path):
         agg = Aggregator(registry, levels)
         path = tmp_path / f"world-{seed}.jsonl"
         generate(spec, str(path))
-        for record in load_corpus(path)[0]:
-            agg.add(record._replace(countries=record.countries | {"WORLD"}))
+        agg.add_all(record._replace(countries=record.countries | {"WORLD"})
+                    for record in load_corpus(path)[0])
         for level, result in agg.finish().items():
             value = noai(result.cells["WORLD"], result.baselines)
             worst = max(worst, abs(value - 1.0))
@@ -219,7 +217,7 @@ def trials(tmp_path_factory) -> TrialOutcome:
         if set(oracle.actors()) != set(result.cells):
             out.equivalence_problems.append(f"seed {seed}: actor sets differ")
             continue
-        rows = {row.actor: row for row in table.rows}
+        rows = {row.actor: row for row in table}
         for actor in oracle.actors():
             row = rows[actor]
             flag(f"{actor} x_total",
@@ -263,7 +261,7 @@ def trials(tmp_path_factory) -> TrialOutcome:
         out.decomposition_worst = max(out.decomposition_worst, diff)
         if diff > tol:
             out.conservation_problems.append(f"seed {seed}: world types {diff:.2e}")
-        for row in table.rows:
+        for row in table:
             total = math.fsum(row.oa_type_shares[t] for t in (GOLD, BRONZE, GREEN))
             diff = abs(total - row.oa_share)
             out.decomposition_worst = max(out.decomposition_worst, diff)
@@ -362,8 +360,8 @@ def test_07_normalization_direction():
         problems.append("baseline ordering broken")
 
     table = build_indicator_table({Level.SUBJECT_CATEGORY: result})
-    share_ranks = rank({r.actor: r.oa_share for r in table.rows})
-    noai_ranks = rank({r.actor: r.noai[Level.SUBJECT_CATEGORY] for r in table.rows})
+    share_ranks = rank({r.actor: r.oa_share for r in table})
+    noai_ranks = rank({r.actor: r.noai[Level.SUBJECT_CATEGORY] for r in table})
     shifts = rank_shift(share_ranks, noai_ranks)
     if not shifts["E"] > 0:
         problems.append(f"E shift {shifts['E']}")
@@ -375,17 +373,15 @@ def test_07_normalization_direction():
 
 def test_08_threshold_semantics():
     """Default volume filter keeps strictly-greater-than-30 actors only."""
-    rows = tuple(
+    table = [
         IndicatorRow(
-            actor=a, display_name=a, kind=ActorKind.COUNTRY, group=None,
+            actor=a, display_name=a, group=None,
             x_total=x, oa_share=50.0, noai={Level.SUBJECT_CATEGORY: 1.0},
-            oa_type_shares={}, n_oa_whole=0, n_pubs_whole=int(x),
+            oa_type_shares={}, n_oa_whole=0,
         )
         for a, x in (("AT-30", 30.0), ("ABOVE", 30.5), ("BIG", 500.0))
-    )
-    table = IndicatorTable(actor_kind=ActorKind.COUNTRY,
-                           levels=(Level.SUBJECT_CATEGORY,), rows=rows)
-    kept = {row.actor for row in filter_actors(table).rows}
+    ]
+    kept = {row.actor for row in filter_actors(table)}
     problems = []
     if "AT-30" in kept:
         problems.append("x=30.0 not excluded")
@@ -429,15 +425,15 @@ def test_09_format_round_trip(tmp_path, monkeypatch, capsys):
     agg = Aggregator(registry, (Level.SUBJECT_CATEGORY, Level.OST_DISCIPLINE))
     agg.add_all(records)
     table = build_indicator_table(agg.finish())
-    by_actor = table.by_actor()
+    by_actor = {r.actor: r for r in table}
 
     def render(value):
         return "" if value is None else f"{value:.2f}"
 
     with open(tmp_path / "table.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv_mod.DictReader(fh))
-    if len(rows) != len(table.rows):
-        problems.append(f"{len(rows)} rows vs {len(table.rows)} in memory")
+    if len(rows) != len(table):
+        problems.append(f"{len(rows)} rows vs {len(table)} in memory")
     for row in rows:
         mem = by_actor[row["actor"]]
         expect = {

@@ -8,25 +8,23 @@ from hypothesis import strategies as st
 
 from noai.analysis import filter_actors, rank, rank_shift, spearman, top_actors
 from noai.errors import DegenerateInput, EmptyTable, MismatchedActorSets
-from noai.model import ActorKind, IndicatorRow, IndicatorTable, Level, OAStatus
+from noai.model import IndicatorRow, Level, OAStatus
 from oracle import competition_ranks, textbook_spearman
 
 
-def make_table(rows_spec) -> IndicatorTable:
+def make_table(rows_spec) -> list[IndicatorRow]:
     """rows_spec: iterable of (actor, x_total, oa_share, noai_sc | None)."""
-    rows = tuple(
+    return [
         IndicatorRow(
-            actor=actor, display_name=actor, kind=ActorKind.COUNTRY, group=None,
+            actor=actor, display_name=actor, group=None,
             x_total=x, oa_share=share,
             noai={Level.SUBJECT_CATEGORY: noai_sc},
             oa_type_shares={t: 0.0 for t in
                             (OAStatus.GOLD, OAStatus.BRONZE, OAStatus.GREEN)},
-            n_oa_whole=0, n_pubs_whole=int(x),
+            n_oa_whole=0,
         )
         for actor, x, share, noai_sc in rows_spec
-    )
-    return IndicatorTable(actor_kind=ActorKind.COUNTRY,
-                          levels=(Level.SUBJECT_CATEGORY,), rows=rows)
+    ]
 
 
 def ranks_of(values):
@@ -141,25 +139,23 @@ class TestFilters:
             ("UNDER", 29.9, 10.0, 1.0),
         ])
         kept = filter_actors(table)  # default threshold 30
-        assert {r.actor for r in kept.rows} == {"OVER"}
+        assert {r.actor for r in kept} == {"OVER"}
 
     def test_custom_threshold(self):
         table = make_table([("A", 5.0, 0.0, 1.0), ("B", 6.0, 0.0, 1.0)])
         kept = filter_actors(table, min_pubs=5.0)
-        assert {r.actor for r in kept.rows} == {"B"}
+        assert {r.actor for r in kept} == {"B"}
 
     def test_group_filter(self):
-        rows = tuple(
-            IndicatorRow(actor=a, display_name=a, kind=ActorKind.INSTITUTION,
+        table = [
+            IndicatorRow(actor=a, display_name=a,
                          group=g, x_total=100.0, oa_share=0.0,
                          noai={Level.SUBJECT_CATEGORY: 1.0},
-                         oa_type_shares={}, n_oa_whole=0, n_pubs_whole=100)
+                         oa_type_shares={}, n_oa_whole=0)
             for a, g in (("u1", "G1"), ("u2", "G2"), ("u3", "G1"))
-        )
-        table = IndicatorTable(actor_kind=ActorKind.INSTITUTION,
-                               levels=(Level.SUBJECT_CATEGORY,), rows=rows)
+        ]
         kept = filter_actors(table, min_pubs=0.0, group="G1")
-        assert {r.actor for r in kept.rows} == {"u1", "u3"}
+        assert {r.actor for r in kept} == {"u1", "u3"}
 
     def test_top_actors(self):
         table = make_table([
@@ -167,11 +163,11 @@ class TestFilters:
             ("C", 20.0, 0.0, 1.0), ("D", 30.0, 0.0, 1.0),
         ])
         top = top_actors(table, 3)
-        assert [r.actor for r in top.rows] == ["B", "D", "C"]
+        assert [r.actor for r in top] == ["B", "D", "C"]
 
     def test_top_actors_n_beyond_size(self):
         table = make_table([("A", 1.0, 0.0, 1.0)])
-        assert len(top_actors(table, 10).rows) == 1
+        assert len(top_actors(table, 10)) == 1
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_top_actors_rejects_n_below_one(self, n):

@@ -230,8 +230,7 @@ class TestIndicators:
         records, _ = load_corpus(str(ws / "corpus.jsonl"), registry=REG10)
         agg = Aggregator(REG10, (Level.SUBJECT_CATEGORY, Level.OST_DISCIPLINE))
         agg.add_all(records)
-        table = build_indicator_table(agg.finish())
-        by_actor = table.by_actor()
+        by_actor = {r.actor: r for r in build_indicator_table(agg.finish())}
         for row in rows:
             mem = by_actor[row[0]]
             assert row[2] == f"{mem.x_total:.2f}"
@@ -495,11 +494,15 @@ class TestSynthCommand:
         self.spec_file(ws)
         assert main(["synth", *extra, "--out", str(ws / "x.jsonl")]) == 3
 
-    @pytest.mark.parametrize("flag", ["--registry-out", "--actors-out"])
-    def test_unwritable_side_output_fails_before_generating(self, ws, flag):
-        demo = Path(__file__).resolve().parents[1] / "data" / "synth_demo.json"
-        assert main(["synth", "--spec", str(demo), "--out", "c.jsonl", flag, ""]) == 3
-        assert not (ws / "c.jsonl").exists()
+    @pytest.mark.parametrize("bad", ["--out", "--registry-out", "--actors-out"])
+    def test_unwritable_side_output_fails_before_generating(self, ws, bad):
+        # Whichever output cannot be written, the run leaves no file behind.
+        paths = {"--out": "c.jsonl", "--registry-out": "r.csv", "--actors-out": "a.csv"}
+        paths[bad] = str(Path("nodir") / paths[bad])
+        before = set(os.listdir(ws))
+        assert main(["synth", "--spec", str(DEMO_SPEC),
+                     *(arg for flag, path in paths.items() for arg in (flag, path))]) == 3
+        assert set(os.listdir(ws)) == before
 
     def test_only_synth_loads_numpy(self):
         # A fresh interpreter: this one has long imported the generator.

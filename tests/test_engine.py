@@ -95,7 +95,7 @@ class TestOneRecordWeights:
     @pytest.mark.parametrize("level", [Level.OST_DISCIPLINE, Level.ERC_SUBFIELD])
     def test_unknown_category_raises_at_coarser_level(self, reg10, level):
         agg = Aggregator(reg10, (level,))
-        agg.add(rec("r1", ("Palmistry",), countries=("FRA",)))
+        agg.add_all([rec("r1", ("Palmistry",), countries=("FRA",))])
         with pytest.raises(UnknownCategory, match="Palmistry"):
             agg.finish()
 
@@ -276,10 +276,10 @@ class TestCountingRules:
         assert usa_cs[0] == Fraction(2, 3)
 
         # Whole counting: every distinct signatory gets the full record.
-        rows = build_indicator_table({Level.OST_DISCIPLINE: result}).by_actor()
-        assert rows["FRA"].n_pubs_whole == 2
+        rows = {r.actor: r for r in build_indicator_table({Level.OST_DISCIPLINE: result})}
+        assert rows["FRA"].x_total == 2
         assert rows["FRA"].n_oa_whole == 1
-        assert rows["USA"].n_pubs_whole == 1
+        assert rows["USA"].x_total == 1
         assert sum(x for x, _, _ in b.values()) == 2
 
     def test_multi_status_counts_once_under_winner(self, reg10):
@@ -324,7 +324,7 @@ class TestInvariants:
         corpus = random_corpus(seed=seed, n_records=250)
         result = aggregate(corpus, REG10, Level.OST_DISCIPLINE)
         table = build_indicator_table({Level.OST_DISCIPLINE: result})
-        for row in table.rows:
+        for row in table:
             total = oa_share_of_cells(result.cells[row.actor].values())
             assert abs(sum(row.oa_type_shares.values()) - total) <= TOL
 
@@ -373,9 +373,9 @@ class TestShares:
         # counts and OA share are still reported.
         corpus = [rec("r1", ("Economics",), countries=("A",))]
         results = {Level.SUBJECT_CATEGORY: aggregate(corpus, reg10, Level.SUBJECT_CATEGORY)}
-        (row,) = build_indicator_table(results).rows
+        (row,) = build_indicator_table(results)
         assert row.noai == {Level.SUBJECT_CATEGORY: None}
-        assert (row.n_pubs_whole, row.n_oa_whole, row.oa_share) == (1, 0, 0.0)
+        assert (row.x_total, row.n_oa_whole, row.oa_share) == (1, 0, 0.0)
 
     def test_normalized_share_mismatch_raises(self):
         # An actor field with no world baseline is an error, not a field
@@ -447,8 +447,8 @@ class TestIndicatorTable:
         table = build_indicator_table(results)
         oracle = BruteForce(corpus, REG10, Level.SUBJECT_CATEGORY)
         oracle_ost = BruteForce(corpus, REG10, Level.OST_DISCIPLINE)
-        assert {r.actor for r in table.rows} == set(oracle.actors())
-        for row in table.rows:
+        assert {r.actor for r in table} == set(oracle.actors())
+        for row in table:
             assert abs(row.x_total - float(oracle.x_total(row.actor))) <= TOL
             assert abs(row.oa_share - float(oracle.oa_share(row.actor))) <= TOL
             for status in OA_TYPES:
@@ -467,13 +467,13 @@ class TestIndicatorTable:
             else:
                 assert abs(got_ost - float(expected_ost)) <= TOL
             assert row.n_oa_whole == oracle.whole_oa[row.actor]
-            assert row.n_pubs_whole == oracle.whole_pubs[row.actor]
+            assert row.x_total == oracle.whole_pubs[row.actor]
 
     def test_rows_sorted_by_size(self):
         corpus = random_corpus(seed=43, n_records=300)
         result = aggregate(corpus, REG10, Level.SUBJECT_CATEGORY)
         table = build_indicator_table({Level.SUBJECT_CATEGORY: result})
-        sizes = [r.x_total for r in table.rows]
+        sizes = [r.x_total for r in table]
         assert sizes == sorted(sizes, reverse=True)
 
     def test_display_names_from_metadata(self, reg10):
@@ -484,13 +484,13 @@ class TestIndicatorTable:
         meta = {"FRA": Actor(id="FRA", kind=ActorKind.COUNTRY,
                              display_name="France")}
         table = build_indicator_table({Level.SUBJECT_CATEGORY: result}, meta)
-        assert table.rows[0].display_name == "France"
+        assert table[0].display_name == "France"
 
     def test_undefined_indicator_becomes_none(self, reg10):
         corpus = [rec("r1", ("Economics",), countries=("FRA",))]
         result = aggregate(corpus, reg10, Level.SUBJECT_CATEGORY)
         table = build_indicator_table({Level.SUBJECT_CATEGORY: result})
-        assert table.rows[0].noai[Level.SUBJECT_CATEGORY] is None
+        assert table[0].noai[Level.SUBJECT_CATEGORY] is None
 
 
 class TestExactAgainstOracle:
@@ -504,8 +504,8 @@ class TestExactAgainstOracle:
         oracle = BruteForce(corpus, REG10, level)
 
         table = build_indicator_table({level: result})
-        assert sorted(r.actor for r in table.rows) == oracle.actors()
-        for row in table.rows:
+        assert sorted(r.actor for r in table) == oracle.actors()
+        for row in table:
             actor = row.actor
             assert row.x_total == float(oracle.x_total(actor))
             assert row.oa_share == float(oracle.oa_share(actor))
