@@ -30,7 +30,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from . import __version__
 from .analysis import filter_actors, rank, rank_shift, spearman, top_actors
 from .engine import AggregationResult, Aggregator, build_indicator_table, yearly_series
-from .errors import EmptyWindow, NoaiError
+from .errors import EmptyWindow, IoFailure, NoaiError
 from .ingest import (
     CorpusReader,
     CorpusStats,
@@ -72,11 +72,8 @@ class UsageError(Exception):
 
 
 def _parse_window(text: str) -> tuple[int, int]:
-    parts = text.split(":")
     try:
-        if len(parts) != 2:
-            raise ValueError
-        lo, hi = int(parts[0]), int(parts[1])
+        lo, hi = map(int, text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"window must look like Y1:Y2, got {text!r}"
@@ -124,15 +121,11 @@ def _parse_priority(text: str) -> tuple[OAStatus, ...]:
     order = []
     for part in text.split(","):
         part = part.strip()
-        try:
-            status = OAStatus(part)
-        except ValueError:
-            status = None
-        if status is None or status not in RAW_STATUSES:
+        if part not in RAW_STATUSES:
             raise argparse.ArgumentTypeError(
                 f"priority entries must be gold, bronze or green, got {part!r}"
             )
-        order.append(status)
+        order.append(OAStatus(part))
     if len(order) != len(RAW_STATUSES) or set(order) != set(RAW_STATUSES):
         raise argparse.ArgumentTypeError(
             "priority must order gold, bronze and green exactly once each"
@@ -220,8 +213,8 @@ def _json_safe(value):
     return sorted(value) if isinstance(value, frozenset) else value
 
 
-def _write_manifest(args: argparse.Namespace, corpus_stats: Mapping,
-                    outputs: Sequence[str]) -> None:
+def _manifest(args: argparse.Namespace, corpus_stats: Mapping,
+              outputs: Sequence[str]) -> str:
     manifest = {
         "tool": {"name": "noai", "version": __version__},
         "command": args.command,
@@ -229,9 +222,12 @@ def _write_manifest(args: argparse.Namespace, corpus_stats: Mapping,
         "corpus_stats": dict(corpus_stats),
         "outputs": list(outputs),
     }
-    with open(args.out + ".manifest.json", "w", encoding="utf-8", newline="") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    return json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def _cell(value) -> str:
@@ -266,9 +262,8 @@ def _emit(args: argparse.Namespace, stats: CorpusStats, header: Sequence[str],
     if args.out is None:
         sys.stdout.write(text)
         return
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    _write_manifest(args, stats.as_dict(), [args.out])
+    _write_text(args.out, text)
+    _write_text(args.out + ".manifest.json", _manifest(args, stats.as_dict(), [args.out]))
 
 
 def _print_stats(stats: CorpusStats) -> None:
@@ -323,9 +318,7 @@ def cmd_indicators(args: argparse.Namespace) -> int:
             r.oa_share,
             r.noai[Level.SUBJECT_CATEGORY],
             r.noai[Level.OST_DISCIPLINE],
-            r.oa_type_shares[OAStatus.GOLD],
-            r.oa_type_shares[OAStatus.BRONZE],
-            r.oa_type_shares[OAStatus.GREEN],
+            *(r.oa_type_shares[t] for t in RAW_STATUSES),
             r.n_oa_whole,
         )))
         for r in table
@@ -393,13 +386,8 @@ def cmd_series(args: argparse.Namespace) -> int:
     years = yearly_series(results[level])
 
     fields = sorted(set().union(*(r.field_shares.keys() for r in years)))
-    shares = [
-        {"year": r.year, "total_share": r.total_share,
-         "gold": r.type_shares[OAStatus.GOLD],
-         "bronze": r.type_shares[OAStatus.BRONZE],
-         "green": r.type_shares[OAStatus.GREEN]}
-        for r in years
-    ]
+    shares = [{"year": r.year, "total_share": r.total_share,
+               **{t.value: r.type_shares[t] for t in RAW_STATUSES}} for r in years]
     by_field = [{f: r.field_shares.get(f) for f in fields} for r in years]
     _emit(args, stats, ["year", "total_share", "gold", "bronze", "green", *fields],
           ([*s.values(), *f.values()] for s, f in zip(shares, by_field)),
@@ -432,30 +420,48 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _stage(staged: dict[str, str], path: str, what: str) -> str:
+    """Create an empty temporary file beside `path` for the run to write in
+    its place, and record it in `staged`; fail as writing `path` would (an
+    existing file is opened but not truncated), naming `path`."""
+    target = os.path.realpath(path)
+    tmp = staged[target] = f"{target}.{os.getpid()}.tmp"
+    try:
+        if os.path.exists(target):
+            open(target, "r+").close()
+        open(tmp, "w").close()
+    except OSError as exc:
+        raise IoFailure(f"cannot write {what} {path}: "
+                        f"{OSError(exc.errno, exc.strerror, path)}") from exc
+    return tmp
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     # Imported here so that no other command pays for loading numpy.
     from .synth import generate, load_synth_spec, write_spec_actors, write_spec_registry
 
     spec = load_synth_spec(args.spec)
     outputs = [p for p in (args.out, args.registry_out, args.actors_out) if p is not None]
-    # A run that cannot write every output removes the files it created.
-    created = [p for p in (*outputs, args.out + ".manifest.json")
-               if not os.path.lexists(p)]
+    # Every output is written to a temporary file, the small ones first so that
+    # a path that cannot be written fails before any record is generated. Only
+    # once all writes have succeeded do they replace their targets, so a failed
+    # run leaves the files that already existed as they were.
+    staged: dict[str, str] = {}
     try:
-        # The small outputs first, so that a path that cannot be written
-        # fails before any record is generated.
         if args.registry_out is not None:
-            write_spec_registry(spec, args.registry_out)
+            write_spec_registry(spec, _stage(staged, args.registry_out, "registry"))
         if args.actors_out is not None:
-            write_spec_actors(spec, args.actors_out)
-        n = generate(spec, args.out)
-        print(f"wrote {n} records to {args.out}", file=sys.stderr)
-        _write_manifest(args, {"records_written": n}, outputs)
-    except (NoaiError, OSError):
-        for path in created:
-            if os.path.lexists(path):
-                os.remove(path)
-        raise
+            write_spec_actors(spec, _stage(staged, args.actors_out, "actors"))
+        n = generate(spec, _stage(staged, args.out, "corpus"))
+        _write_text(_stage(staged, args.out + ".manifest.json", "manifest"),
+                    _manifest(args, {"records_written": n}, outputs))
+        for target, tmp in staged.items():
+            os.replace(tmp, target)
+    finally:
+        for tmp in staged.values():
+            if os.path.lexists(tmp):
+                os.remove(tmp)
+    print(f"wrote {n} records to {args.out}", file=sys.stderr)
     return 0
 
 

@@ -37,10 +37,9 @@ from .model import (
     Level,
     OAStatus,
     PublicationRecord,
+    RAW_STATUSES,
     Actor,
 )
-
-_OA_TYPES = (OAStatus.GOLD, OAStatus.BRONZE, OAStatus.GREEN)
 
 # Position of each status in a counts vector.
 _SLOT = {status: i for i, status in enumerate(OAStatus)}
@@ -189,7 +188,7 @@ def oa_share(counts: Sequence[int]) -> float:
 def _type_shares(counts: Sequence[int]) -> dict[OAStatus, float]:
     """Percent of a counts vector's (fractional) publications of each OA type."""
     x = sum(counts)
-    return {t: 100 * counts[_SLOT[t]] / x for t in _OA_TYPES}
+    return {t: 100 * counts[_SLOT[t]] / x for t in RAW_STATUSES}
 
 
 def noai(cells: Mapping[str, Sequence[int]], baselines: Mapping[str, Sequence[int]]) -> float:

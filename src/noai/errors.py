@@ -32,10 +32,6 @@ class DuplicateCategory(NoaiError):
     """The same subject category appears twice in a classification registry."""
 
 
-class UnknownDiscipline(NoaiError):
-    """A registry row names a discipline or sub-field outside the canonical nomenclature."""
-
-
 class UnknownCategory(NoaiError):
     """A subject category is absent from the classification registry."""
 

@@ -25,17 +25,14 @@ from .errors import (
     MalformedRecord,
     MalformedRow,
     UnknownCategory,
-    UnknownDiscipline,
 )
 from .model import (
     Actor,
     ActorKind,
     ClassificationRegistry,
     DocType,
-    OAStatus,
     PublicationRecord,
-    is_canonical_erc_subfield,
-    is_canonical_ost_discipline,
+    RAW_STATUSES,
 )
 
 REASON_MALFORMED = "malformed"
@@ -47,7 +44,7 @@ REASON_NO_DOI = "no_doi"
 REASON_UNKNOWN_CATEGORY = "unknown_category"
 
 _DOC_TYPES = {d.value: d for d in DocType}
-_RAW_OA = {s.value: s for s in (OAStatus.GOLD, OAStatus.BRONZE, OAStatus.GREEN)}
+_RAW_OA = {s.value: s for s in RAW_STATUSES}
 
 # The C scanner behind json.loads, without its wrapper: (value, end index).
 _raw_decode = json.JSONDecoder().raw_decode
@@ -327,11 +324,11 @@ def _read_csv_rows(path, expected: Sequence[str], label: str):
             yield line_no, [cell.strip() for cell in row]
 
 
-def load_registry(path, strict_nomenclature: bool = False) -> ClassificationRegistry:
+def load_registry(path) -> ClassificationRegistry:
     """Load the subject-category -> (OST discipline, ERC sub-field) table.
 
-    With strict_nomenclature, discipline names must be canonical (full name or
-    short label) and sub-field ids must belong to the 25-entry ERC nomenclature.
+    Discipline and sub-field values are any non-empty strings: no
+    nomenclature is enforced.
     """
     categories: dict[str, tuple[str, str]] = {}
     for line_no, row in _read_csv_rows(path, REGISTRY_COLUMNS, "registry"):
@@ -342,17 +339,6 @@ def load_registry(path, strict_nomenclature: bool = False) -> ClassificationRegi
             raise DuplicateCategory(
                 f"registry {path} line {line_no}: subject category {category!r} mapped twice"
             )
-        if strict_nomenclature:
-            if not is_canonical_ost_discipline(discipline):
-                raise UnknownDiscipline(
-                    f"registry {path} line {line_no}: OST discipline {discipline!r} "
-                    "not in the 11-name nomenclature"
-                )
-            if not is_canonical_erc_subfield(subfield):
-                raise UnknownDiscipline(
-                    f"registry {path} line {line_no}: ERC sub-field {subfield!r} "
-                    "not in the 25-id nomenclature"
-                )
         categories[category] = (discipline, subfield)
     return ClassificationRegistry(categories=categories)
 

@@ -21,8 +21,9 @@ class OAStatus(str, Enum):
     CLOSED = "closed"
 
 
-#: Statuses a record may carry in its raw data; CLOSED is derived, never raw.
-RAW_STATUSES = frozenset({OAStatus.GOLD, OAStatus.BRONZE, OAStatus.GREEN})
+#: Statuses a record may carry in its raw data, in the order outputs list
+#: them; CLOSED is derived, never raw.
+RAW_STATUSES: tuple[OAStatus, ...] = (OAStatus.GOLD, OAStatus.BRONZE, OAStatus.GREEN)
 
 #: Multi-status resolution order: an APC-funded gold version outranks a
 #: publisher-opened bronze one, which outranks an author-archived green one.
@@ -92,25 +93,6 @@ ERC_SUBFIELDS: Mapping[str, str] = {
     "LS8": "Ecology, Evolution and Environmental Biology",
     "LS9": "Applied Life Sciences, Biotechnology, and Molecular and Biosystems Engineering",
 }
-
-
-def _normalize_dashes(name: str) -> str:
-    # Nomenclature files in the wild mix hyphens with en/em dashes.
-    return " ".join(name.replace("–", "-").replace("—", "-").split())
-
-
-_OST_STRICT_NAMES = frozenset(
-    _normalize_dashes(n) for pair in OST_DISCIPLINES.items() for n in pair
-)
-
-
-def is_canonical_ost_discipline(name: str) -> bool:
-    """True if name is a canonical discipline (full name or short label)."""
-    return _normalize_dashes(name) in _OST_STRICT_NAMES
-
-
-def is_canonical_erc_subfield(subfield_id: str) -> bool:
-    return subfield_id in ERC_SUBFIELDS
 
 
 class PublicationRecord(NamedTuple):

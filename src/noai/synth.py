@@ -570,30 +570,27 @@ def write_spec_actors(spec: SynthSpec, path: str) -> None:
                ([a.id, a.kind.value, "", a.id] for a in spec.actors))
 
 
-def world_spec(seed: int, n_records: int,
-               fields: Sequence[FieldDef] | None = None) -> SynthSpec:
+def world_spec(seed: int, n_records: int) -> SynthSpec:
     """A small mixed-field spec used by tests and demos.
 
     Field OA propensities are deliberately spread out so normalized
     shares differ from raw shares, and a handful of countries with
     skewed specializations make ranking non-trivial.
     """
-    if fields is None:
-        fields = (
-            FieldDef("Astronomy & Astrophysics",
-                     "Earth sciences - Astronomy - Astrophysics", "PE9"),
-            FieldDef("Cell Biology", "Fundamental biology", "LS3"),
-            FieldDef("Clinical Neurology", "Medical research", "LS5"),
-            FieldDef("Computer Science, Artificial Intelligence",
-                     "Computer science", "PE6"),
-            FieldDef("Economics", "Social sciences", "SH1"),
-            FieldDef("Engineering, Chemical", "Engineering", "PE8"),
-            FieldDef("History", "Humanities", "SH6"),
-            FieldDef("Materials Science, Multidisciplinary", "Physics", "PE5"),
-            FieldDef("Mathematics", "Mathematics", "PE1"),
-            FieldDef("Sociology", "Social sciences", "SH3"),
-        )
-    fields = tuple(fields)
+    fields = (
+        FieldDef("Astronomy & Astrophysics",
+                 "Earth sciences - Astronomy - Astrophysics", "PE9"),
+        FieldDef("Cell Biology", "Fundamental biology", "LS3"),
+        FieldDef("Clinical Neurology", "Medical research", "LS5"),
+        FieldDef("Computer Science, Artificial Intelligence",
+                 "Computer science", "PE6"),
+        FieldDef("Economics", "Social sciences", "SH1"),
+        FieldDef("Engineering, Chemical", "Engineering", "PE8"),
+        FieldDef("History", "Humanities", "SH6"),
+        FieldDef("Materials Science, Multidisciplinary", "Physics", "PE5"),
+        FieldDef("Mathematics", "Mathematics", "PE1"),
+        FieldDef("Sociology", "Social sciences", "SH3"),
+    )
     profiles = {}
     for j, f in enumerate(fields):
         # Spread propensities across fields: total OA from ~15% to ~75%.

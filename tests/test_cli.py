@@ -101,12 +101,14 @@ class TestUsageErrors:
         ("--window", "2015"),
         ("--window", "2019:2015"),
         ("--window", "a:b"),
+        ("--window", "2015:2016:2017"),
         ("--doc-types", "thesis"),
         ("--doc-types", "article,"),
         ("--doc-types", ""),
         ("--priority", "gold,bronze"),
         ("--priority", "gold,gold,green"),
         ("--priority", "gold,bronze,diamond"),
+        ("--priority", "closed,gold,green"),
         ("--format", "xml"),
         ("--actor-kind", "planet"),
     ])
@@ -496,13 +498,17 @@ class TestSynthCommand:
 
     @pytest.mark.parametrize("bad", ["--out", "--registry-out", "--actors-out"])
     def test_unwritable_side_output_fails_before_generating(self, ws, bad):
-        # Whichever output cannot be written, the run leaves no file behind.
+        # Whichever output cannot be written, the run leaves no file behind
+        # and an output file that already existed keeps its bytes.
         paths = {"--out": "c.jsonl", "--registry-out": "r.csv", "--actors-out": "a.csv"}
         paths[bad] = str(Path("nodir") / paths[bad])
+        existing = ws / next(path for flag, path in paths.items() if flag != bad)
+        existing.write_bytes(b"old\n")
         before = set(os.listdir(ws))
         assert main(["synth", "--spec", str(DEMO_SPEC),
                      *(arg for flag, path in paths.items() for arg in (flag, path))]) == 3
         assert set(os.listdir(ws)) == before
+        assert existing.read_bytes() == b"old\n"
 
     def test_only_synth_loads_numpy(self):
         # A fresh interpreter: this one has long imported the generator.

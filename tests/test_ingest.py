@@ -26,7 +26,6 @@ from noai.errors import (
     MalformedRow,
     NoaiError,
     UnknownCategory,
-    UnknownDiscipline,
 )
 from noai.ingest import (
     REASON_DOC_TYPE,
@@ -345,37 +344,7 @@ class TestRegistries:
         with pytest.raises(MalformedRow):
             load_registry(str(path))
 
-    def test_strict_nomenclature_accepts_abbreviation(self, tmp_path):
-        path = tmp_path / "reg.csv"
-        path.write_text(
-            "subject_category,ost_discipline,erc_subfield\n"
-            'Mathematics,"Comp. Sc.",PE6\n',
-            encoding="utf-8",
-        )
-        reg = load_registry(str(path), strict_nomenclature=True)
-        assert reg.categories["Mathematics"] == ("Comp. Sc.", "PE6")
-
-    def test_strict_nomenclature_rejects_bad_discipline(self, tmp_path):
-        path = tmp_path / "reg.csv"
-        path.write_text(
-            "subject_category,ost_discipline,erc_subfield\n"
-            "Mathematics,Astrology,PE1\n",
-            encoding="utf-8",
-        )
-        with pytest.raises(UnknownDiscipline):
-            load_registry(str(path), strict_nomenclature=True)
-
-    def test_strict_nomenclature_rejects_bad_subfield(self, tmp_path):
-        path = tmp_path / "reg.csv"
-        path.write_text(
-            "subject_category,ost_discipline,erc_subfield\n"
-            "Mathematics,Mathematics,PE99\n",
-            encoding="utf-8",
-        )
-        with pytest.raises(UnknownDiscipline):
-            load_registry(str(path), strict_nomenclature=True)
-
-    def test_lenient_mode_accepts_any_names(self, tmp_path):
+    def test_any_discipline_and_subfield_names_accepted(self, tmp_path):
         path = tmp_path / "reg.csv"
         path.write_text(
             "subject_category,ost_discipline,erc_subfield\n"

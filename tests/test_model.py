@@ -7,8 +7,6 @@ from noai.model import (
     OST_DISCIPLINES,
     ClassificationRegistry,
     Level,
-    is_canonical_erc_subfield,
-    is_canonical_ost_discipline,
 )
 
 
@@ -18,22 +16,6 @@ class TestNomenclatures:
 
     def test_twenty_five_subfields(self):
         assert len(ERC_SUBFIELDS) == 25
-
-    def test_full_names_and_abbreviations_accepted(self):
-        assert is_canonical_ost_discipline("Computer science")
-        assert is_canonical_ost_discipline("Comp. Sc.")
-        assert not is_canonical_ost_discipline("Astrology")
-
-    def test_dash_variants_accepted(self):
-        assert is_canonical_ost_discipline("Earth sciences - Astronomy - Astrophysics")
-        assert is_canonical_ost_discipline("Earth sciences – Astronomy – Astrophysics")
-
-    def test_subfield_ids(self):
-        assert is_canonical_erc_subfield("PE6")
-        assert is_canonical_erc_subfield("LS9")
-        assert is_canonical_erc_subfield("SH6")
-        assert not is_canonical_erc_subfield("SH7")
-        assert not is_canonical_erc_subfield("PE11")
 
 
 class TestClassificationRegistry:

@@ -1,5 +1,6 @@
 """Source hygiene: every name a package module imports is used in that module,
-and every function, class and method it defines has a caller outside the tests."""
+every function, class and method it defines has a caller outside the tests,
+and every defaulted parameter is passed by some call outside the tests."""
 
 from __future__ import annotations
 
@@ -154,3 +155,113 @@ def test_every_definition_has_a_caller():
     package = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     callers = [path.read_text(encoding="utf-8") for path in CALLERS]
     assert unreferenced(package, callers) == []
+
+
+def _defaulted(function: ast.FunctionDef) -> list[str]:
+    args = function.args
+    positional = [*args.posonlyargs, *args.args]
+    return ([a.arg for a in positional[len(positional) - len(args.defaults):]]
+            + [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None])
+
+
+def _passed(function: ast.FunctionDef, call: ast.Call, bound: bool) -> set[str]:
+    """Parameters of `function` that `call` passes; a bound call skips the first."""
+    args = function.args
+    positional = [a.arg for a in [*args.posonlyargs, *args.args]][bound:]
+    out = set()
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            out.update(positional[i:])
+            break
+        out.update(positional[i:i + 1])
+    for keyword in call.keywords:
+        if keyword.arg is None:
+            out.update(positional)
+            out.update(a.arg for a in args.kwonlyargs)
+        else:
+            out.add(keyword.arg)
+    return out
+
+
+def _calls(tree: ast.Module) -> list[tuple[str, bool, ast.Call]]:
+    """(callee name, whether it is called on an object, call) for each call,
+    seen through `import ... as` aliases and local names bound to an attribute
+    (`reject = self._reject`)."""
+    imported, attributes = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.update((a.asname, a.name) for a in node.names if a.asname)
+        elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+              and isinstance(node.targets[0], ast.Name)
+              and isinstance(node.value, ast.Attribute)):
+            attributes[node.targets[0].id] = node.value.attr
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Attribute):
+            out.append((node.func.attr, True, node))
+        elif isinstance(node.func, ast.Name):
+            name = node.func.id
+            if name in attributes:
+                out.append((attributes[name], True, node))
+            else:
+                out.append((imported.get(name, name), False, node))
+    return out
+
+
+def uncalled_defaults(package: dict[str, str], callers: list[str]) -> list[str]:
+    """Defaulted parameters of the package's functions and methods that no call
+    passes, by position, by keyword or through `*`/`**`.
+
+    Callees are matched by name, so a call reaches every definition of that
+    name; a call to a class reaches its `__init__`. package maps module
+    name -> source, and callers are the sources of code outside the package.
+    """
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    calls = [c for tree in [*trees.values(), *map(ast.parse, callers)] for c in _calls(tree)]
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, _METHODS):
+                targets = [(node.name, node, None)]
+            elif isinstance(node, ast.ClassDef):
+                targets = [(f"{node.name}.{m.name}", m, node.name)
+                           for m in node.body if isinstance(m, _METHODS)]
+            else:
+                continue
+            for qualname, function, owner in targets:
+                passed = set()
+                for name, on_object, call in calls:
+                    # A method called on an object is bound; a function
+                    # called through its module (`cli.main(argv)`) is not.
+                    if name == function.name and (on_object or owner is None):
+                        passed |= _passed(function, call, on_object and owner is not None)
+                    elif function.name == "__init__" and name == owner:
+                        passed |= _passed(function, call, True)
+                found += [f"{module}: {qualname}.{p}" for p in _defaulted(function)
+                          if p not in passed]
+    return sorted(found)
+
+
+def test_scanner_finds_an_uncalled_default():
+    package = {"box": ("class Box:\n"
+                       "    def __init__(self, size=1):\n"
+                       "        self.size = size\n"
+                       "    def _put(self, x, at=0, *, strict=False):\n"
+                       "        return x\n"
+                       "    def fill(self, xs):\n"
+                       "        put = self._put\n"
+                       "        return [put(x, 1) for x in xs]\n"
+                       "def make(n, label='', unused=None):\n"
+                       "    return Box(size=n)\n")}
+    caller = ("from box import Box, make as build\n"
+              "build(3, label='x')._put(1, strict=True)\n"
+              "Box(2).fill([1])\n")
+    assert uncalled_defaults(package, [caller]) == ["box: make.unused"]
+
+
+def test_every_default_is_passed_by_a_caller():
+    package = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    callers = [path.read_text(encoding="utf-8") for path in CALLERS]
+    assert uncalled_defaults(package, callers) == []

@@ -12,7 +12,7 @@ import pytest
 from conftest import load_corpus, write_corpus
 from noai.errors import InvalidSpec, IoFailure
 from noai.ingest import load_actor_registry, load_registry
-from noai.model import ActorKind, OAStatus
+from noai.model import ERC_SUBFIELDS, OST_DISCIPLINES, ActorKind, OAStatus
 from noai.synth import (
     CHUNK,
     FieldDef,
@@ -223,10 +223,14 @@ class TestOutputs:
         write_spec_registry(spec, str(registry_path))
         write_spec_actors(spec, str(actors_path))
 
-        registry = load_registry(str(registry_path), strict_nomenclature=True)
+        registry = load_registry(str(registry_path))
         records, stats = load_corpus(str(corpus_path), registry=registry)
         assert stats.records_read == 2000
         assert stats.records_rejected == 0
+        # The built-in specs name canonical disciplines and sub-fields.
+        for fields in (spec.fields, load_synth_spec(str(DEMO_SPEC)).fields):
+            assert {f.ost_discipline for f in fields} <= set(OST_DISCIPLINES)
+            assert {f.erc_subfield for f in fields} <= set(ERC_SUBFIELDS)
 
         actors = load_actor_registry(str(actors_path))
         assert set(actors) == {a.id for a in spec.actors}
