@@ -510,6 +510,18 @@ class TestSynthCommand:
         assert set(os.listdir(ws)) == before
         assert existing.read_bytes() == b"old\n"
 
+    def test_existing_outputs_are_replaced(self, ws):
+        # A run that succeeds replaces every output that already existed and
+        # leaves no temporary file beside them.
+        paths = [ws / "c.jsonl", ws / "r.csv", ws / "a.csv", ws / "c.jsonl.manifest.json"]
+        for path in paths:
+            path.write_bytes(b"old\n")
+        before = set(os.listdir(ws))
+        assert main(["synth", "--spec", str(DEMO_SPEC), "--out", str(paths[0]),
+                     "--registry-out", str(paths[1]), "--actors-out", str(paths[2])]) == 0
+        assert all(path.read_bytes() != b"old\n" for path in paths)
+        assert set(os.listdir(ws)) == before
+
     def test_only_synth_loads_numpy(self):
         # A fresh interpreter: this one has long imported the generator.
         probe = ("import sys, noai.cli; "

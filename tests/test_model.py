@@ -5,8 +5,10 @@ from __future__ import annotations
 from noai.model import (
     ERC_SUBFIELDS,
     OST_DISCIPLINES,
+    RAW_STATUSES,
     ClassificationRegistry,
     Level,
+    OAStatus,
 )
 
 
@@ -16,6 +18,25 @@ class TestNomenclatures:
 
     def test_twenty_five_subfields(self):
         assert len(ERC_SUBFIELDS) == 25
+
+    def test_full_names_and_abbreviations_accepted(self):
+        # Full discipline names are the keys; their short labels the values.
+        assert OST_DISCIPLINES["Computer science"] == "Comp. Sc."
+        assert "Astrology" not in OST_DISCIPLINES
+        assert "Astrology" not in OST_DISCIPLINES.values()
+
+    def test_subfield_ids(self):
+        assert "PE6" in ERC_SUBFIELDS
+        assert "LS9" in ERC_SUBFIELDS
+        assert "SH6" in ERC_SUBFIELDS
+        assert "SH7" not in ERC_SUBFIELDS
+        assert "PE11" not in ERC_SUBFIELDS
+
+
+def test_raw_statuses_in_output_order():
+    # Outputs list the OA types in this order; closed is never a raw status.
+    assert RAW_STATUSES == (OAStatus.GOLD, OAStatus.BRONZE, OAStatus.GREEN)
+    assert OAStatus.CLOSED not in RAW_STATUSES
 
 
 class TestClassificationRegistry:
