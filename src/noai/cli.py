@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -476,9 +477,11 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # A run leaves constant cyclic garbage: the collector would only rescan the tally.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"noai: {exc}", file=sys.stderr)
@@ -489,6 +492,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"noai: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -12,11 +12,15 @@ actor's fractional publication counts, giving one indicator per actor
 (NOAI). A value of 1.0 means world-typical openness for the actor's mix.
 
 Every number is a projection of one exact integer tally of records by
-(actor, category, k, status) and, for the world, by (year, category, k,
-status). With L the lcm of the k seen, n records under k weigh
-n * (L // k) units of 1/L, so every cell and baseline is a vector of four
-integers over L, one per OAStatus in enum order, and no result depends on
-record order. A record spends exactly L over its categories, so an
+(owner, category, k, status): the owner is the record's year (an int) for
+the world, an actor id (a str) otherwise, and itertools.product and
+Counter.update build and count the keys in C. With L the lcm of the k
+seen, n records under k weigh n * (L // k) units of 1/L, so every cell and
+baseline is a vector of four integers over L, one per OAStatus in enum
+order, and no result depends on record order. The weighed tally is the
+subject-category level itself; coarser levels are new sums of it. The CLI
+runs without the cyclic collector, which would only rescan the tally's
+long-lived tuples. A record spends exactly L over its categories, so an
 actor's whole counts are its cell vectors summed and divided by L. Floats
 appear only as the correctly rounded value of an exact quotient.
 """
@@ -26,7 +30,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import chain, product
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import UndefinedIndicator, UndefinedShare, UnknownCategory
 from .model import (
@@ -63,8 +68,8 @@ class AggregationResult:
     years: Mapping[int, Mapping[str, Counts]]
 
 
-def _weigh(tally: Counter, weight: Mapping[int, int]) -> dict:
-    """(owner, category, k, status) -> n as owner -> category -> counts over the unit."""
+def _weigh(tally: Counter, weight: Mapping[int, int]) -> tuple[dict, dict]:
+    """The tally as owner -> category -> counts over the unit, years apart from actors."""
     out: dict = {}
     for (owner, category, k, status), n in tally.items():
         by_category = out.get(owner)
@@ -74,12 +79,13 @@ def _weigh(tally: Counter, weight: Mapping[int, int]) -> dict:
         if acc is None:
             acc = by_category[category] = [0, 0, 0, 0]
         acc[_SLOT[status]] += n * weight[k]
-    return out
+    years = {owner: out.pop(owner) for owner in [o for o in out if type(o) is int]}
+    return years, out
 
 
 def _project(items: Iterable[tuple[str, Counts]],
              field_map: Mapping[str, str] | None) -> dict[str, Counts]:
-    """(category, counts) items as field -> counts, adding up each field's categories."""
+    """(category, counts) items as field -> new counts lists, adding up its categories."""
     out: dict[str, Counts] = {}
     for category, c in items:
         f = category if field_map is None else field_map[category]
@@ -115,18 +121,16 @@ class Aggregator:
         self._levels = tuple(levels)
         self._actor_kind = actor_kind
         self._priority = priority
-        self._actors: Counter = Counter()
-        self._world: Counter = Counter()
+        self._tally: Counter = Counter()
 
-    def add_all(self, corpus: Iterable[PublicationRecord]) -> None:
+    def _keys(self, corpus: Iterable[PublicationRecord]) -> Iterator[Iterator[tuple]]:
+        """Per record, its (owner, category, k, status) keys: the year's and
+        each credited actor's, under the status that wins by priority."""
         priority = self._priority
         by_country = self._actor_kind is ActorKind.COUNTRY
         by_institution = self._actor_kind is ActorKind.INSTITUTION
-        world = self._world
-        tally = self._actors
         closed = OAStatus.CLOSED
         for record in corpus:
-            # Resolve multi-status once per record: one OA type everywhere.
             raw = record.raw_statuses
             status = closed
             for candidate in priority:
@@ -134,45 +138,41 @@ class Aggregator:
                     status = candidate
                     break
             if by_country:
-                actors = record.countries
+                owners = (record.year, *record.countries)
             elif by_institution:
-                actors = record.institutions
+                owners = (record.year, *record.institutions)
             else:
-                actors = ()
-            year = record.year
+                owners = (record.year,)
             categories = record.subject_categories
-            k = len(categories)
-            for category in categories:
-                world[year, category, k, status] += 1
-                for actor in actors:
-                    tally[actor, category, k, status] += 1
+            yield product(owners, categories, (len(categories),), (status,))
+
+    def add_all(self, corpus: Iterable[PublicationRecord]) -> None:
+        # product builds each key and Counter.update counts it, both in C.
+        self._tally.update(chain.from_iterable(self._keys(corpus)))
 
     def finish(self) -> dict[Level, AggregationResult]:
-        ks = {k for _, _, k, _ in self._world}
+        ks = {k for _, _, k, _ in self._tally}
         unit = math.lcm(*ks)
-        weight = {k: unit // k for k in ks}
-        actors = _weigh(self._actors, weight)
-        world = _weigh(self._world, weight)
+        world, actors = _weigh(self._tally, {k: unit // k for k in ks})
+        baselines = _project(chain.from_iterable(map(dict.items, world.values())), None)
 
         results = {}
         for level in self._levels:
             fields = self._registry.field_map(level)
-            if fields is not None:
-                unknown = {c for by_category in world.values() for c in by_category}
-                unknown -= fields.keys()
-                if unknown:
-                    raise UnknownCategory(
-                        f"subject categories {sorted(unknown)} not in registry")
-            years = {year: _project(by_category.items(), fields)
-                     for year, by_category in world.items()}
+            if fields is None:
+                # The weighed vectors are this level's own, shared unchanged.
+                results[level] = AggregationResult(unit, actors, baselines, world)
+                continue
+            unknown = baselines.keys() - fields.keys()
+            if unknown:
+                raise UnknownCategory(f"subject categories {sorted(unknown)} not in registry")
             results[level] = AggregationResult(
                 unit=unit,
                 cells={actor: _project(by_category.items(), fields)
                        for actor, by_category in actors.items()},
-                baselines=_project(
-                    (item for by_field in years.values() for item in by_field.items()),
-                    None),
-                years=years,
+                baselines=_project(baselines.items(), fields),
+                years={year: _project(by_category.items(), fields)
+                       for year, by_category in world.items()},
             )
         return results
 
@@ -191,6 +191,30 @@ def _type_shares(counts: Sequence[int]) -> dict[OAStatus, float]:
     return {t: 100 * counts[_SLOT[t]] / x for t in RAW_STATUSES}
 
 
+def _field_weights(baselines: Mapping[str, Sequence[int]]) -> tuple[int, dict[str, int | None]]:
+    """D and each field's NOAI weight X * (D // OA), None where the world has
+    no OA publications; D is the lcm of the world OA counts of the others."""
+    world_oa = {f: sum(b) - b[_CLOSED] for f, b in baselines.items()}
+    d = math.lcm(*(oa for oa in world_oa.values() if oa))
+    return d, {f: sum(b) * (d // world_oa[f]) if world_oa[f] else None
+               for f, b in baselines.items()}
+
+
+def _weighted_mean(cells: Mapping[str, Sequence[int]], d: int,
+                   weights: Mapping[str, int | None]) -> float:
+    """sum(oa * weight) / (D * sum(x)) over the fields whose weight is defined."""
+    num = den = 0
+    for f, counts in cells.items():
+        w = weights[f]
+        if w is not None:
+            x = sum(counts)
+            num += (x - counts[_CLOSED]) * w
+            den += x
+    if not den:
+        raise UndefinedIndicator("no field with a defined normalized share")
+    return num / (d * den)
+
+
 def noai(cells: Mapping[str, Sequence[int]], baselines: Mapping[str, Sequence[int]]) -> float:
     """Stage-two normalization: weighted mean of defined normalized shares.
 
@@ -204,21 +228,10 @@ def noai(cells: Mapping[str, Sequence[int]], baselines: Mapping[str, Sequence[in
 
     A field's term share * x is oa * X / OA (actor counts in lower case, world
     counts in upper case), so with D the lcm of the world OA counts the mean
-    is one quotient of integers, rounded once.
+    is one quotient of integers, rounded once. D and the weights X * (D // OA)
+    depend on the baselines alone, so a table computes them once per level.
     """
-    terms = []
-    for f, counts in cells.items():
-        world = baselines[f]
-        x = sum(counts)
-        world_x = sum(world)
-        world_oa = world_x - world[_CLOSED]
-        if x and world_oa:
-            terms.append((x - counts[_CLOSED], x, world_x, world_oa))
-    if not terms:
-        raise UndefinedIndicator("no field with a defined normalized share")
-    d = math.lcm(*(world_oa for _, _, _, world_oa in terms))
-    num = sum(oa * world_x * (d // world_oa) for oa, _, world_x, world_oa in terms)
-    return num / (d * sum(x for _, x, _, _ in terms))
+    return _weighted_mean(cells, *_field_weights(baselines))
 
 
 @dataclass(frozen=True)
@@ -261,6 +274,7 @@ def build_indicator_table(
     if not results:
         raise ValueError("no aggregation results")
     first = next(iter(results.values()))
+    weights = {level: _field_weights(result.baselines) for level, result in results.items()}
     rows = []
     for actor, cells in first.cells.items():
         counts = [sum(c) // first.unit for c in zip(*cells.values())]
@@ -268,7 +282,7 @@ def build_indicator_table(
         noai_values: dict[Level, float | None] = {}
         for level, result in results.items():
             try:
-                noai_values[level] = noai(result.cells[actor], result.baselines)
+                noai_values[level] = _weighted_mean(result.cells[actor], *weights[level])
             except UndefinedIndicator:
                 noai_values[level] = None
         meta = actors_meta.get(actor) if actors_meta else None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import load_corpus, registry_csv_text, write_corpus, REG10
+from conftest import load_corpus, random_corpus, registry_csv_text, write_corpus, REG10
 from noai.cli import INDICATOR_COLUMNS, main
 from noai.model import DocType, OAStatus, PublicationRecord
 
@@ -559,6 +560,59 @@ class TestInstitutions:
         assert main(args + ["--group", "G1"]) == 0
         _, rows = parse_csv(capsys.readouterr().out)
         assert {r[0] for r in rows} == {"u1", "u3"}
+
+
+class TestCyclicCollector:
+    """main() runs with the cyclic collector off, so a run must leave the
+    same cyclic garbage whatever the corpus size, and the collector's state
+    as it found it."""
+
+    RUNS = {
+        "indicators": ["indicators"],
+        "rank": ["rank", "--actor-kind", "institution"],
+        "series": ["series"],
+        "validate": ["validate"],
+        "strict-abort": ["indicators", "--strict"],
+    }
+
+    @staticmethod
+    def run(ws, n_records, argv):
+        """Exit code of an in-process run on n_records, and the cyclic
+        garbage that gc.collect() finds after it."""
+        path = ws / f"corpus-{n_records}.jsonl"
+        write_corpus(random_corpus(seed=1, n_records=n_records,
+                                   institution_pool=("u1", "u2", "u3")), path)
+        if "--strict" in argv:
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write("{broken\n")
+        gc.collect()
+        code = main([*argv, "--corpus", str(path), "--registry", str(ws / "registry.csv"),
+                     "--out", str(ws / "out.csv")])
+        return code, gc.collect()
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_garbage_does_not_grow_with_the_corpus(self, ws, capsys, name):
+        small = self.run(ws, 200, self.RUNS[name])
+        large = self.run(ws, 2000, self.RUNS[name])
+        assert small[0] == large[0] == (3 if name == "strict-abort" else 0)
+        assert small[1] == large[1]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("argv,code", [(["series"], 0), (["series", "--strict"], 3),
+                                           (["bogus"], SystemExit)])
+    def test_collector_state_restored(self, ws, capsys, enabled, argv, code):
+        with open(ws / "corpus.jsonl", "a", encoding="utf-8") as fh:
+            fh.write("{broken\n")
+        before = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            try:
+                assert main(base_args(ws, argv[0]) + argv[1:]) == code
+            except SystemExit:
+                assert code is SystemExit
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if before else gc.disable)()
 
 
 class TestDemoPipeline:

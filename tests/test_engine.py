@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -528,3 +529,66 @@ class TestExactAgainstOracle:
                 assert row.type_shares[status] == float(100 * by_type / x)
             assert row.field_shares == {
                 f: float(100 * c.oa / c.x) for f, c in world.items()}
+
+
+#: Categories whose every record is made closed, so that their fields have a
+#: world OA count of 0 at every level: Social sciences, SH1 and SH3.
+CLOSED_CATS = frozenset({"Economics", "Sociology"})
+
+
+def corpus_with_closed_fields(seed):
+    """A random corpus in which no record touching CLOSED_CATS is OA, plus
+    one actor who signs only such records and so has no defined NOAI."""
+    corpus = [r._replace(raw_statuses=frozenset())
+              if CLOSED_CATS.intersection(r.subject_categories) else r
+              for r in random_corpus(seed=seed, n_records=300)]
+    return corpus + [rec("z1", ("Economics",), countries=("ZZZ",)),
+                     rec("z2", ("Sociology", "Economics"), countries=("ZZZ",))]
+
+
+class TestOneQuotient:
+    """The table's NOAI is noai() of the actor's cells, and the oracle's value."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_table_noai_is_noai_of_cells(self, seed, level):
+        corpus = corpus_with_closed_fields(seed)
+        result = aggregate(corpus, REG10, level)
+        oracle = BruteForce(corpus, REG10, level)
+        closed = {f for f, b in result.baselines.items() if oa_share(b) == 0}
+        assert closed and closed != set(result.baselines)
+        table = build_indicator_table({level: result})
+        assert {r.actor for r in table} == set(oracle.actors())
+        for row in table:
+            try:
+                expected = noai(result.cells[row.actor], result.baselines)
+            except UndefinedIndicator:
+                expected = None
+            assert row.noai[level] == expected
+            exact = oracle.noai(row.actor)
+            assert expected == (None if exact is None else float(exact))
+        assert {r.actor: r.noai[level] for r in table}["ZZZ"] is None
+
+
+class TestSharedVectors:
+    """The category level's cells and years are the weighed tally itself;
+    nothing downstream may change them."""
+
+    def test_finish_twice_and_downstream_leave_category_level_unchanged(self):
+        corpus = random_corpus(seed=51, n_records=400)
+        agg = Aggregator(REG10, (Level.ERC_SUBFIELD, Level.SUBJECT_CATEGORY,
+                                 Level.OST_DISCIPLINE))
+        agg.add_all(corpus)
+        results = agg.finish()
+        category = results[Level.SUBJECT_CATEGORY]
+        cells, years = copy.deepcopy(category.cells), copy.deepcopy(category.years)
+        assert agg.finish() == results
+        build_indicator_table(results)
+        for result in results.values():
+            yearly_series(result)
+        assert category.cells == cells
+        assert category.years == years
+        solo = aggregate(corpus, REG10, Level.SUBJECT_CATEGORY)
+        assert (solo.cells, solo.years, solo.baselines) == (
+            cells, years, category.baselines)
+        assert_matches_oracle(category, BruteForce(corpus, REG10, Level.SUBJECT_CATEGORY))
