@@ -564,8 +564,8 @@ class TestInstitutions:
 
 class TestCyclicCollector:
     """main() runs with the cyclic collector off, so a run must leave the
-    same cyclic garbage whatever the corpus size, and the collector's state
-    as it found it."""
+    same cyclic garbage whatever the corpus size and however many lines it
+    rejects, and the collector's state as it found it."""
 
     RUNS = {
         "indicators": ["indicators"],
@@ -582,9 +582,9 @@ class TestCyclicCollector:
         path = ws / f"corpus-{n_records}.jsonl"
         write_corpus(random_corpus(seed=1, n_records=n_records,
                                    institution_pool=("u1", "u2", "u3")), path)
-        if "--strict" in argv:
-            with open(path, "a", encoding="utf-8") as fh:
-                fh.write("{broken\n")
+        with open(path, "a", encoding="utf-8") as fh:
+            # The reject path too: a strict run aborts at the first of these.
+            fh.write('{broken\n{"id": 1}\n' * (n_records // 20))
         gc.collect()
         code = main([*argv, "--corpus", str(path), "--registry", str(ws / "registry.csv"),
                      "--out", str(ws / "out.csv")])
