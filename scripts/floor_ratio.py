@@ -5,28 +5,31 @@
 In one process, and in turns so that a slow spell of the machine hits
 both sides alike, it times:
 
-- `noai`: a `CorpusReader` pass fed to `Aggregator.add_all` at the
-  subject-category and OST-discipline levels with country actors, the
-  work of `noai indicators` before `finish()`;
+- `noai`: a `CorpusReader` pass crediting country actors, fed to
+  `Aggregator.add_all` at the subject-category and OST-discipline
+  levels, the work of `noai indicators` before `finish()`;
 - the floor: `json.loads` of each line and a `Counter` tally of the same
   keys, by (year, category, category count, first OA tag) for the world
   and (country, category, category count, first OA tag), with no checks.
 
-It prints each side's median µs per line and the median and quartiles of
-the ratio noai / floor, each noai pass divided by the mean of the floor
-passes just before and after it.
+Both sides run with the cyclic garbage collector off, as `noai.cli.main`
+runs, and its state is restored afterwards. It prints each side's median
+µs per line and the median and quartiles of the ratio noai / floor, each
+noai pass divided by the mean of the floor passes just before and after
+it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import statistics
 import time
 from collections import Counter
 
 from noai.engine import Aggregator
-from noai.ingest import CorpusReader, load_registry
+from noai.ingest import CorpusReader, IngestOptions, load_registry
 from noai.model import ActorKind, Level
 
 
@@ -49,9 +52,8 @@ def floor(corpus: str) -> None:
 
 
 def read_and_tally(corpus: str, registry) -> None:
-    agg = Aggregator(registry, (Level.SUBJECT_CATEGORY, Level.OST_DISCIPLINE),
-                     ActorKind.COUNTRY)
-    agg.add_all(CorpusReader(corpus, registry))
+    agg = Aggregator(registry, (Level.SUBJECT_CATEGORY, Level.OST_DISCIPLINE))
+    agg.add_all(CorpusReader(corpus, registry, IngestOptions(actor_kind=ActorKind.COUNTRY)))
 
 
 def main() -> int:
@@ -69,12 +71,18 @@ def main() -> int:
         fn(*fn_args)
         return (time.perf_counter() - t0) / n * 1e6
 
-    floors = [us_per_line(floor, args.corpus)]
-    costs, ratios = [], []
-    for _ in range(args.reps):
-        costs.append(us_per_line(read_and_tally, args.corpus, registry))
-        floors.append(us_per_line(floor, args.corpus))
-        ratios.append(costs[-1] / ((floors[-2] + floors[-1]) / 2))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        floors = [us_per_line(floor, args.corpus)]
+        costs, ratios = [], []
+        for _ in range(args.reps):
+            costs.append(us_per_line(read_and_tally, args.corpus, registry))
+            floors.append(us_per_line(floor, args.corpus))
+            ratios.append(costs[-1] / ((floors[-2] + floors[-1]) / 2))
+    finally:
+        if enabled:
+            gc.enable()
     q1, median, q3 = statistics.quantiles(ratios, n=4)
     print(f"{n} lines, {args.reps} passes each")
     print(f"floor {statistics.median(floors):.2f} us/line, "

@@ -284,9 +284,10 @@ def _tally(args: argparse.Namespace, registry: ClassificationRegistry,
            kind: ActorKind | None) -> tuple[dict[Level, AggregationResult], CorpusStats]:
     """Stream the corpus once into one Aggregator; kind None credits no actor."""
     options = IngestOptions(doc_types=args.doc_types, window=args.window,
-                            require_doi=args.require_doi, strict=args.strict)
+                            require_doi=args.require_doi, strict=args.strict,
+                            priority=args.priority, actor_kind=kind)
     reader = CorpusReader(args.corpus, registry=registry, options=options)
-    agg = Aggregator(registry, levels, kind, priority=args.priority)
+    agg = Aggregator(registry, levels)
     agg.add_all(reader)
     if reader.stats.records_accepted == 0:
         raise EmptyWindow("no records in window")
@@ -400,9 +401,9 @@ def cmd_series(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     registry = load_registry(args.registry)
     # No registry on the reader: a record with an unknown category is
-    # accepted, so that validate_corpus can name its categories.
+    # accepted, so that validate_corpus can name its categories. No actor is credited.
     options = IngestOptions(doc_types=args.doc_types, window=args.window,
-                            require_doi=args.require_doi, strict=False)
+                            require_doi=args.require_doi, strict=False, actor_kind=None)
     reader = CorpusReader(args.corpus, None, options)
     diagnostics = validate_corpus(reader, registry)
     _print_stats(reader.stats)

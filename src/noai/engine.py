@@ -14,15 +14,16 @@ actor's fractional publication counts, giving one indicator per actor
 Every number is a projection of one exact integer tally of records by
 (owner, category, k, status): the owner is the record's year (an int) for
 the world, an actor id (a str) otherwise, and itertools.product and
-Counter.update build and count the keys in C. With L the lcm of the k
-seen, n records under k weigh n * (L // k) units of 1/L, so every cell and
-baseline is a vector of four integers over L, one per OAStatus in enum
-order, and no result depends on record order. The weighed tally is the
-subject-category level itself; coarser levels are new sums of it. The CLI
-runs without the cyclic collector, which would only rescan the tally's
-long-lived tuples. A record spends exactly L over its categories, so an
-actor's whole counts are its cell vectors summed and divided by L. Floats
-appear only as the correctly rounded value of an exact quotient.
+Counter.update build and count the keys in C. The reader has already
+decided each record's status and actors, so the tally only counts. With L
+the lcm of the k seen, n records under k weigh n * (L // k) units of 1/L,
+so every cell and baseline is a vector of four integers over L, one per
+OAStatus in enum order, and no result depends on record order. The weighed
+tally is the subject-category level itself; coarser levels are new sums of
+it. The CLI runs without the cyclic collector, which would only rescan the
+tally's long-lived tuples. A record spends exactly L over its categories,
+so an actor's whole counts are its cell vectors summed and divided by L.
+Floats appear only as the correctly rounded value of an exact quotient.
 """
 
 from __future__ import annotations
@@ -31,13 +32,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import UndefinedIndicator, UndefinedShare, UnknownCategory
 from .model import (
-    ActorKind,
     ClassificationRegistry,
-    DEFAULT_PRIORITY,
     IndicatorRow,
     Level,
     OAStatus,
@@ -104,51 +103,24 @@ class Aggregator:
     """Streaming single-pass tally, projected onto one or more levels at once.
 
     Feed records with add_all(); finish() derives the per-level results. The
-    world baseline takes every record exactly once, whether or not any actor
-    of the requested kind appears on it; with actor_kind None no actor is
-    credited and only the world tally is kept. Records are counted as given:
-    year windows and other perimeter filters belong to the reader.
+    world baseline takes every record exactly once, whether or not it
+    credits any actor. Records are counted as given, under their status and
+    actors: priority, actor kind, year windows and other perimeter filters
+    belong to the reader.
     """
 
-    def __init__(
-        self,
-        registry: ClassificationRegistry,
-        levels: Sequence[Level],
-        actor_kind: ActorKind | None = ActorKind.COUNTRY,
-        priority: tuple[OAStatus, ...] = DEFAULT_PRIORITY,
-    ):
+    def __init__(self, registry: ClassificationRegistry, levels: Sequence[Level]):
         self._registry = registry
         self._levels = tuple(levels)
-        self._actor_kind = actor_kind
-        self._priority = priority
         self._tally: Counter = Counter()
 
-    def _keys(self, corpus: Iterable[PublicationRecord]) -> Iterator[Iterator[tuple]]:
-        """Per record, its (owner, category, k, status) keys: the year's and
-        each credited actor's, under the status that wins by priority."""
-        priority = self._priority
-        by_country = self._actor_kind is ActorKind.COUNTRY
-        by_institution = self._actor_kind is ActorKind.INSTITUTION
-        closed = OAStatus.CLOSED
-        for record in corpus:
-            raw = record.raw_statuses
-            status = closed
-            for candidate in priority:
-                if candidate in raw:
-                    status = candidate
-                    break
-            if by_country:
-                owners = (record.year, *record.countries)
-            elif by_institution:
-                owners = (record.year, *record.institutions)
-            else:
-                owners = (record.year,)
-            categories = record.subject_categories
-            yield product(owners, categories, (len(categories),), (status,))
-
     def add_all(self, corpus: Iterable[PublicationRecord]) -> None:
-        # product builds each key and Counter.update counts it, both in C.
-        self._tally.update(chain.from_iterable(self._keys(corpus)))
+        # product builds each record's (owner, category, k, status) keys, the
+        # year's and each actor's, and Counter.update counts them, both in C.
+        self._tally.update(chain.from_iterable(
+            product((r.year, *r.actors), r.subject_categories,
+                    (len(r.subject_categories),), (r.status,))
+            for r in corpus))
 
     def finish(self) -> dict[Level, AggregationResult]:
         ks = {k for _, _, k, _ in self._tally}

@@ -9,11 +9,14 @@ The corpus wire format is UTF-8 JSON Lines, one publication per line:
 `institutions` default to empty and `doi` to false. Unknown keys are ignored.
 Each line is decoded on its own, so one that is not UTF-8 is one malformed
 line. Malformed lines are counted and skipped unless strict mode is on.
+The reader decides what a record counts as: its OA status and its actors.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -30,7 +33,9 @@ from .model import (
     Actor,
     ActorKind,
     ClassificationRegistry,
+    DEFAULT_PRIORITY,
     DocType,
+    OAStatus,
     PublicationRecord,
     RAW_STATUSES,
 )
@@ -44,7 +49,7 @@ REASON_NO_DOI = "no_doi"
 REASON_UNKNOWN_CATEGORY = "unknown_category"
 
 _DOC_TYPES = {d.value: d for d in DocType}
-_RAW_OA = {s.value: s for s in RAW_STATUSES}
+_RAW_OA = frozenset(s.value for s in RAW_STATUSES)
 
 # The C scanner behind json.loads, without its wrapper: (value, end index).
 _raw_decode = json.JSONDecoder().raw_decode
@@ -60,12 +65,15 @@ ACTOR_COLUMNS = ("actor_id", "kind", "group", "display_name")
 
 @dataclass(frozen=True)
 class IngestOptions:
-    """Perimeter filters applied while loading a corpus."""
+    """Perimeter filters applied while loading a corpus, the OA status order,
+    and the actor kind credited (None credits no actor)."""
 
     doc_types: frozenset[DocType] | None = None
     window: tuple[int, int] | None = None
     require_doi: bool = False
     strict: bool = False
+    priority: tuple[OAStatus, ...] = DEFAULT_PRIORITY
+    actor_kind: ActorKind | None = ActorKind.COUNTRY
 
 
 @dataclass
@@ -101,7 +109,7 @@ def _strings(value, name: str) -> None:
             raise ValueError(f"{name} must be an array of non-empty strings")
 
 
-def _parse_line(obj: dict, escaped: bool = True) -> PublicationRecord:
+def _parse_line(obj: dict, escaped: bool, options: IngestOptions) -> PublicationRecord:
     """Build a record from a decoded JSON object; ValueError on schema violations.
 
     This is the one place where a record is checked: each field is checked
@@ -110,6 +118,8 @@ def _parse_line(obj: dict, escaped: bool = True) -> PublicationRecord:
     and `type(year) is int` keeps a bool from passing as a year. `escaped`
     False says that the line held no `\\u` escape, the only source of a lone
     surrogate in text decoded as strict UTF-8, so that check is skipped.
+    The record counts under the first status of `options.priority` that the
+    line holds, closed if none, and credits the actors of `options.actor_kind`.
     """
     rec_id = obj.get("id")
     if type(rec_id) is not str or not rec_id:
@@ -117,18 +127,14 @@ def _parse_line(obj: dict, escaped: bool = True) -> PublicationRecord:
     year = obj.get("year")
     if type(year) is not int:
         raise ValueError("missing or invalid year")
-    doc_type = _DOC_TYPES.get(obj.get("doc_type"))
-    if doc_type is None:
+    if obj.get("doc_type") not in _DOC_TYPES:
         raise ValueError(f"invalid doc_type {obj.get('doc_type')!r}")
     oa = obj.get("oa", [])
     if type(oa) is not list:
         raise ValueError("oa must be an array")
-    statuses = []
     for s in oa:
-        status = _RAW_OA.get(s)
-        if status is None:
+        if s not in _RAW_OA:
             raise ValueError(f"invalid oa status {s!r}")
-        statuses.append(status)
     categories = obj.get("categories")
     _strings(categories, "categories")
     doi = obj.get("doi", False)
@@ -147,13 +153,19 @@ def _parse_line(obj: dict, escaped: bool = True) -> PublicationRecord:
         # A JSON escape can yield a lone surrogate, which no UTF-8 output can
         # hold; encoding raises UnicodeEncodeError, a ValueError.
         "".join((rec_id, *deduped, *countries, *institutions)).encode("utf-8")
-    return _new_record(PublicationRecord, (rec_id, year, doc_type, frozenset(statuses),
-                                           deduped, doi, frozenset(countries),
-                                           frozenset(institutions)))
+    for status in options.priority:
+        if status in oa:
+            break
+    else:
+        status = OAStatus.CLOSED
+    kind = options.actor_kind
+    actors = frozenset(() if kind is None else
+                       countries if kind is ActorKind.COUNTRY else institutions)
+    return _new_record(PublicationRecord, (rec_id, year, status, deduped, actors))
 
 
 class CorpusReader:
-    """Streaming corpus reader.
+    """Streaming corpus reader of records as counted under the options.
 
     `stats` is complete once a pass ends: when the file is exhausted, when
     strict mode aborts on a line, or when the consumer closes the iterator
@@ -226,7 +238,7 @@ class CorpusReader:
                             obj = json.loads(text)
                         if type(obj) is not dict:
                             raise ValueError("line is not an object")
-                        record = _parse_line(obj, "\\u" in text)
+                        record = _parse_line(obj, "\\u" in text, opts)
                     except (ValueError, TypeError, RecursionError) as exc:
                         reason = (
                             REASON_EMPTY_CATEGORIES
@@ -237,14 +249,15 @@ class CorpusReader:
                             raise MalformedRecord(line_no, f"{reason}: {exc}") from exc
                         reject(line_no, reason, str(exc))
                         continue
-                    if doc_types is not None and record.doc_type not in doc_types:
+                    # The filters read values that _parse_line has checked.
+                    if doc_types is not None and _DOC_TYPES[obj["doc_type"]] not in doc_types:
                         reject(line_no, REASON_DOC_TYPE)
                         continue
                     year = record.year
                     if window is not None and not (window[0] <= year <= window[1]):
                         reject(line_no, REASON_YEAR)
                         continue
-                    if require_doi and not record.has_doi:
+                    if require_doi and not obj.get("doi", False):
                         reject(line_no, REASON_NO_DOI)
                         continue
                     rec_id = record.id
@@ -301,27 +314,36 @@ def validate_corpus(
 
 
 def _read_csv_rows(path, expected: Sequence[str], label: str):
+    """Yield (line number, stripped cells) of each non-blank row after the header."""
     try:
-        stream = open(path, encoding="utf-8-sig", newline="")
+        with open(path, "rb") as stream:
+            data = stream.read().removeprefix(codecs.BOM_UTF8)
     except OSError as exc:
         raise IoFailure(f"cannot open {label} {path}: {exc}") from exc
-    with stream:
-        reader = csv.reader(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRow(f"{label} {path}: empty file, header required") from None
+    try:
+        reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise MalformedRow(f"{label} {path} line {line_no}: not UTF-8 ({exc.reason})") from None
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise MalformedRow(f"{label} {path}: empty file, header required")
         header = [h.strip() for h in header]
         if header[: len(expected)] != list(expected):
             raise MalformedRow(
                 f"{label} {path}: header must start with {','.join(expected)}"
             )
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
             if not row or all(not cell.strip() for cell in row):
                 continue
+            # The physical line where the row ends; a quoted field may span lines.
+            line_no = reader.line_num
             if len(row) < len(expected):
                 raise MalformedRow(f"{label} {path} line {line_no}: expected {len(expected)} fields")
             yield line_no, [cell.strip() for cell in row]
+    except csv.Error as exc:
+        raise MalformedRow(f"{label} {path} line {reader.line_num}: {exc}") from None
 
 
 def load_registry(path) -> ClassificationRegistry:

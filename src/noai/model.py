@@ -96,23 +96,19 @@ ERC_SUBFIELDS: Mapping[str, str] = {
 
 
 class PublicationRecord(NamedTuple):
-    """One indexed publication, an immutable record with final field types.
+    """One publication as it is counted, an immutable record with final field types.
 
-    subject_categories keeps input order (the first entry is the primary
-    category) and holds no duplicates; countries and institutions are sets
-    because geographic credit is whole per distinct actor, not per signatory
-    occurrence. The record checks nothing: `ingest._parse_line` is where
-    outside input is validated, and builders pass these exact types.
+    status is the OA status that wins by priority; actors is a set of the
+    credited kind, as credit is whole per distinct actor. subject_categories
+    keeps input order (the first is the primary category) without duplicates.
+    The record checks nothing: `ingest._parse_line` validates input and builds it.
     """
 
     id: str
     year: int
-    doc_type: DocType
-    raw_statuses: frozenset[OAStatus]
+    status: OAStatus
     subject_categories: tuple[str, ...]
-    has_doi: bool
-    countries: frozenset[str]
-    institutions: frozenset[str]
+    actors: frozenset[str]
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,24 +1,67 @@
 """Shared fixtures: a worked three-category publication, a ten-field
 registry whose categories pool many-to-one at the coarser levels, random
 corpora drawn with the stdlib PRNG rather than the package's generator, and
-the canonical corpus writer that `noai.synth.generate` matches byte for byte."""
+the canonical corpus writer that `noai.synth.generate` matches byte for byte.
+
+Tests build and compare `RawRecord`s, a corpus line's fields with their
+types. The engine counts `PublicationRecord`s, which only the reader's
+parser builds: `parsed` turns raw records into what the reader yields."""
 
 from __future__ import annotations
 
 import json
 import random
 from fractions import Fraction
+from typing import NamedTuple
+from unittest import mock
 
 import pytest
 
-from noai.ingest import CorpusReader
+import noai.ingest as ingest
 from noai.model import (
     DEFAULT_PRIORITY,
+    ActorKind,
     ClassificationRegistry,
     DocType,
     OAStatus,
-    PublicationRecord,
 )
+
+
+class RawRecord(NamedTuple):
+    """Every field of a corpus line: raw OA statuses, both actor sets, the
+    document type and the DOI flag. The oracle in `tests/oracle.py` reads it."""
+
+    id: str
+    year: int
+    doc_type: DocType
+    raw_statuses: frozenset[OAStatus]
+    subject_categories: tuple[str, ...]
+    has_doi: bool
+    countries: frozenset[str]
+    institutions: frozenset[str]
+
+
+def raw_record(obj: dict) -> RawRecord:
+    """The raw record of a corpus line's object that the reader accepts."""
+    return RawRecord(
+        id=obj["id"],
+        year=obj["year"],
+        doc_type=DocType(obj["doc_type"]),
+        raw_statuses=frozenset(OAStatus(s) for s in obj.get("oa", [])),
+        subject_categories=tuple(dict.fromkeys(obj["categories"])),
+        has_doi=obj.get("doi", False),
+        countries=frozenset(obj.get("countries", [])),
+        institutions=frozenset(obj.get("institutions", [])),
+    )
+
+
+def parsed(records, actor_kind=ActorKind.COUNTRY, priority=DEFAULT_PRIORITY):
+    """The records the reader yields for these raw records' corpus lines
+    under an actor kind and a priority: each line's object goes through the
+    reader's own parser."""
+    options = ingest.IngestOptions(priority=priority, actor_kind=actor_kind)
+    return (ingest._parse_line(serialize_record(r), True, options) for r in records)
+
 
 def exact_counts(counts, unit):
     """An engine counts vector as exact (publications, OA publications, OA by type)."""
@@ -50,8 +93,8 @@ def table_registry() -> ClassificationRegistry:
 
 
 @pytest.fixture
-def table_record() -> PublicationRecord:
-    return PublicationRecord(
+def table_record() -> RawRecord:
+    return RawRecord(
         id="w1",
         year=2016,
         doc_type=DocType.ARTICLE,
@@ -101,7 +144,7 @@ def reg10() -> ClassificationRegistry:
 
 def random_corpus(seed: int, n_records: int,
                   actor_pool=ACTORS20, categories=CATS10,
-                  institution_pool=()) -> list[PublicationRecord]:
+                  institution_pool=()) -> list[RawRecord]:
     """A corpus drawn with the stdlib PRNG, not the package generator.
 
     Stresses the full input space: arbitrary OA status subsets (including
@@ -123,7 +166,7 @@ def random_corpus(seed: int, n_records: int,
             institutions = rng.sample(
                 list(institution_pool), rng.randint(0, min(2, len(institution_pool)))
             )
-        records.append(PublicationRecord(
+        records.append(RawRecord(
             id=f"p{i:06d}",
             year=rng.randint(2015, 2019),
             doc_type=rng.choice(doc_types),
@@ -136,7 +179,7 @@ def random_corpus(seed: int, n_records: int,
     return records
 
 
-def serialize_record(record: PublicationRecord) -> dict:
+def serialize_record(record: RawRecord) -> dict:
     """A record as its corpus line's object, in the line's key order."""
     return {
         "id": record.id,
@@ -162,9 +205,18 @@ def write_corpus(records, path) -> int:
 
 
 def load_corpus(path, registry=None, options=None):
-    """A whole corpus file read into memory, with the reader's stats."""
-    reader = CorpusReader(path, registry, options)
-    return list(reader), reader.stats
+    """The raw records of the lines that the reader accepts, with its stats.
+
+    Each line is checked by the reader's parser, then kept whole."""
+    parse = ingest._parse_line
+
+    def keep_whole(obj, *args):
+        parse(obj, *args)
+        return raw_record(obj)
+
+    reader = ingest.CorpusReader(path, registry, options)
+    with mock.patch.object(ingest, "_parse_line", keep_whole):
+        return list(reader), reader.stats
 
 
 def registry_csv_text(registry: ClassificationRegistry) -> str:

@@ -24,19 +24,22 @@ from conftest import (
     REG10,
     TABLE_CATS,
     TABLE_REGISTRY,
+    RawRecord,
     exact_counts,
     load_corpus,
+    parsed,
     random_corpus,
+    write_corpus,
 )
 from noai.analysis import filter_actors, rank, rank_shift, spearman
 from noai.engine import Aggregator, build_indicator_table, noai
+from noai.ingest import CorpusReader
 from noai.model import (
     ClassificationRegistry,
     DocType,
     IndicatorRow,
     Level,
     OAStatus,
-    PublicationRecord,
 )
 from noai.synth import generate, world_spec
 from oracle import BruteForce, textbook_spearman
@@ -56,7 +59,7 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 
 def make_record(rec_id, cats, statuses=(), countries=(), institutions=(),
                 year=2016, doc=DocType.ARTICLE):
-    return PublicationRecord(
+    return RawRecord(
         id=rec_id, year=year, doc_type=doc, raw_statuses=frozenset(statuses),
         subject_categories=tuple(cats), has_doi=True, countries=frozenset(countries),
         institutions=frozenset(institutions),
@@ -78,7 +81,7 @@ def test_01_mixed_counting_fixture():
 
     agg = Aggregator(TABLE_REGISTRY,
                      (Level.SUBJECT_CATEGORY, Level.OST_DISCIPLINE))
-    agg.add_all([record])
+    agg.add_all(parsed([record]))
     results = agg.finish()
     # Whole counting on the geographic axis: each country's credit on a
     # field equals the field fraction times one.
@@ -106,14 +109,15 @@ def test_01_mixed_counting_fixture():
            "; ".join(problems) or f"{elapsed * 1000:.0f}ms")
 
 
-def test_02_status_priority_exhaustive():
+def test_02_status_priority_exhaustive(tmp_path):
     """All 8 raw-status subsets tally as gold, then bronze, then green.
 
-    Each subset is one record in an Aggregator, the code the CLI runs; the
-    record must land in the expected status slot of its world baseline and
-    of its country's cell, and nowhere else.
+    Each subset is one corpus line read into an Aggregator, the code the CLI
+    runs; the record must land in the expected status slot of its world
+    baseline and of its country's cell, and nowhere else.
     """
     category = TABLE_CATS[0]
+    path = tmp_path / "one.jsonl"
     problems = []
     for subset in itertools.chain.from_iterable(
             itertools.combinations((GOLD, BRONZE, GREEN), k) for k in range(4)):
@@ -126,8 +130,9 @@ def test_02_status_priority_exhaustive():
             expected = GREEN
         else:
             expected = CLOSED
+        write_corpus([make_record("r", (category,), present, ("FRA",))], path)
         agg = Aggregator(TABLE_REGISTRY, (Level.SUBJECT_CATEGORY,))
-        agg.add_all([make_record("r", (category,), present, ("FRA",))])
+        agg.add_all(CorpusReader(path, TABLE_REGISTRY))
         result = agg.finish()[Level.SUBJECT_CATEGORY]
         want = [result.unit if s is expected else 0 for s in OAStatus]
         for where, got in (("world", result.baselines[category]),
@@ -154,8 +159,8 @@ def test_03_world_unit_invariant(tmp_path):
         agg = Aggregator(registry, levels)
         path = tmp_path / f"world-{seed}.jsonl"
         generate(spec, str(path))
-        agg.add_all(record._replace(countries=record.countries | {"WORLD"})
-                    for record in load_corpus(path)[0])
+        agg.add_all(parsed(record._replace(countries=record.countries | {"WORLD"})
+                           for record in load_corpus(path)[0]))
         for level, result in agg.finish().items():
             value = noai(result.cells["WORLD"], result.baselines)
             worst = max(worst, abs(value - 1.0))
@@ -205,7 +210,7 @@ def trials(tmp_path_factory) -> TrialOutcome:
         level = levels[seed % 3]
         oracle = BruteForce(records, registry, level)
         agg = Aggregator(registry, (level,))
-        agg.add_all(records)
+        agg.add_all(parsed(records))
         result = agg.finish()[level]
         table = build_indicator_table({level: result})
 
@@ -349,7 +354,7 @@ def test_07_normalization_direction():
             f"b-{i}", ("High Field",), (GOLD,) if i < 8 else (), ("B",)))
 
     agg = Aggregator(registry, (Level.SUBJECT_CATEGORY,))
-    agg.add_all(records)
+    agg.add_all(parsed(records))
     result = agg.finish()[Level.SUBJECT_CATEGORY]
     problems = []
     shares = {}
@@ -423,7 +428,7 @@ def test_09_format_round_trip(tmp_path, monkeypatch, capsys):
          for f in spec.fields})
     records, _ = load_corpus(str(tmp_path / "corpus.jsonl"), registry=registry)
     agg = Aggregator(registry, (Level.SUBJECT_CATEGORY, Level.OST_DISCIPLINE))
-    agg.add_all(records)
+    agg.add_all(parsed(records))
     table = build_indicator_table(agg.finish())
     by_actor = {r.actor: r for r in table}
 

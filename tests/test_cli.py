@@ -14,14 +14,22 @@ from pathlib import Path
 
 import pytest
 
-from conftest import load_corpus, random_corpus, registry_csv_text, write_corpus, REG10
+from conftest import (
+    REG10,
+    RawRecord,
+    load_corpus,
+    parsed,
+    random_corpus,
+    registry_csv_text,
+    write_corpus,
+)
 from noai.cli import INDICATOR_COLUMNS, main
-from noai.model import DocType, OAStatus, PublicationRecord
+from noai.model import DocType, OAStatus
 
 
 def rec(rec_id, cats, statuses=(), countries=(), year=2018,
         doc=DocType.ARTICLE, doi=True, institutions=()):
-    return PublicationRecord(
+    return RawRecord(
         id=rec_id, year=year, doc_type=doc, raw_statuses=frozenset(statuses),
         subject_categories=tuple(cats), has_doi=doi, countries=frozenset(countries),
         institutions=frozenset(institutions),
@@ -179,6 +187,33 @@ class TestDataErrors:
         assert main(["indicators", *argv]) == 3
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,content,named", [
+        (["indicators", "--corpus", "corpus.jsonl", "--registry", "bad.csv"],
+         b"subject_category,ost_discipline,erc_subfield\nMathematics,Math\xff,PE1\n",
+         "registry bad.csv line 2: not UTF-8"),
+        (["indicators", "--corpus", "corpus.jsonl", "--registry", "registry.csv",
+          "--actors", "bad.csv"],
+         b"actor_id,kind,group,display_name\nFRA,country,,\nUSA,country,,\xe9tats\n",
+         "actor registry bad.csv line 3: not UTF-8"),
+        (["indicators", "--corpus", "corpus.jsonl", "--registry", "bad.csv"],
+         b"subject_category,ost_discipline,erc_subfield\nMathematics,"
+         + b"M" * 200_000 + b",PE1\n",
+         "registry bad.csv line 2: field larger than field limit"),
+        (["synth", "--spec", "bad.json", "--out", "x.jsonl"],
+         b'{\n"seed": 1,\n"name": "\xff"}\n', "spec bad.json line 3: not UTF-8"),
+        (["synth", "--spec", "bad.json", "--out", "x.jsonl"],
+         b"[" * 100_000, "spec bad.json nests too deeply"),
+    ], ids=["registry-not-utf8", "actors-not-utf8", "csv-field-too-long",
+            "spec-not-utf8", "spec-nested-past-recursion-limit"])
+    def test_unreadable_side_input(self, ws, capsys, argv, content, named):
+        # Inputs other than the corpus fail with a message, never a traceback.
+        bad = next(arg for arg in argv if arg.startswith("bad."))
+        (ws / bad).write_bytes(content)
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("noai: ") and named in err
+        assert not (ws / "x.jsonl").exists()
+
     def test_empty_corpus_message(self, ws, capsys):
         (ws / "empty.jsonl").write_text("", encoding="utf-8")
         code = main(["indicators", "--corpus", str(ws / "empty.jsonl"),
@@ -232,7 +267,7 @@ class TestIndicators:
 
         records, _ = load_corpus(str(ws / "corpus.jsonl"), registry=REG10)
         agg = Aggregator(REG10, (Level.SUBJECT_CATEGORY, Level.OST_DISCIPLINE))
-        agg.add_all(records)
+        agg.add_all(parsed(records))
         by_actor = {r.actor: r for r in build_indicator_table(agg.finish())}
         for row in rows:
             mem = by_actor[row[0]]

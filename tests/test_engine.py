@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CATS10, REG10, exact_counts, random_corpus, write_corpus
+from conftest import (
+    CATS10,
+    REG10,
+    RawRecord,
+    exact_counts,
+    parsed,
+    random_corpus,
+    write_corpus,
+)
 from noai.engine import (
     Aggregator,
     build_indicator_table,
@@ -30,7 +38,6 @@ from noai.model import (
     DocType,
     Level,
     OAStatus,
-    PublicationRecord,
 )
 from oracle import OA_TYPES, BruteForce
 
@@ -42,14 +49,15 @@ LEVELS = (Level.SUBJECT_CATEGORY, Level.OST_DISCIPLINE, Level.ERC_SUBFIELD)
 
 
 def aggregate(corpus, registry, level, **kwargs):
-    """One pass over a corpus, projected onto a single level."""
-    agg = Aggregator(registry, (level,), **kwargs)
-    agg.add_all(corpus)
+    """One pass over a raw corpus as the reader parses it under kwargs
+    (actor kind, priority), projected onto a single level."""
+    agg = Aggregator(registry, (level,))
+    agg.add_all(parsed(corpus, **kwargs))
     return agg.finish()[level]
 
 
 def rec(rec_id, cats, statuses=(), countries=(), year=2018, doc=DocType.ARTICLE):
-    return PublicationRecord(
+    return RawRecord(
         id=rec_id, year=year, doc_type=doc, raw_statuses=frozenset(statuses),
         subject_categories=tuple(cats), has_doi=True, countries=frozenset(countries),
         institutions=frozenset(),
@@ -96,7 +104,7 @@ class TestOneRecordWeights:
     @pytest.mark.parametrize("level", [Level.OST_DISCIPLINE, Level.ERC_SUBFIELD])
     def test_unknown_category_raises_at_coarser_level(self, reg10, level):
         agg = Aggregator(reg10, (level,))
-        agg.add_all([rec("r1", ("Palmistry",), countries=("FRA",))])
+        agg.add_all(parsed([rec("r1", ("Palmistry",), countries=("FRA",))]))
         with pytest.raises(UnknownCategory, match="Palmistry"):
             agg.finish()
 
@@ -178,7 +186,9 @@ class TestOracleEquivalence:
         write_corpus(corpus, tmp_path / "corpus.jsonl")
         reader = CorpusReader(tmp_path / "corpus.jsonl", REG10,
                               IngestOptions(window=window))
-        result = aggregate(reader, REG10, Level.OST_DISCIPLINE)
+        agg = Aggregator(REG10, (Level.OST_DISCIPLINE,))
+        agg.add_all(reader)
+        result = agg.finish()[Level.OST_DISCIPLINE]
         oracle = BruteForce(corpus, REG10, Level.OST_DISCIPLINE, window=window)
         assert reader.stats.records_accepted == oracle.n_records > 0
         assert_matches_oracle(result, oracle)
@@ -201,18 +211,20 @@ class TestOracleEquivalence:
         assert_matches_oracle(result, oracle)
 
     @pytest.mark.parametrize("priority", PRIORITIES)
-    def test_priority_one_record_slots(self, priority):
-        # Every raw-status subset lands in the slot of the first status of
-        # the order that it holds, closed when it holds none.
+    def test_priority_one_record_slots(self, priority, tmp_path):
+        # Every raw-status subset, read from a corpus file, lands in the slot
+        # of the first status of the order that it holds, closed when it
+        # holds none.
         category = CATS10[0]
+        path = tmp_path / "one.jsonl"
         for n in range(4):
             for subset in itertools.combinations(RAW, n):
                 expected = next((s for s in priority if s in subset), OAStatus.CLOSED)
-                record = PublicationRecord("r", 2016, DocType.ARTICLE, frozenset(subset),
-                                           (category,), True, frozenset({"FRA"}),
-                                           frozenset())
-                agg = Aggregator(REG10, (Level.SUBJECT_CATEGORY,), priority=priority)
-                agg.add_all([record])
+                write_corpus([RawRecord("r", 2016, DocType.ARTICLE, frozenset(subset),
+                                        (category,), True, frozenset({"FRA"}),
+                                        frozenset())], path)
+                agg = Aggregator(REG10, (Level.SUBJECT_CATEGORY,))
+                agg.add_all(CorpusReader(path, REG10, IngestOptions(priority=priority)))
                 result = agg.finish()[Level.SUBJECT_CATEGORY]
                 want = [result.unit if s is expected else 0 for s in OAStatus]
                 assert result.baselines[category] == want, subset
@@ -221,7 +233,7 @@ class TestOracleEquivalence:
     def test_multi_level_pass_equals_single_level_passes(self):
         corpus = random_corpus(seed=21, n_records=300)
         agg = Aggregator(REG10, LEVELS)
-        agg.add_all(corpus)
+        agg.add_all(parsed(corpus))
         combined = agg.finish()
         for level in LEVELS:
             solo = aggregate(corpus, REG10, level)
@@ -249,7 +261,7 @@ class TestOracleEquivalence:
         runs = []
         for records in (corpus, shuffled):
             agg = Aggregator(REG10, LEVELS)
-            agg.add_all(records)
+            agg.add_all(parsed(records))
             results = agg.finish()
             runs.append((build_indicator_table(results),
                          {level: r.baselines for level, r in results.items()}))
@@ -443,7 +455,7 @@ class TestIndicatorTable:
     def test_matches_oracle_rows(self):
         corpus = random_corpus(seed=41, n_records=400)
         agg = Aggregator(REG10, (Level.SUBJECT_CATEGORY, Level.OST_DISCIPLINE))
-        agg.add_all(corpus)
+        agg.add_all(parsed(corpus))
         results = agg.finish()
         table = build_indicator_table(results)
         oracle = BruteForce(corpus, REG10, Level.SUBJECT_CATEGORY)
@@ -578,7 +590,7 @@ class TestSharedVectors:
         corpus = random_corpus(seed=51, n_records=400)
         agg = Aggregator(REG10, (Level.ERC_SUBFIELD, Level.SUBJECT_CATEGORY,
                                  Level.OST_DISCIPLINE))
-        agg.add_all(corpus)
+        agg.add_all(parsed(corpus))
         results = agg.finish()
         category = results[Level.SUBJECT_CATEGORY]
         cells, years = copy.deepcopy(category.cells), copy.deepcopy(category.years)

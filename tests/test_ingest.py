@@ -13,6 +13,7 @@ import noai.ingest as ingest
 from conftest import (
     CATS10,
     REG10,
+    RawRecord,
     load_corpus,
     random_corpus,
     registry_csv_text,
@@ -42,11 +43,18 @@ from noai.ingest import (
     validate_corpus,
 )
 from noai.model import (
+    RAW_STATUSES,
     ActorKind,
     DocType,
     OAStatus,
     PublicationRecord,
 )
+
+
+def read(path, registry=None, options=None):
+    """The records the reader yields for a corpus file, with its stats."""
+    reader = CorpusReader(path, registry, options)
+    return list(reader), reader.stats
 
 
 def corpus_file(tmp_path, lines):
@@ -71,18 +79,23 @@ class TestParsing:
             "id": "r1", "year": 2018, "doc_type": "review",
             "categories": ["Economics"],
         })])
-        records, stats = load_corpus(path)
+        records, stats = read(path)
         assert stats.records_accepted == 1
         rec = records[0]
-        assert rec.raw_statuses == frozenset()
-        assert rec.has_doi is False
-        assert rec.countries == frozenset()
-        assert rec.doc_type is DocType.REVIEW
+        assert rec.status is OAStatus.CLOSED
+        assert rec.actors == frozenset()
+        # No doi reads as false; the doc type is the one given.
+        _, stats = read(path, options=IngestOptions(
+            doc_types=frozenset({DocType.REVIEW}), require_doi=True))
+        assert stats.rejection_reasons == {REASON_NO_DOI: 1}
 
     def test_full_record(self, tmp_path):
         path = corpus_file(tmp_path, [line(oa=["green", "gold"])])
-        records, _ = load_corpus(path)
-        assert records[0].raw_statuses == {OAStatus.GOLD, OAStatus.GREEN}
+        records, _ = read(path)
+        assert records[0].status is OAStatus.GOLD
+        records, _ = read(path, options=IngestOptions(
+            priority=(OAStatus.GREEN, OAStatus.BRONZE, OAStatus.GOLD)))
+        assert records[0].status is OAStatus.GREEN
 
     def test_duplicate_categories_within_record_deduped(self, tmp_path):
         path = corpus_file(tmp_path, [line(categories=["A", "B", "A"])])
@@ -100,15 +113,19 @@ class TestParsing:
         path = corpus_file(tmp_path, [line(oa=["green", "gold", "green"],
                                            countries=["FRA", "FRA", "USA"],
                                            institutions=["u1", "u1"])])
-        records, _ = load_corpus(path)
+        records, _ = read(path)
         rec = records[0]
-        assert type(rec.raw_statuses) is frozenset
-        assert rec.raw_statuses == {OAStatus.GREEN, OAStatus.GOLD}
+        assert type(rec) is PublicationRecord
+        assert type(rec.status) is OAStatus
+        assert rec.status is OAStatus.GOLD
         assert type(rec.subject_categories) is tuple
-        assert type(rec.countries) is frozenset
-        assert rec.countries == {"FRA", "USA"}
-        assert type(rec.institutions) is frozenset
-        assert rec.institutions == {"u1"}
+        assert type(rec.actors) is frozenset
+        assert rec.actors == {"FRA", "USA"}
+        records, _ = read(path, options=IngestOptions(actor_kind=ActorKind.INSTITUTION))
+        assert type(records[0].actors) is frozenset
+        assert records[0].actors == {"u1"}
+        records, _ = read(path, options=IngestOptions(actor_kind=None))
+        assert records[0].actors == frozenset()
 
     def test_blank_lines_skipped_uncounted(self, tmp_path):
         path = corpus_file(tmp_path, [line(), "", "   ", line(id="r2")])
@@ -132,7 +149,11 @@ class TestParsing:
         line(categories="Mathematics"),
         line(categories=[""]),
         line(doi="yes"),
+        # Both actor lists are checked, whichever kind is credited.
         line(countries=[1]),
+        line(countries="FRA"),
+        line(institutions=[1]),
+        line(institutions="u1"),
         # JSON escapes of lone surrogates parse, but no UTF-8 output holds them.
         line(id="\ud800"),
         line(countries=["\ud800"]),
@@ -140,9 +161,10 @@ class TestParsing:
         line(categories=["Mathematics", "\udc80"]),
         pytest.param("[" * 100_000, id="nested-past-recursion-limit"),
     ])
-    def test_malformed_rejected(self, tmp_path, bad):
+    @pytest.mark.parametrize("kind", [ActorKind.COUNTRY, ActorKind.INSTITUTION, None])
+    def test_malformed_rejected(self, tmp_path, bad, kind):
         path = corpus_file(tmp_path, [bad, line(id="ok")])
-        records, stats = load_corpus(path)
+        records, stats = read(path, options=IngestOptions(actor_kind=kind))
         assert [r.id for r in records] == ["ok"]
         assert stats.rejection_reasons[REASON_MALFORMED] == 1
         assert stats.diagnostics
@@ -262,9 +284,8 @@ class TestRegistryGate:
 
     def test_validate_corpus_per_record_granularity(self, reg10):
         recs = [
-            PublicationRecord(id=f"r{i}", year=2018, doc_type=DocType.ARTICLE,
-                              raw_statuses=frozenset(), subject_categories=("Palmistry",),
-                              has_doi=True, countries=frozenset(), institutions=frozenset())
+            PublicationRecord(id=f"r{i}", year=2018, status=OAStatus.CLOSED,
+                              subject_categories=("Palmistry",), actors=frozenset())
             for i in range(3)
         ]
         diags = validate_corpus(recs, reg10)
@@ -272,9 +293,8 @@ class TestRegistryGate:
         assert all(d.unknown_categories == ("Palmistry",) for d in diags)
 
     def test_validate_corpus_clean(self, reg10):
-        recs = [PublicationRecord(id="r", year=2018, doc_type=DocType.ARTICLE,
-                                  raw_statuses=frozenset(), subject_categories=("Economics",),
-                                  has_doi=True, countries=frozenset(), institutions=frozenset())]
+        recs = [PublicationRecord(id="r", year=2018, status=OAStatus.CLOSED,
+                                  subject_categories=("Economics",), actors=frozenset())]
         assert validate_corpus(recs, reg10) == []
 
 
@@ -289,7 +309,7 @@ class TestRoundTrip:
         assert loaded == corpus
 
     def test_serialization_is_canonical(self):
-        rec = PublicationRecord(
+        rec = RawRecord(
             id="r", year=2018, doc_type=DocType.ARTICLE,
             raw_statuses=frozenset({OAStatus.GREEN, OAStatus.GOLD}),
             subject_categories=("B", "A"), has_doi=False,
@@ -305,7 +325,7 @@ class TestRoundTrip:
            year=st.integers(min_value=1900, max_value=2100),
            doi=st.booleans())
     def test_single_record_round_trip(self, statuses, year, doi, tmp_path_factory):
-        rec = PublicationRecord(
+        rec = RawRecord(
             id="r", year=year, doc_type=DocType.LETTER,
             raw_statuses=frozenset(statuses), subject_categories=("C1", "C2"),
             has_doi=doi, countries=frozenset({"FRA"}), institutions=frozenset({"u1"}),
@@ -342,6 +362,18 @@ class TestRegistries:
         path = tmp_path / "reg.csv"
         path.write_text("Mathematics,Mathematics,PE1\n", encoding="utf-8")
         with pytest.raises(MalformedRow):
+            load_registry(str(path))
+
+    def test_errors_name_the_physical_line(self, tmp_path):
+        # A quoted field spanning two lines does not shift later line numbers.
+        path = tmp_path / "reg.csv"
+        path.write_text(
+            "subject_category,ost_discipline,erc_subfield\n"
+            '"Math\nematics",Mathematics,PE1\n'
+            "Economics,Social sciences\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedRow, match="line 4: expected 3 fields"):
             load_registry(str(path))
 
     def test_any_discipline_and_subfield_names_accepted(self, tmp_path):
@@ -518,7 +550,9 @@ _OPTIONS = st.builds(
     doc_types=st.none() | st.just(frozenset({DocType.ARTICLE})),
     window=st.none() | st.just((2015, 2019)),
     require_doi=st.booleans(),
-    strict=st.booleans())
+    strict=st.booleans(),
+    priority=st.permutations(RAW_STATUSES).map(tuple),
+    actor_kind=st.none() | st.sampled_from(ActorKind))
 
 
 def _outcome(reader):
@@ -541,7 +575,8 @@ def _loads_outcome(path, registry, options):
 
     parse = ingest._parse_line
     with mock.patch.object(ingest, "_raw_decode", no_scanner), \
-            mock.patch.object(ingest, "_parse_line", lambda obj, escaped: parse(obj)):
+            mock.patch.object(ingest, "_parse_line",
+                              lambda obj, escaped, opts: parse(obj, True, opts)):
         return _outcome(CorpusReader(path, registry, options))
 
 
