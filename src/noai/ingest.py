@@ -14,9 +14,7 @@ The reader decides what a record counts as: its OA status and its actors.
 
 from __future__ import annotations
 
-import codecs
 import csv
-import io
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -316,34 +314,33 @@ def validate_corpus(
 def _read_csv_rows(path, expected: Sequence[str], label: str):
     """Yield (line number, stripped cells) of each non-blank row after the header."""
     try:
-        with open(path, "rb") as stream:
-            data = stream.read().removeprefix(codecs.BOM_UTF8)
+        stream = open(path, encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise IoFailure(f"cannot open {label} {path}: {exc}") from exc
-    try:
-        reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
-    except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
-        raise MalformedRow(f"{label} {path} line {line_no}: not UTF-8 ({exc.reason})") from None
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise MalformedRow(f"{label} {path}: empty file, header required")
-        header = [h.strip() for h in header]
-        if header[: len(expected)] != list(expected):
-            raise MalformedRow(
-                f"{label} {path}: header must start with {','.join(expected)}"
-            )
-        for row in reader:
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            # The physical line where the row ends; a quoted field may span lines.
-            line_no = reader.line_num
-            if len(row) < len(expected):
-                raise MalformedRow(f"{label} {path} line {line_no}: expected {len(expected)} fields")
-            yield line_no, [cell.strip() for cell in row]
-    except csv.Error as exc:
-        raise MalformedRow(f"{label} {path} line {reader.line_num}: {exc}") from None
+    with stream:
+        reader = csv.reader(stream)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise MalformedRow(f"{label} {path}: empty file, header required")
+            header = [h.strip() for h in header]
+            if header[: len(expected)] != list(expected):
+                raise MalformedRow(
+                    f"{label} {path}: header must start with {','.join(expected)}"
+                )
+            for row in reader:
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                # The physical line where the row ends; a quoted field may span lines.
+                line_no = reader.line_num
+                if len(row) < len(expected):
+                    raise MalformedRow(f"{label} {path} line {line_no}: expected {len(expected)} fields")
+                yield line_no, [cell.strip() for cell in row]
+        except UnicodeDecodeError as exc:
+            # Text is decoded ahead of the parser, so the line is not known.
+            raise MalformedRow(f"{label} {path} is not UTF-8 ({exc.reason})") from None
+        except csv.Error as exc:
+            raise MalformedRow(f"{label} {path} line {reader.line_num}: {exc}") from None
 
 
 def load_registry(path) -> ClassificationRegistry:

@@ -339,16 +339,12 @@ def spec_to_dict(spec: SynthSpec) -> dict:
 def load_synth_spec(path: str) -> SynthSpec:
     """Parse and validate a spec file."""
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
     except OSError as exc:
         raise IoFailure(f"cannot read spec {path}: {exc}") from exc
-    try:
-        # Newlines as text mode reads them, so that error positions are too.
-        obj = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
-        raise InvalidSpec(f"spec {path} line {line_no}: not UTF-8 ({exc.reason})") from None
+        raise InvalidSpec(f"spec {path} is not UTF-8 ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise InvalidSpec(f"spec {path} is not valid JSON: {exc}") from exc
     except RecursionError:

@@ -5,7 +5,8 @@ the canonical corpus writer that `noai.synth.generate` matches byte for byte.
 
 Tests build and compare `RawRecord`s, a corpus line's fields with their
 types. The engine counts `PublicationRecord`s, which only the reader's
-parser builds: `parsed` turns raw records into what the reader yields."""
+parser builds: `parsed` turns raw records into what the reader yields, and
+`counted` builds, field by field, what the reader must yield for one."""
 
 from __future__ import annotations
 
@@ -24,7 +25,9 @@ from noai.model import (
     ClassificationRegistry,
     DocType,
     OAStatus,
+    PublicationRecord,
 )
+from oracle import resolve
 
 
 class RawRecord(NamedTuple):
@@ -204,15 +207,30 @@ def write_corpus(records, path) -> int:
     return n
 
 
+def counted(record: RawRecord, options: ingest.IngestOptions) -> PublicationRecord:
+    """What a raw record counts as under the options, built field by field."""
+    actors = {
+        None: frozenset(),
+        ActorKind.COUNTRY: record.countries,
+        ActorKind.INSTITUTION: record.institutions,
+    }[options.actor_kind]
+    return PublicationRecord(record.id, record.year, resolve(record, options.priority),
+                             record.subject_categories, actors)
+
+
 def load_corpus(path, registry=None, options=None):
     """The raw records of the lines that the reader accepts, with its stats.
 
-    Each line is checked by the reader's parser, then kept whole."""
+    Each line goes through the reader's parser, whose record must be what
+    the line's raw record counts as; the raw record is then kept whole."""
     parse = ingest._parse_line
 
-    def keep_whole(obj, *args):
-        parse(obj, *args)
-        return raw_record(obj)
+    def keep_whole(obj, escaped, opts):
+        record = parse(obj, escaped, opts)
+        raw = raw_record(obj)
+        assert record == counted(raw, opts), (record, raw)
+        assert type(record) is PublicationRecord
+        return raw
 
     reader = ingest.CorpusReader(path, registry, options)
     with mock.patch.object(ingest, "_parse_line", keep_whole):

@@ -190,17 +190,17 @@ class TestDataErrors:
     @pytest.mark.parametrize("argv,content,named", [
         (["indicators", "--corpus", "corpus.jsonl", "--registry", "bad.csv"],
          b"subject_category,ost_discipline,erc_subfield\nMathematics,Math\xff,PE1\n",
-         "registry bad.csv line 2: not UTF-8"),
+         "registry bad.csv is not UTF-8"),
         (["indicators", "--corpus", "corpus.jsonl", "--registry", "registry.csv",
           "--actors", "bad.csv"],
          b"actor_id,kind,group,display_name\nFRA,country,,\nUSA,country,,\xe9tats\n",
-         "actor registry bad.csv line 3: not UTF-8"),
+         "actor registry bad.csv is not UTF-8"),
         (["indicators", "--corpus", "corpus.jsonl", "--registry", "bad.csv"],
          b"subject_category,ost_discipline,erc_subfield\nMathematics,"
          + b"M" * 200_000 + b",PE1\n",
          "registry bad.csv line 2: field larger than field limit"),
         (["synth", "--spec", "bad.json", "--out", "x.jsonl"],
-         b'{\n"seed": 1,\n"name": "\xff"}\n', "spec bad.json line 3: not UTF-8"),
+         b'{\n"seed": 1,\n"name": "\xff"}\n', "spec bad.json is not UTF-8"),
         (["synth", "--spec", "bad.json", "--out", "x.jsonl"],
          b"[" * 100_000, "spec bad.json nests too deeply"),
     ], ids=["registry-not-utf8", "actors-not-utf8", "csv-field-too-long",

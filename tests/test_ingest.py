@@ -14,6 +14,7 @@ from conftest import (
     CATS10,
     REG10,
     RawRecord,
+    counted,
     load_corpus,
     random_corpus,
     registry_csv_text,
@@ -99,14 +100,14 @@ class TestParsing:
 
     def test_duplicate_categories_within_record_deduped(self, tmp_path):
         path = corpus_file(tmp_path, [line(categories=["A", "B", "A"])])
-        records, stats = load_corpus(path)
+        records, stats = read(path)
         assert records[0].subject_categories == ("A", "B")
         assert stats.records_accepted == 1
 
     def test_category_order_kept(self, tmp_path):
         # The first category is the primary one, so input order survives.
         path = corpus_file(tmp_path, [line(categories=["B cat", "A cat", "B cat"])])
-        records, _ = load_corpus(path)
+        records, _ = read(path)
         assert records[0].subject_categories == ("B cat", "A cat")
 
     def test_fields_built_with_final_types(self, tmp_path):
@@ -307,6 +308,8 @@ class TestRoundTrip:
         loaded, stats = load_corpus(str(path))
         assert stats.records_rejected == 0
         assert loaded == corpus
+        options = IngestOptions()
+        assert read(str(path))[0] == [counted(r, options) for r in corpus]
 
     def test_serialization_is_canonical(self):
         rec = RawRecord(
@@ -334,6 +337,8 @@ class TestRoundTrip:
         write_corpus([rec], str(path))
         loaded, _ = load_corpus(str(path))
         assert loaded == [rec]
+        options = IngestOptions(actor_kind=ActorKind.INSTITUTION)
+        assert read(str(path), options=options)[0] == [counted(rec, options)]
 
 
 class TestRegistries:
