@@ -19,11 +19,14 @@ decided each record's status and actors, so the tally only counts. With L
 the lcm of the k seen, n records under k weigh n * (L // k) units of 1/L,
 so every cell and baseline is a vector of four integers over L, one per
 OAStatus in enum order, and no result depends on record order. The weighed
-tally is the subject-category level itself; coarser levels are new sums of
-it. The CLI runs without the cyclic collector, which would only rescan the
-tally's long-lived tuples. A record spends exactly L over its categories,
-so an actor's whole counts are its cell vectors summed and divided by L.
-Floats appear only as the correctly rounded value of an exact quotient.
+tally is the subject-category level itself, and every level shares its
+actor cells. A coarser level sums only the world's vectors into its fields;
+its NOAI weighs each category with its field's weight, which gives the same
+integers as summing an actor's categories into fields first. The CLI runs
+without the cyclic collector, which would only rescan the tally's
+long-lived tuples. A record spends exactly L over its categories, so an
+actor's whole counts are its cell vectors summed and divided by L. Floats
+appear only as the correctly rounded value of an exact quotient.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, product
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import UndefinedIndicator, UndefinedShare, UnknownCategory
@@ -57,14 +61,18 @@ Counts = list[int]
 class AggregationResult:
     """One level's projection of an Aggregator tally, as counts over `unit`.
 
-    cells maps actor -> field -> counts, baselines field -> counts and years
-    year -> field -> counts for the world.
+    cells maps actor -> subject category -> counts at every level: the
+    results of one pass share that dict. fields maps each category to its
+    field at this level, None at the subject-category level, where a field
+    is a category. baselines maps field -> counts and years year -> field ->
+    counts for the world.
     """
 
     unit: int
     cells: Mapping[str, Mapping[str, Counts]]
     baselines: Mapping[str, Counts]
     years: Mapping[int, Mapping[str, Counts]]
+    fields: Mapping[str, str] | None
 
 
 def _weigh(tally: Counter, weight: Mapping[int, int]) -> tuple[dict, dict]:
@@ -123,28 +131,29 @@ class Aggregator:
             for r in corpus))
 
     def finish(self) -> dict[Level, AggregationResult]:
-        ks = {k for _, _, k, _ in self._tally}
+        ks = set(map(itemgetter(2), self._tally))
         unit = math.lcm(*ks)
         world, actors = _weigh(self._tally, {k: unit // k for k in ks})
         baselines = _project(chain.from_iterable(map(dict.items, world.values())), None)
 
         results = {}
         for level in self._levels:
-            fields = self._registry.field_map(level)
-            if fields is None:
+            field_map = self._registry.field_map(level)
+            if field_map is None:
                 # The weighed vectors are this level's own, shared unchanged.
-                results[level] = AggregationResult(unit, actors, baselines, world)
+                results[level] = AggregationResult(unit, actors, baselines, world, None)
                 continue
-            unknown = baselines.keys() - fields.keys()
+            unknown = baselines.keys() - field_map.keys()
             if unknown:
                 raise UnknownCategory(f"subject categories {sorted(unknown)} not in registry")
+            fields = {c: field_map[c] for c in baselines}
             results[level] = AggregationResult(
                 unit=unit,
-                cells={actor: _project(by_category.items(), fields)
-                       for actor, by_category in actors.items()},
+                cells=actors,
                 baselines=_project(baselines.items(), fields),
                 years={year: _project(by_category.items(), fields)
                        for year, by_category in world.items()},
+                fields=fields,
             )
         return results
 
@@ -172,9 +181,18 @@ def _field_weights(baselines: Mapping[str, Sequence[int]]) -> tuple[int, dict[st
                for f, b in baselines.items()}
 
 
+def _category_weights(result: AggregationResult) -> tuple[int, dict[str, int | None]]:
+    """D and each category's NOAI weight at the result's level: its field's."""
+    d, weights = _field_weights(result.baselines)
+    if result.fields is not None:
+        weights = {c: weights[f] for c, f in result.fields.items()}
+    return d, weights
+
+
 def _weighted_mean(cells: Mapping[str, Sequence[int]], d: int,
                    weights: Mapping[str, int | None]) -> float:
-    """sum(oa * weight) / (D * sum(x)) over the fields whose weight is defined."""
+    """sum(oa * weight) / (D * sum(x)) over the cells whose weight is defined;
+    a cell is a field's, or a category's weighed as its field."""
     num = den = 0
     for f, counts in cells.items():
         w = weights[f]
@@ -191,7 +209,8 @@ def noai(cells: Mapping[str, Sequence[int]], baselines: Mapping[str, Sequence[in
     """Stage-two normalization: weighted mean of defined normalized shares.
 
     cells maps each of an actor's fields to its counts and baselines every
-    field to the world's, over one unit, as in one AggregationResult. A
+    field to the world's, over one unit, as in one AggregationResult; at a
+    coarser level, sum the actor's category cells into `fields` first. A
     field's normalized share is undefined when the actor has no publications
     there or the world has no OA ones. Weights are the fractional
     publication counts; the denominator sums only over fields whose
@@ -241,20 +260,22 @@ def build_indicator_table(
     A record's category fractions sum to one, so an actor's fractional output
     and its OA and OA-type counts equal its whole counts at every level: its
     cell vectors summed and divided by the unit. Only the NOAI depends on the
-    level. Rows are sorted by descending x_total, ties by actor id.
+    level, through the weight each level gives a category: summing an
+    actor's categories into fields first would give the same integers.
+    Rows are sorted by descending x_total, ties by actor id.
     """
     if not results:
         raise ValueError("no aggregation results")
     first = next(iter(results.values()))
-    weights = {level: _field_weights(result.baselines) for level, result in results.items()}
+    weights = {level: _category_weights(result) for level, result in results.items()}
     rows = []
     for actor, cells in first.cells.items():
         counts = [sum(c) // first.unit for c in zip(*cells.values())]
         pubs = sum(counts)
         noai_values: dict[Level, float | None] = {}
-        for level, result in results.items():
+        for level, (d, level_weights) in weights.items():
             try:
-                noai_values[level] = _weighted_mean(result.cells[actor], *weights[level])
+                noai_values[level] = _weighted_mean(cells, d, level_weights)
             except UndefinedIndicator:
                 noai_values[level] = None
         meta = actors_meta.get(actor) if actors_meta else None

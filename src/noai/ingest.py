@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -56,6 +57,9 @@ _new_record = tuple.__new__
 
 #: Cap on per-line messages kept in CorpusStats; counts are always complete.
 MAX_KEPT_DIAGNOSTICS = 50
+
+#: Bytes a corpus is read in at a time.
+READ_BLOCK = 1 << 14
 
 REGISTRY_COLUMNS = ("subject_category", "ost_discipline", "erc_subfield")
 ACTOR_COLUMNS = ("actor_id", "kind", "group", "display_name")
@@ -146,7 +150,13 @@ def _parse_line(obj: dict, escaped: bool, options: IngestOptions) -> Publication
         # Raised after the rest of the schema checks so the reason is specific.
         raise _EmptyCategories("categories is empty")
     # Duplicate categories carry no extra information; keep first occurrences.
-    deduped = tuple(dict.fromkeys(categories))
+    # Categories and credited actors are interned, so that records and tally
+    # keys hold one string per distinct value; ids are unique and are not.
+    # Most records have one category, which needs no dedupe.
+    if len(categories) == 1:
+        deduped = (sys.intern(categories[0]),)
+    else:
+        deduped = tuple(dict.fromkeys(map(sys.intern, categories)))
     if escaped:
         # A JSON escape can yield a lone surrogate, which no UTF-8 output can
         # hold; encoding raises UnicodeEncodeError, a ValueError.
@@ -157,9 +167,31 @@ def _parse_line(obj: dict, escaped: bool, options: IngestOptions) -> Publication
     else:
         status = OAStatus.CLOSED
     kind = options.actor_kind
-    actors = frozenset(() if kind is None else
-                       countries if kind is ActorKind.COUNTRY else institutions)
+    if kind is None:
+        actors = frozenset()
+    else:
+        actors = frozenset(map(sys.intern, countries if kind is ActorKind.COUNTRY
+                               else institutions))
     return _new_record(PublicationRecord, (rec_id, year, status, deduped, actors))
+
+
+def _line_blocks(stream) -> Iterator[bytes]:
+    """The stream's bytes in blocks that each end with a line break, the last
+    one excepted, so that the lines of each block are lines of the stream.
+
+    A block is cut after its last \\n, or after a later \\r that is not its
+    last byte: a \\r at the very end may be the first half of a \\r\\n.
+    """
+    parts: list[bytes] = []
+    while block := stream.read(READ_BLOCK):
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
+        if not cut:
+            parts.append(block)
+            continue
+        parts.append(block[:cut])
+        yield b"".join(parts)
+        parts = [block[cut:]]
+    yield b"".join(parts)
 
 
 class CorpusReader:
@@ -215,10 +247,10 @@ class CorpusReader:
         lo = stats.year_min
         hi = stats.year_max
         try:
-            for chunk in stream:
+            for block in _line_blocks(stream):
                 # \r, \n and \r\n all end a line, as in text mode; JSON strings
                 # cannot hold a raw line break.
-                for line in chunk.splitlines():
+                for line in block.splitlines():
                     line_no += 1
                     line = line.strip()
                     if not line:

@@ -73,6 +73,22 @@ def exact_counts(counts, unit):
     return sum(by_status.values()), sum(by_type.values()), by_type
 
 
+def field_cells(result):
+    """A level result's actor cells summed into its fields: actor -> field ->
+    counts. Every level holds the category cells, with `fields` mapping each
+    category to its field (None at the category level); the sums are made
+    here, apart from the engine, so that tests check its fields too."""
+    fields = result.fields
+    out = {}
+    for actor, by_category in result.cells.items():
+        by_field = out[actor] = {}
+        for category, counts in by_category.items():
+            f = category if fields is None else fields[category]
+            by_field[f] = [a + b for a, b in zip(by_field.get(f, (0, 0, 0, 0)), counts,
+                                                 strict=True)]
+    return out
+
+
 # A publication carrying three subject categories, two of which share an
 # OST discipline, signed by two countries.  Fractions at category level
 # are 1/3 each; at discipline level Computer science pools 2/3 and

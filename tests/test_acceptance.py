@@ -26,6 +26,7 @@ from conftest import (
     TABLE_REGISTRY,
     RawRecord,
     exact_counts,
+    field_cells,
     load_corpus,
     parsed,
     random_corpus,
@@ -87,6 +88,7 @@ def test_01_mixed_counting_fixture():
     # field equals the field fraction times one.
     by_category = results[Level.SUBJECT_CATEGORY]
     by_discipline = results[Level.OST_DISCIPLINE]
+    discipline_cells = field_cells(by_discipline)
     for country in ("FRA", "USA"):
         if set(by_category.cells[country]) != set(sc):
             problems.append(f"{country} categories {sorted(by_category.cells[country])}")
@@ -94,11 +96,11 @@ def test_01_mixed_counting_fixture():
             x, oa, _ = exact_counts(by_category.cells[country][cat], by_category.unit)
             if abs(x - frac) > tol or abs(oa - frac) > tol:
                 problems.append(f"{country}/{cat} credit {x}")
-        if set(by_discipline.cells[country]) != set(ost):
+        if set(discipline_cells[country]) != set(ost):
             problems.append(
-                f"{country} disciplines {sorted(by_discipline.cells[country])}")
+                f"{country} disciplines {sorted(discipline_cells[country])}")
         for disc, frac in ost.items():
-            x, _, _ = exact_counts(by_discipline.cells[country][disc], by_discipline.unit)
+            x, _, _ = exact_counts(discipline_cells[country][disc], by_discipline.unit)
             if abs(x - frac) > tol:
                 problems.append(f"{country}/{disc} credit {x}")
 
@@ -162,7 +164,7 @@ def test_03_world_unit_invariant(tmp_path):
         agg.add_all(parsed(record._replace(countries=record.countries | {"WORLD"})
                            for record in load_corpus(path)[0]))
         for level, result in agg.finish().items():
-            value = noai(result.cells["WORLD"], result.baselines)
+            value = noai(field_cells(result)["WORLD"], result.baselines)
             worst = max(worst, abs(value - 1.0))
             if abs(value - 1.0) > tol:
                 problems.append(f"seed {seed} {level.value}: {value!r}")
@@ -219,7 +221,8 @@ def trials(tmp_path_factory) -> TrialOutcome:
             if diff > tol:
                 out.equivalence_problems.append(f"seed {seed}: {what} {diff:.2e}")
 
-        if set(oracle.actors()) != set(result.cells):
+        cells = field_cells(result)
+        if set(oracle.actors()) != set(cells):
             out.equivalence_problems.append(f"seed {seed}: actor sets differ")
             continue
         rows = {row.actor: row for row in table}
@@ -233,7 +236,7 @@ def trials(tmp_path_factory) -> TrialOutcome:
                 flag(f"{actor} {status.value} share",
                      abs(row.oa_type_shares[status]
                          - float(oracle.type_share(actor, status))))
-            for f, counts in result.cells[actor].items():
+            for f, counts in cells[actor].items():
                 x, oa, _ = exact_counts(counts, result.unit)
                 world_x, world_oa, _ = exact_counts(result.baselines[f], result.unit)
                 mine = (oa / x) / (world_oa / world_x) if x and world_oa else None

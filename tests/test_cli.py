@@ -24,7 +24,8 @@ from conftest import (
     write_corpus,
 )
 from noai.cli import INDICATOR_COLUMNS, main
-from noai.model import DocType, OAStatus
+from noai.model import DocType, Level, OAStatus
+from oracle import BruteForce
 
 
 def rec(rec_id, cats, statuses=(), countries=(), year=2018,
@@ -410,6 +411,28 @@ class TestRankCompare:
         assert main(base_args(ws, "compare") + ["--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload["spearman"]) == {"subject-category", "ost-discipline"}
+
+    @pytest.mark.parametrize("levels", ["ost-discipline", "erc-subfield,ost-discipline"])
+    def test_coarse_levels_alone_match_the_oracle(self, ws, capsys, levels):
+        # No category level is asked for, so every NOAI is read through the
+        # weights of a coarser level alone.
+        corpus = random_corpus(seed=61, n_records=400)
+        write_corpus(corpus, str(ws / "random.jsonl"))
+        assert main(["rank", "--corpus", str(ws / "random.jsonl"),
+                     "--registry", str(ws / "registry.csv"),
+                     "--level", levels, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        oracles = {lv: BruteForce(corpus, REG10, Level(lv)) for lv in levels.split(",")}
+        oracle = oracles["ost-discipline"]
+        assert sorted(r["actor"] for r in rows) == [
+            a for a in oracle.actors()
+            if all(o.noai(a) is not None for o in oracles.values())]
+        for row in rows:
+            actor = row["actor"]
+            assert row["x_total"] == float(oracle.x_total(actor))
+            assert row["oa_share"] == float(oracle.oa_share(actor))
+            for lv, o in oracles.items():
+                assert row["noai_" + lv.replace("-", "_")] == float(o.noai(actor))
 
     def test_single_level_selection(self, ws, capsys):
         assert main(base_args(ws, "rank") + ["--level", "erc-subfield"]) == 0

@@ -16,6 +16,7 @@ from conftest import (
     REG10,
     RawRecord,
     exact_counts,
+    field_cells,
     parsed,
     random_corpus,
     write_corpus,
@@ -39,7 +40,7 @@ from noai.model import (
     Level,
     OAStatus,
 )
-from oracle import OA_TYPES, BruteForce
+from oracle import OA_TYPES, BruteForce, field_of
 
 TOL = 1e-9
 RAW = (OAStatus.GOLD, OAStatus.BRONZE, OAStatus.GREEN)
@@ -67,7 +68,7 @@ def rec(rec_id, cats, statuses=(), countries=(), year=2018, doc=DocType.ARTICLE)
 def one_record_cells(cats, registry, level):
     """The one actor's cells of a one-record tally at a level, and its unit."""
     result = aggregate([rec("r1", cats, countries=("FRA",))], registry, level)
-    return result.cells["FRA"], result.unit
+    return field_cells(result)["FRA"], result.unit
 
 
 class TestOneRecordWeights:
@@ -136,7 +137,8 @@ def assert_matches_oracle(result, oracle: BruteForce):
         assert exact_counts(counts, unit) == (ocell.x, ocell.oa, ocell.by_type)
 
     # Per-(actor, field) cells.
-    cells = {(actor, f): counts for actor, by_field in result.cells.items()
+    by_actor = field_cells(result)
+    cells = {(actor, f): counts for actor, by_field in by_actor.items()
              for f, counts in by_field.items()}
     assert set(cells) == set(oracle.cells)
     for key, counts in cells.items():
@@ -150,7 +152,7 @@ def assert_matches_oracle(result, oracle: BruteForce):
     assert sum(oa for _, oa, _ in baselines) == oracle.world_whole_oa
     # An actor's are its cell counts summed over fields, per status, which
     # must be whole multiples of the unit: the indicator table divides them.
-    for actor, by_field in result.cells.items():
+    for actor, by_field in by_actor.items():
         whole = {}
         for status, total in zip(OAStatus, map(sum, zip(*by_field.values())),
                                  strict=True):
@@ -160,14 +162,14 @@ def assert_matches_oracle(result, oracle: BruteForce):
         assert sum(whole[t] for t in OA_TYPES) == oracle.whole_oa[actor]
 
     # Derived per-actor quantities, including the indicator itself.
-    assert sorted(result.cells) == oracle.actors()
+    assert sorted(by_actor) == oracle.actors()
     for actor in oracle.actors():
         expected = oracle.noai(actor)
         if expected is None:
             with pytest.raises(UndefinedIndicator):
-                noai(result.cells[actor], result.baselines)
+                noai(by_actor[actor], result.baselines)
         else:
-            assert noai(result.cells[actor], result.baselines) == float(expected)
+            assert noai(by_actor[actor], result.baselines) == float(expected)
 
 
 class TestOracleEquivalence:
@@ -238,7 +240,7 @@ class TestOracleEquivalence:
         for level in LEVELS:
             solo = aggregate(corpus, REG10, level)
             assert combined[level].unit == solo.unit
-            assert combined[level].cells == solo.cells
+            assert field_cells(combined[level]) == field_cells(solo)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("level", LEVELS)
@@ -283,9 +285,10 @@ class TestCountingRules:
         assert b["Computer science"][:2] == (Fraction(2, 3), Fraction(2, 3))
         assert b["Medical research"][:2] == (Fraction(4, 3), Fraction(1, 3))
 
-        fra_mr = exact_counts(result.cells["FRA"]["Medical research"], result.unit)
+        cells = field_cells(result)
+        fra_mr = exact_counts(cells["FRA"]["Medical research"], result.unit)
         assert fra_mr[0] == Fraction(4, 3)
-        usa_cs = exact_counts(result.cells["USA"]["Computer science"], result.unit)
+        usa_cs = exact_counts(cells["USA"]["Computer science"], result.unit)
         assert usa_cs[0] == Fraction(2, 3)
 
         # Whole counting: every distinct signatory gets the full record.
@@ -325,7 +328,8 @@ class TestInvariants:
         total_x = sum(exact_counts(b, result.unit)[0] for b in result.baselines.values())
         assert total_x == len(corpus)
         # Dominance and per-type decomposition on every cell.
-        vectors = [c for by_field in result.cells.values() for c in by_field.values()]
+        vectors = [c for by_field in field_cells(result).values()
+                   for c in by_field.values()]
         for counts in vectors + list(result.baselines.values()):
             x, oa, by_type = exact_counts(counts, result.unit)
             assert oa <= x
@@ -337,8 +341,9 @@ class TestInvariants:
         corpus = random_corpus(seed=seed, n_records=250)
         result = aggregate(corpus, REG10, Level.OST_DISCIPLINE)
         table = build_indicator_table({Level.OST_DISCIPLINE: result})
+        cells = field_cells(result)
         for row in table:
-            total = oa_share_of_cells(result.cells[row.actor].values())
+            total = oa_share_of_cells(cells[row.actor].values())
             assert abs(sum(row.oa_type_shares.values()) - total) <= TOL
 
     def test_world_actor_indicator_is_exactly_one(self):
@@ -350,7 +355,7 @@ class TestInvariants:
         ]
         for level in LEVELS:
             result = aggregate(corpus, REG10, level)
-            assert noai(result.cells["WORLD"], result.baselines) == 1.0
+            assert noai(field_cells(result)["WORLD"], result.baselines) == 1.0
 
 
 def oa_share_of_cells(cells):
@@ -559,7 +564,8 @@ def corpus_with_closed_fields(seed):
 
 
 class TestOneQuotient:
-    """The table's NOAI is noai() of the actor's cells, and the oracle's value."""
+    """The table's NOAI is noai() of the actor's cells summed into fields, and
+    the oracle's value."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("level", LEVELS)
@@ -570,10 +576,11 @@ class TestOneQuotient:
         closed = {f for f, b in result.baselines.items() if oa_share(b) == 0}
         assert closed and closed != set(result.baselines)
         table = build_indicator_table({level: result})
+        cells = field_cells(result)
         assert {r.actor for r in table} == set(oracle.actors())
         for row in table:
             try:
-                expected = noai(result.cells[row.actor], result.baselines)
+                expected = noai(cells[row.actor], result.baselines)
             except UndefinedIndicator:
                 expected = None
             assert row.noai[level] == expected
@@ -604,3 +611,17 @@ class TestSharedVectors:
         assert (solo.cells, solo.years, solo.baselines) == (
             cells, years, category.baselines)
         assert_matches_oracle(category, BruteForce(corpus, REG10, Level.SUBJECT_CATEGORY))
+
+    def test_every_level_shares_the_category_cells(self):
+        # A coarser level holds no cells of its own: it maps each category
+        # of the tally to its field, and its NOAI weighs the category cells.
+        corpus = random_corpus(seed=52, n_records=300)
+        agg = Aggregator(REG10, LEVELS)
+        agg.add_all(parsed(corpus))
+        results = agg.finish()
+        category = results[Level.SUBJECT_CATEGORY]
+        assert category.fields is None
+        for level in (Level.OST_DISCIPLINE, Level.ERC_SUBFIELD):
+            assert results[level].cells is category.cells
+            assert results[level].fields == {
+                c: field_of(REG10, c, level) for c in category.baselines}

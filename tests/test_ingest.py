@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 from unittest import mock
 
@@ -202,6 +203,75 @@ class TestParsing:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoFailure):
             load_corpus(str(tmp_path / "nope.jsonl"))
+
+
+class TestSharedStrings:
+    @pytest.mark.parametrize("kind", [ActorKind.COUNTRY, ActorKind.INSTITUTION])
+    def test_one_object_per_category_and_actor(self, tmp_path, kind):
+        # Records of one pass hold one string object per distinct category
+        # and credited actor id, however the line wrote it.
+        lines = [
+            line(id="r1", categories=["Cell Biology", "Mathematics"],
+                 countries=["FRA", "USA"], institutions=["univ-x"]),
+            line(id="r2", categories=["Mathematics"], countries=["USA"],
+                 institutions=["univ-x", "univ-y"]),
+            line(id="r3", categories=["Cell Biology"], countries=["FRA"],
+                 institutions=["univ-y"]).replace("Cell Biology", "Cell Biolog\\u0079"),
+        ]
+        assert "\\u0079" in lines[2]
+        records, _ = read(corpus_file(tmp_path, lines), options=IngestOptions(actor_kind=kind))
+        assert len(records) == 3
+        for strings in ([c for r in records for c in r.subject_categories],
+                        [a for r in records for a in r.actors]):
+            first = {}
+            for text in strings:
+                assert first.setdefault(text, text) is text
+            assert len(first) == 2 and len(strings) > 2
+
+
+def _blocks_outcome(path, block):
+    """`_outcome` of a reader that reads `block` bytes at a time."""
+    with mock.patch.object(ingest, "READ_BLOCK", block):
+        return _outcome(CorpusReader(path))
+
+
+#: Corpora whose lines end every way the reader accepts, each with a
+#: malformed line: the line number in its diagnostic shows where lines split.
+_A, _B = line(id="a").encode(), line(id="b").encode()
+_BLOCK_EDGES = {
+    "crlf": (_A + b"\r\n" + b"oops\r\n" + _B + b"\r\n", 2),
+    "lone-cr": (_A + b"\r" + b"oops\r" + b"\r" + _B + b"\r", 2),
+    "no-final-break": (_A + b"\n" + b"oops\n" + _B, 2),
+    "blank-lines": (b"\n" + _A + b"\n\n  \r\n" + b"oops\n" + b"\r\n" + _B + b"\n", 5),
+    "long-line": (line(id="a", categories=["C" * 3000]).encode() + b"\r\noops\n" + _B, 2),
+}
+
+
+class TestBlocks:
+    """The reader splits blocks of READ_BLOCK bytes into lines; small blocks
+    put every line break and every line across a block edge."""
+
+    @pytest.mark.parametrize("name", _BLOCK_EDGES)
+    def test_lines_do_not_depend_on_block_edges(self, tmp_path, name):
+        data, bad_line = _BLOCK_EDGES[name]
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(data)
+        whole = _blocks_outcome(path, ingest.READ_BLOCK)
+        records, error, stats, diagnostics = whole
+        assert [r.id for r in records] == ["a", "b"]
+        assert error is None and stats["records_read"] == 3
+        assert [d.split(":")[0] for d in diagnostics] == [f"line {bad_line}"]
+        for block in (*range(1, 300), 4096):
+            assert _blocks_outcome(path, block) == whole, block
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.lists(st.sampled_from([b"x", b"yz", b" ", b"\n", b"\r", b"\r\n"]))
+           .map(b"".join), block=st.integers(1, 9))
+    def test_blocks_hold_the_lines_of_the_stream(self, data, block):
+        with mock.patch.object(ingest, "READ_BLOCK", block):
+            blocks = list(ingest._line_blocks(io.BytesIO(data)))
+        assert b"".join(blocks) == data
+        assert [piece for b in blocks for piece in b.splitlines()] == data.splitlines()
 
 
 class TestFilters:
