@@ -6,8 +6,7 @@ In one process, and in turns so that a slow spell of the machine hits
 both sides alike, it times:
 
 - `noai`: a `CorpusReader` pass crediting country actors, fed to
-  `Aggregator.add_all` at the subject-category and OST-discipline
-  levels, the work of `noai indicators` before `finish()`;
+  `Aggregator.add_all`, the work of `noai indicators` before `finish()`;
 - the floor: `json.loads` of each line and a `Counter` tally of the same
   keys, by (year, category, category count, first OA tag) for the world
   and (country, category, category count, first OA tag), with no checks.
@@ -30,7 +29,7 @@ from collections import Counter
 
 from noai.engine import Aggregator
 from noai.ingest import CorpusReader, IngestOptions, load_registry
-from noai.model import ActorKind, Level
+from noai.model import ActorKind
 
 
 def floor(corpus: str) -> None:
@@ -52,7 +51,7 @@ def floor(corpus: str) -> None:
 
 
 def read_and_tally(corpus: str, registry) -> None:
-    agg = Aggregator(registry, (Level.SUBJECT_CATEGORY, Level.OST_DISCIPLINE))
+    agg = Aggregator()
     agg.add_all(CorpusReader(corpus, registry, IngestOptions(actor_kind=ActorKind.COUNTRY)))
 
 

@@ -280,28 +280,31 @@ def _print_stats(stats: CorpusStats) -> None:
 
 
 def _tally(args: argparse.Namespace, registry: ClassificationRegistry,
-           levels: Sequence[Level],
-           kind: ActorKind | None) -> tuple[dict[Level, AggregationResult], CorpusStats]:
+           kind: ActorKind | None) -> tuple[AggregationResult, CorpusStats]:
     """Stream the corpus once into one Aggregator; kind None credits no actor."""
     options = IngestOptions(doc_types=args.doc_types, window=args.window,
                             require_doi=args.require_doi, strict=args.strict,
                             priority=args.priority, actor_kind=kind)
     reader = CorpusReader(args.corpus, registry=registry, options=options)
-    agg = Aggregator(registry, levels)
+    agg = Aggregator()
     agg.add_all(reader)
+    _print_stats(reader.stats)
     if reader.stats.records_accepted == 0:
         raise EmptyWindow("no records in window")
-    _print_stats(reader.stats)
     return agg.finish(), reader.stats
 
 
 def _table(args: argparse.Namespace,
            levels: Sequence[Level]) -> tuple[list[IndicatorRow], CorpusStats]:
     """The per-actor rows of `levels`, after the row filters of the flags."""
+    if args.group is not None and (args.actors is None
+                                   or args.actor_kind != ActorKind.INSTITUTION.value):
+        raise UsageError("--group needs --actors and --actor-kind institution: "
+                         "only institutions carry a group")
     registry = load_registry(args.registry)
     actors_meta = load_actor_registry(args.actors) if args.actors is not None else None
-    results, stats = _tally(args, registry, levels, ActorKind(args.actor_kind))
-    table = build_indicator_table(results, actors_meta)
+    result, stats = _tally(args, registry, ActorKind(args.actor_kind))
+    table = build_indicator_table(result, registry, levels, actors_meta)
     if args.min_pubs is not None or args.group is not None:
         min_pubs = args.min_pubs if args.min_pubs is not None else float("-inf")
         table = filter_actors(table, min_pubs=min_pubs, group=args.group)
@@ -384,8 +387,8 @@ def cmd_series(args: argparse.Namespace) -> int:
             raise UsageError("series takes a single level")
         level = levels[0]
     registry = load_registry(args.registry)
-    results, stats = _tally(args, registry, (level,), None)
-    years = yearly_series(results[level])
+    result, stats = _tally(args, registry, None)
+    years = yearly_series(result, registry, level)
 
     fields = sorted(set().union(*(r.field_shares.keys() for r in years)))
     shares = [{"year": r.year, "total_share": r.total_share,

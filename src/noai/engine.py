@@ -19,10 +19,9 @@ decided each record's status and actors, so the tally only counts. With L
 the lcm of the k seen, n records under k weigh n * (L // k) units of 1/L,
 so every cell and baseline is a vector of four integers over L, one per
 OAStatus in enum order, and no result depends on record order. The weighed
-tally is the subject-category level itself, and every level shares its
-actor cells. A coarser level sums only the world's vectors into its fields;
-its NOAI weighs each category with its field's weight, which gives the same
-integers as summing an actor's categories into fields first. The CLI runs
+tally, keyed by subject category, is the one result of a pass. A level is
+the registry's category -> field map, applied where a result is read: the
+table and the series sum category vectors into fields there. The CLI runs
 without the cyclic collector, which would only rescan the tally's
 long-lived tuples. A record spends exactly L over its categories, so an
 actor's whole counts are its cell vectors summed and divided by L. Floats
@@ -59,20 +58,17 @@ Counts = list[int]
 
 @dataclass(frozen=True)
 class AggregationResult:
-    """One level's projection of an Aggregator tally, as counts over `unit`.
+    """An Aggregator's weighed tally, as counts over `unit`, keyed by subject category.
 
-    cells maps actor -> subject category -> counts at every level: the
-    results of one pass share that dict. fields maps each category to its
-    field at this level, None at the subject-category level, where a field
-    is a category. baselines maps field -> counts and years year -> field ->
-    counts for the world.
+    cells maps actor -> category -> counts, baselines category -> counts for
+    the world and years year -> category -> counts. A coarser level's
+    vectors are these summed by `registry.field_map(level)`.
     """
 
     unit: int
     cells: Mapping[str, Mapping[str, Counts]]
     baselines: Mapping[str, Counts]
     years: Mapping[int, Mapping[str, Counts]]
-    fields: Mapping[str, str] | None
 
 
 def _weigh(tally: Counter, weight: Mapping[int, int]) -> tuple[dict, dict]:
@@ -108,18 +104,16 @@ def _project(items: Iterable[tuple[str, Counts]],
 
 
 class Aggregator:
-    """Streaming single-pass tally, projected onto one or more levels at once.
+    """Streaming single-pass tally of records by subject category.
 
-    Feed records with add_all(); finish() derives the per-level results. The
+    Feed records with add_all(); finish() weighs the tally into one result. The
     world baseline takes every record exactly once, whether or not it
     credits any actor. Records are counted as given, under their status and
     actors: priority, actor kind, year windows and other perimeter filters
     belong to the reader.
     """
 
-    def __init__(self, registry: ClassificationRegistry, levels: Sequence[Level]):
-        self._registry = registry
-        self._levels = tuple(levels)
+    def __init__(self):
         self._tally: Counter = Counter()
 
     def add_all(self, corpus: Iterable[PublicationRecord]) -> None:
@@ -130,32 +124,24 @@ class Aggregator:
                     (len(r.subject_categories),), (r.status,))
             for r in corpus))
 
-    def finish(self) -> dict[Level, AggregationResult]:
+    def finish(self) -> AggregationResult:
         ks = set(map(itemgetter(2), self._tally))
         unit = math.lcm(*ks)
-        world, actors = _weigh(self._tally, {k: unit // k for k in ks})
-        baselines = _project(chain.from_iterable(map(dict.items, world.values())), None)
+        years, actors = _weigh(self._tally, {k: unit // k for k in ks})
+        baselines = _project(chain.from_iterable(map(dict.items, years.values())), None)
+        return AggregationResult(unit, actors, baselines, years)
 
-        results = {}
-        for level in self._levels:
-            field_map = self._registry.field_map(level)
-            if field_map is None:
-                # The weighed vectors are this level's own, shared unchanged.
-                results[level] = AggregationResult(unit, actors, baselines, world, None)
-                continue
-            unknown = baselines.keys() - field_map.keys()
-            if unknown:
-                raise UnknownCategory(f"subject categories {sorted(unknown)} not in registry")
-            fields = {c: field_map[c] for c in baselines}
-            results[level] = AggregationResult(
-                unit=unit,
-                cells=actors,
-                baselines=_project(baselines.items(), fields),
-                years={year: _project(by_category.items(), fields)
-                       for year, by_category in world.items()},
-                fields=fields,
-            )
-        return results
+
+def _field_map(result: AggregationResult, registry: ClassificationRegistry,
+               level: Level) -> Mapping[str, str] | None:
+    """The level's category -> field map, None at the subject-category level;
+    every category of the result must have a field."""
+    field_map = registry.field_map(level)
+    if field_map is not None:
+        unknown = result.baselines.keys() - field_map.keys()
+        if unknown:
+            raise UnknownCategory(f"subject categories {sorted(unknown)} not in registry")
+    return field_map
 
 
 def oa_share(counts: Sequence[int]) -> float:
@@ -181,18 +167,9 @@ def _field_weights(baselines: Mapping[str, Sequence[int]]) -> tuple[int, dict[st
                for f, b in baselines.items()}
 
 
-def _category_weights(result: AggregationResult) -> tuple[int, dict[str, int | None]]:
-    """D and each category's NOAI weight at the result's level: its field's."""
-    d, weights = _field_weights(result.baselines)
-    if result.fields is not None:
-        weights = {c: weights[f] for c, f in result.fields.items()}
-    return d, weights
-
-
 def _weighted_mean(cells: Mapping[str, Sequence[int]], d: int,
                    weights: Mapping[str, int | None]) -> float:
-    """sum(oa * weight) / (D * sum(x)) over the cells whose weight is defined;
-    a cell is a field's, or a category's weighed as its field."""
+    """sum(oa * weight) / (D * sum(x)) over the fields whose weight is defined."""
     num = den = 0
     for f, counts in cells.items():
         w = weights[f]
@@ -209,8 +186,9 @@ def noai(cells: Mapping[str, Sequence[int]], baselines: Mapping[str, Sequence[in
     """Stage-two normalization: weighted mean of defined normalized shares.
 
     cells maps each of an actor's fields to its counts and baselines every
-    field to the world's, over one unit, as in one AggregationResult; at a
-    coarser level, sum the actor's category cells into `fields` first. A
+    field to the world's, over one unit: an AggregationResult's at the
+    subject-category level, both summed by the level's field map at a
+    coarser one. A
     field's normalized share is undefined when the actor has no publications
     there or the world has no OA ones. Weights are the fractional
     publication counts; the denominator sums only over fields whose
@@ -235,10 +213,13 @@ class YearRow:
     field_shares: Mapping[str, float]
 
 
-def yearly_series(result: AggregationResult) -> list[YearRow]:
-    """World OA share per year, by type and by field at the result's level."""
+def yearly_series(result: AggregationResult, registry: ClassificationRegistry,
+                  level: Level) -> list[YearRow]:
+    """World OA share per year, by type and by field at the level."""
+    field_map = _field_map(result, registry, level)
     rows = []
-    for year, baselines in sorted(result.years.items()):
+    for year, by_category in sorted(result.years.items()):
+        baselines = _project(by_category.items(), field_map)
         total = [sum(c) for c in zip(*baselines.values())]
         rows.append(
             YearRow(
@@ -252,30 +233,33 @@ def yearly_series(result: AggregationResult) -> list[YearRow]:
 
 
 def build_indicator_table(
-    results: Mapping[Level, AggregationResult],
+    result: AggregationResult,
+    registry: ClassificationRegistry,
+    levels: Sequence[Level],
     actors_meta: Mapping[str, Actor] | None = None,
 ) -> list[IndicatorRow]:
-    """The per-actor indicator rows of the level results of one pass.
+    """The per-actor indicator rows of one pass, with the NOAI at each level.
 
     A record's category fractions sum to one, so an actor's fractional output
-    and its OA and OA-type counts equal its whole counts at every level: its
-    cell vectors summed and divided by the unit. Only the NOAI depends on the
-    level, through the weight each level gives a category: summing an
-    actor's categories into fields first would give the same integers.
+    and its OA and OA-type counts equal its whole counts: its cell vectors
+    summed and divided by the unit. Only the NOAI depends on the level: an
+    actor's cells and the world's are summed into the level's fields first.
     Rows are sorted by descending x_total, ties by actor id.
     """
-    if not results:
-        raise ValueError("no aggregation results")
-    first = next(iter(results.values()))
-    weights = {level: _category_weights(result) for level, result in results.items()}
+    weights = []
+    for level in levels:
+        field_map = _field_map(result, registry, level)
+        weights.append((level, field_map,
+                        *_field_weights(_project(result.baselines.items(), field_map))))
     rows = []
-    for actor, cells in first.cells.items():
-        counts = [sum(c) // first.unit for c in zip(*cells.values())]
+    for actor, cells in result.cells.items():
+        counts = [sum(c) // result.unit for c in zip(*cells.values())]
         pubs = sum(counts)
         noai_values: dict[Level, float | None] = {}
-        for level, (d, level_weights) in weights.items():
+        for level, field_map, d, level_weights in weights:
+            by_field = cells if field_map is None else _project(cells.items(), field_map)
             try:
-                noai_values[level] = _weighted_mean(cells, d, level_weights)
+                noai_values[level] = _weighted_mean(by_field, d, level_weights)
             except UndefinedIndicator:
                 noai_values[level] = None
         meta = actors_meta.get(actor) if actors_meta else None

@@ -27,7 +27,7 @@ from noai.model import (
     OAStatus,
     PublicationRecord,
 )
-from oracle import resolve
+from oracle import field_of, resolve
 
 
 class RawRecord(NamedTuple):
@@ -73,20 +73,32 @@ def exact_counts(counts, unit):
     return sum(by_status.values()), sum(by_type.values()), by_type
 
 
-def field_cells(result):
-    """A level result's actor cells summed into its fields: actor -> field ->
-    counts. Every level holds the category cells, with `fields` mapping each
-    category to its field (None at the category level); the sums are made
-    here, apart from the engine, so that tests check its fields too."""
-    fields = result.fields
-    out = {}
-    for actor, by_category in result.cells.items():
-        by_field = out[actor] = {}
+class LevelSums(NamedTuple):
+    """An engine result's vectors summed into one level's fields: actor ->
+    field -> counts, field -> counts for the world and year -> field ->
+    counts, over the result's unit."""
+
+    unit: int
+    cells: dict
+    baselines: dict
+    years: dict
+
+
+def at_level(result, registry, level):
+    """The one result of a pass, keyed by subject category, projected onto a
+    level. The sums are made here with the oracle's field_of, apart from the
+    engine, so that tests check the engine's own projections too."""
+    def by_field(by_category):
+        out = {}
         for category, counts in by_category.items():
-            f = category if fields is None else fields[category]
-            by_field[f] = [a + b for a, b in zip(by_field.get(f, (0, 0, 0, 0)), counts,
-                                                 strict=True)]
-    return out
+            f = field_of(registry, category, level)
+            out[f] = [a + b for a, b in zip(out.get(f, (0, 0, 0, 0)), counts, strict=True)]
+        return out
+
+    return LevelSums(result.unit,
+                     {actor: by_field(c) for actor, c in result.cells.items()},
+                     by_field(result.baselines),
+                     {year: by_field(c) for year, c in result.years.items()})
 
 
 # A publication carrying three subject categories, two of which share an

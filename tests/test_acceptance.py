@@ -25,8 +25,8 @@ from conftest import (
     TABLE_CATS,
     TABLE_REGISTRY,
     RawRecord,
+    at_level,
     exact_counts,
-    field_cells,
     load_corpus,
     parsed,
     random_corpus,
@@ -80,15 +80,13 @@ def test_01_mixed_counting_fixture():
     sc = {cat: 1 / 3 for cat in TABLE_CATS}
     ost = {"Computer science": 2 / 3, "Medical research": 1 / 3}
 
-    agg = Aggregator(TABLE_REGISTRY,
-                     (Level.SUBJECT_CATEGORY, Level.OST_DISCIPLINE))
+    agg = Aggregator()
     agg.add_all(parsed([record]))
-    results = agg.finish()
+    by_category = agg.finish()
     # Whole counting on the geographic axis: each country's credit on a
     # field equals the field fraction times one.
-    by_category = results[Level.SUBJECT_CATEGORY]
-    by_discipline = results[Level.OST_DISCIPLINE]
-    discipline_cells = field_cells(by_discipline)
+    by_discipline = at_level(by_category, TABLE_REGISTRY, Level.OST_DISCIPLINE)
+    discipline_cells = by_discipline.cells
     for country in ("FRA", "USA"):
         if set(by_category.cells[country]) != set(sc):
             problems.append(f"{country} categories {sorted(by_category.cells[country])}")
@@ -133,9 +131,9 @@ def test_02_status_priority_exhaustive(tmp_path):
         else:
             expected = CLOSED
         write_corpus([make_record("r", (category,), present, ("FRA",))], path)
-        agg = Aggregator(TABLE_REGISTRY, (Level.SUBJECT_CATEGORY,))
+        agg = Aggregator()
         agg.add_all(CorpusReader(path, TABLE_REGISTRY))
-        result = agg.finish()[Level.SUBJECT_CATEGORY]
+        result = agg.finish()
         want = [result.unit if s is expected else 0 for s in OAStatus]
         for where, got in (("world", result.baselines[category]),
                            ("FRA", result.cells["FRA"][category])):
@@ -158,13 +156,15 @@ def test_03_world_unit_invariant(tmp_path):
         registry = ClassificationRegistry(
             {f.subject_category: (f.ost_discipline, f.erc_subfield)
              for f in spec.fields})
-        agg = Aggregator(registry, levels)
+        agg = Aggregator()
         path = tmp_path / f"world-{seed}.jsonl"
         generate(spec, str(path))
         agg.add_all(parsed(record._replace(countries=record.countries | {"WORLD"})
                            for record in load_corpus(path)[0]))
-        for level, result in agg.finish().items():
-            value = noai(field_cells(result)["WORLD"], result.baselines)
+        result = agg.finish()
+        for level in levels:
+            view = at_level(result, registry, level)
+            value = noai(view.cells["WORLD"], view.baselines)
             worst = max(worst, abs(value - 1.0))
             if abs(value - 1.0) > tol:
                 problems.append(f"seed {seed} {level.value}: {value!r}")
@@ -211,17 +211,18 @@ def trials(tmp_path_factory) -> TrialOutcome:
         records, registry = synthetic_trial(seed, tmp_dir)
         level = levels[seed % 3]
         oracle = BruteForce(records, registry, level)
-        agg = Aggregator(registry, (level,))
+        agg = Aggregator()
         agg.add_all(parsed(records))
-        result = agg.finish()[level]
-        table = build_indicator_table({level: result})
+        tally = agg.finish()
+        table = build_indicator_table(tally, registry, (level,))
+        result = at_level(tally, registry, level)
 
         def flag(what, diff):
             out.equivalence_worst = max(out.equivalence_worst, diff)
             if diff > tol:
                 out.equivalence_problems.append(f"seed {seed}: {what} {diff:.2e}")
 
-        cells = field_cells(result)
+        cells = result.cells
         if set(oracle.actors()) != set(cells):
             out.equivalence_problems.append(f"seed {seed}: actor sets differ")
             continue
@@ -356,9 +357,9 @@ def test_07_normalization_direction():
         records.append(make_record(
             f"b-{i}", ("High Field",), (GOLD,) if i < 8 else (), ("B",)))
 
-    agg = Aggregator(registry, (Level.SUBJECT_CATEGORY,))
+    agg = Aggregator()
     agg.add_all(parsed(records))
-    result = agg.finish()[Level.SUBJECT_CATEGORY]
+    result = agg.finish()
     problems = []
     shares = {}
     for f, counts in result.baselines.items():
@@ -367,7 +368,7 @@ def test_07_normalization_direction():
     if not shares["Low Field"] < shares["High Field"]:
         problems.append("baseline ordering broken")
 
-    table = build_indicator_table({Level.SUBJECT_CATEGORY: result})
+    table = build_indicator_table(result, registry, (Level.SUBJECT_CATEGORY,))
     share_ranks = rank({r.actor: r.oa_share for r in table})
     noai_ranks = rank({r.actor: r.noai[Level.SUBJECT_CATEGORY] for r in table})
     shifts = rank_shift(share_ranks, noai_ranks)
@@ -430,9 +431,10 @@ def test_09_format_round_trip(tmp_path, monkeypatch, capsys):
         {f.subject_category: (f.ost_discipline, f.erc_subfield)
          for f in spec.fields})
     records, _ = load_corpus(str(tmp_path / "corpus.jsonl"), registry=registry)
-    agg = Aggregator(registry, (Level.SUBJECT_CATEGORY, Level.OST_DISCIPLINE))
+    agg = Aggregator()
     agg.add_all(parsed(records))
-    table = build_indicator_table(agg.finish())
+    table = build_indicator_table(agg.finish(), registry,
+                                  (Level.SUBJECT_CATEGORY, Level.OST_DISCIPLINE))
     by_actor = {r.actor: r for r in table}
 
     def render(value):

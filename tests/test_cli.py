@@ -177,6 +177,24 @@ class TestUsageErrors:
             main(base_args(ws, command) + [flag, value])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["indicators", "rank", "compare"])
+    @pytest.mark.parametrize("extra", [
+        [],
+        ["--actor-kind", "institution"],
+        ["--actors", "actors.csv"],
+        ["--actors", "actors.csv", "--actor-kind", "country"],
+    ], ids=["no-actors", "no-actors-institution", "actors", "actors-country"])
+    def test_group_without_institution_actors(self, ws, capsys, command, extra):
+        # Only institutions from --actors carry a group, so --group could
+        # match nothing. It is refused before the corpus is read: a missing
+        # corpus would be a data error.
+        code = main([command, "--corpus", str(ws / "missing.jsonl"),
+                     "--registry", str(ws / "registry.csv"), "--group", "G1", *extra])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "noai: --group needs --actors and --actor-kind institution: "
+            "only institutions carry a group\n")
+
 
 class TestDataErrors:
     @pytest.mark.parametrize("argv,named", [
@@ -227,6 +245,22 @@ class TestDataErrors:
         assert code == 3
         assert "no records in window" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["indicators", "rank", "series"])
+    def test_every_line_rejected_says_why(self, ws, capsys, command):
+        # The stats and each line's diagnostic come before the message, as
+        # validate prints them.
+        (ws / "bad.jsonl").write_text('{broken\n[1, 2]\n', encoding="utf-8")
+        code = main([command, "--corpus", str(ws / "bad.jsonl"),
+                     "--registry", str(ws / "registry.csv")])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "corpus: 2 read, 0 accepted, 2 rejected (malformed=2)",
+            "  line 1: malformed (Expecting property name enclosed in double quotes: "
+            "line 1 column 2 (char 1))",
+            "  line 2: malformed (line is not an object)",
+            "noai: no records in window",
+        ]
+
     def test_strict_surfaces_bad_line(self, ws, capsys):
         with open(ws / "corpus.jsonl", "a", encoding="utf-8") as fh:
             fh.write("{broken\n")
@@ -267,9 +301,10 @@ class TestIndicators:
         _, rows = parse_csv(capsys.readouterr().out)
 
         records, _ = load_corpus(str(ws / "corpus.jsonl"), registry=REG10)
-        agg = Aggregator(REG10, (Level.SUBJECT_CATEGORY, Level.OST_DISCIPLINE))
+        agg = Aggregator()
         agg.add_all(parsed(records))
-        by_actor = {r.actor: r for r in build_indicator_table(agg.finish())}
+        by_actor = {r.actor: r for r in build_indicator_table(
+            agg.finish(), REG10, (Level.SUBJECT_CATEGORY, Level.OST_DISCIPLINE))}
         for row in rows:
             mem = by_actor[row[0]]
             assert row[2] == f"{mem.x_total:.2f}"

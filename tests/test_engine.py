@@ -15,8 +15,8 @@ from conftest import (
     CATS10,
     REG10,
     RawRecord,
+    at_level,
     exact_counts,
-    field_cells,
     parsed,
     random_corpus,
     write_corpus,
@@ -40,7 +40,7 @@ from noai.model import (
     Level,
     OAStatus,
 )
-from oracle import OA_TYPES, BruteForce, field_of
+from oracle import OA_TYPES, BruteForce
 
 TOL = 1e-9
 RAW = (OAStatus.GOLD, OAStatus.BRONZE, OAStatus.GREEN)
@@ -49,12 +49,12 @@ PRIORITIES = tuple(itertools.permutations(RAW))
 LEVELS = (Level.SUBJECT_CATEGORY, Level.OST_DISCIPLINE, Level.ERC_SUBFIELD)
 
 
-def aggregate(corpus, registry, level, **kwargs):
-    """One pass over a raw corpus as the reader parses it under kwargs
-    (actor kind, priority), projected onto a single level."""
-    agg = Aggregator(registry, (level,))
+def aggregate(corpus, **kwargs):
+    """The one result of a pass over a raw corpus as the reader parses it
+    under kwargs (actor kind, priority)."""
+    agg = Aggregator()
     agg.add_all(parsed(corpus, **kwargs))
-    return agg.finish()[level]
+    return agg.finish()
 
 
 def rec(rec_id, cats, statuses=(), countries=(), year=2018, doc=DocType.ARTICLE):
@@ -67,8 +67,8 @@ def rec(rec_id, cats, statuses=(), countries=(), year=2018, doc=DocType.ARTICLE)
 
 def one_record_cells(cats, registry, level):
     """The one actor's cells of a one-record tally at a level, and its unit."""
-    result = aggregate([rec("r1", cats, countries=("FRA",))], registry, level)
-    return field_cells(result)["FRA"], result.unit
+    result = aggregate([rec("r1", cats, countries=("FRA",))])
+    return at_level(result, registry, level).cells["FRA"], result.unit
 
 
 class TestOneRecordWeights:
@@ -104,15 +104,25 @@ class TestOneRecordWeights:
 
     @pytest.mark.parametrize("level", [Level.OST_DISCIPLINE, Level.ERC_SUBFIELD])
     def test_unknown_category_raises_at_coarser_level(self, reg10, level):
-        agg = Aggregator(reg10, (level,))
-        agg.add_all(parsed([rec("r1", ("Palmistry",), countries=("FRA",))]))
-        with pytest.raises(UnknownCategory, match="Palmistry"):
-            agg.finish()
+        # The tally holds any category; a level that must map one to a
+        # field is where an unknown category fails, in the table and the series.
+        result = aggregate([rec("r1", ("Palmistry",), countries=("FRA",)),
+                            rec("r2", ("Mathematics",), countries=("FRA",))])
+        with pytest.raises(UnknownCategory, match=r"\['Palmistry'\] not in registry"):
+            build_indicator_table(result, reg10, (Level.SUBJECT_CATEGORY, level))
+        with pytest.raises(UnknownCategory, match=r"\['Palmistry'\] not in registry"):
+            yearly_series(result, reg10, level)
 
     def test_unknown_category_fine_at_category_level(self, reg10):
         cells, unit = one_record_cells(("Palmistry",), reg10, Level.SUBJECT_CATEGORY)
         assert {f: exact_counts(c, unit)[0] for f, c in cells.items()} == {
             "Palmistry": 1}
+        result = aggregate([rec("r1", ("Palmistry",), (OAStatus.GOLD,), ("FRA",)),
+                            rec("r2", ("Palmistry",))])
+        (row,) = build_indicator_table(result, reg10, (Level.SUBJECT_CATEGORY,))
+        assert row.noai == {Level.SUBJECT_CATEGORY: 2.0}
+        (year,) = yearly_series(result, reg10, Level.SUBJECT_CATEGORY)
+        assert year.field_shares == {"Palmistry": 50.0}
 
     @given(st.lists(st.sampled_from(CATS10), min_size=1, max_size=6, unique=True),
            st.sampled_from(LEVELS))
@@ -128,8 +138,9 @@ class TestOneRecordWeights:
         assert all(sum(c) == unit // k for c in cells.values())
 
 
-def assert_matches_oracle(result, oracle: BruteForce):
+def assert_matches_oracle(result, registry, oracle: BruteForce):
     unit = result.unit
+    result = at_level(result, registry, oracle.level)
     # World baselines: same fields, same tallies, exactly.
     assert set(result.baselines) == set(oracle.world)
     for f, counts in result.baselines.items():
@@ -137,7 +148,7 @@ def assert_matches_oracle(result, oracle: BruteForce):
         assert exact_counts(counts, unit) == (ocell.x, ocell.oa, ocell.by_type)
 
     # Per-(actor, field) cells.
-    by_actor = field_cells(result)
+    by_actor = result.cells
     cells = {(actor, f): counts for actor, by_field in by_actor.items()
              for f, counts in by_field.items()}
     assert set(cells) == set(oracle.cells)
@@ -177,9 +188,8 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("level", LEVELS)
     def test_streaming_equals_brute_force(self, seed, level):
         corpus = random_corpus(seed=seed, n_records=400)
-        result = aggregate(corpus, REG10, level)
         oracle = BruteForce(corpus, REG10, level)
-        assert_matches_oracle(result, oracle)
+        assert_matches_oracle(aggregate(corpus), REG10, oracle)
 
     def test_window_respected_both_routes(self, tmp_path):
         # The window is the reader's filter; the aggregator counts what it gets.
@@ -188,29 +198,27 @@ class TestOracleEquivalence:
         write_corpus(corpus, tmp_path / "corpus.jsonl")
         reader = CorpusReader(tmp_path / "corpus.jsonl", REG10,
                               IngestOptions(window=window))
-        agg = Aggregator(REG10, (Level.OST_DISCIPLINE,))
+        agg = Aggregator()
         agg.add_all(reader)
-        result = agg.finish()[Level.OST_DISCIPLINE]
         oracle = BruteForce(corpus, REG10, Level.OST_DISCIPLINE, window=window)
         assert reader.stats.records_accepted == oracle.n_records > 0
-        assert_matches_oracle(result, oracle)
+        assert_matches_oracle(agg.finish(), REG10, oracle)
 
     def test_institution_kind(self):
         corpus = random_corpus(seed=5, n_records=300,
                                institution_pool=("u1", "u2", "u3"))
-        result = aggregate(corpus, REG10, Level.ERC_SUBFIELD,
-                           actor_kind=ActorKind.INSTITUTION)
+        result = aggregate(corpus, actor_kind=ActorKind.INSTITUTION)
         oracle = BruteForce(corpus, REG10, Level.ERC_SUBFIELD,
                             actor_kind=ActorKind.INSTITUTION)
         assert oracle.actors()  # the draw must produce signed records
-        assert_matches_oracle(result, oracle)
+        assert_matches_oracle(result, REG10, oracle)
 
     @pytest.mark.parametrize("priority", PRIORITIES)
     def test_priority_override_both_routes(self, priority):
         corpus = random_corpus(seed=11, n_records=300)
-        result = aggregate(corpus, REG10, Level.OST_DISCIPLINE, priority=priority)
+        result = aggregate(corpus, priority=priority)
         oracle = BruteForce(corpus, REG10, Level.OST_DISCIPLINE, priority=priority)
-        assert_matches_oracle(result, oracle)
+        assert_matches_oracle(result, REG10, oracle)
 
     @pytest.mark.parametrize("priority", PRIORITIES)
     def test_priority_one_record_slots(self, priority, tmp_path):
@@ -225,32 +233,31 @@ class TestOracleEquivalence:
                 write_corpus([RawRecord("r", 2016, DocType.ARTICLE, frozenset(subset),
                                         (category,), True, frozenset({"FRA"}),
                                         frozenset())], path)
-                agg = Aggregator(REG10, (Level.SUBJECT_CATEGORY,))
+                agg = Aggregator()
                 agg.add_all(CorpusReader(path, REG10, IngestOptions(priority=priority)))
-                result = agg.finish()[Level.SUBJECT_CATEGORY]
+                result = agg.finish()
                 want = [result.unit if s is expected else 0 for s in OAStatus]
                 assert result.baselines[category] == want, subset
                 assert result.cells["FRA"][category] == want, subset
 
-    def test_multi_level_pass_equals_single_level_passes(self):
+    def test_multi_level_table_equals_single_level_tables(self):
         corpus = random_corpus(seed=21, n_records=300)
-        agg = Aggregator(REG10, LEVELS)
-        agg.add_all(parsed(corpus))
-        combined = agg.finish()
+        result = aggregate(corpus)
+        combined = build_indicator_table(result, REG10, LEVELS)
         for level in LEVELS:
-            solo = aggregate(corpus, REG10, level)
-            assert combined[level].unit == solo.unit
-            assert field_cells(combined[level]) == field_cells(solo)
+            solo = build_indicator_table(result, REG10, (level,))
+            assert [(r.actor, r.x_total, r.noai[level]) for r in combined] == [
+                (r.actor, r.x_total, r.noai[level]) for r in solo]
 
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("level", LEVELS)
-    def test_world_only_tally(self, seed, level):
+    def test_world_only_tally(self, seed):
         # actor_kind None credits no actor, neither country nor institution,
         # and leaves the world tally as it is.
         corpus = random_corpus(seed=seed, n_records=400,
                                institution_pool=("u1", "u2", "u3"))
-        world = aggregate(corpus, REG10, level, actor_kind=None)
-        full = aggregate(corpus, REG10, level)
+        world = aggregate(corpus, actor_kind=None)
+        full = aggregate(corpus)
+        assert world.unit == full.unit
         assert world.baselines == full.baselines
         assert world.years == full.years
         assert world.cells == {}
@@ -262,11 +269,8 @@ class TestOracleEquivalence:
         random.Random(1).shuffle(shuffled)
         runs = []
         for records in (corpus, shuffled):
-            agg = Aggregator(REG10, LEVELS)
-            agg.add_all(parsed(records))
-            results = agg.finish()
-            runs.append((build_indicator_table(results),
-                         {level: r.baselines for level, r in results.items()}))
+            result = aggregate(records)
+            runs.append((build_indicator_table(result, REG10, LEVELS), result))
         assert runs[0] == runs[1]
 
 
@@ -280,39 +284,42 @@ class TestCountingRules:
                 statuses=(OAStatus.GOLD,), countries=("FRA", "USA")),
             rec("r2", ("Health Care Sciences & Services",), countries=("FRA",)),
         ]
-        result = aggregate(corpus, table_registry, Level.OST_DISCIPLINE)
-        b = {f: exact_counts(counts, result.unit) for f, counts in result.baselines.items()}
+        result = aggregate(corpus)
+        by_discipline = at_level(result, table_registry, Level.OST_DISCIPLINE)
+        b = {f: exact_counts(counts, result.unit)
+             for f, counts in by_discipline.baselines.items()}
         assert b["Computer science"][:2] == (Fraction(2, 3), Fraction(2, 3))
         assert b["Medical research"][:2] == (Fraction(4, 3), Fraction(1, 3))
 
-        cells = field_cells(result)
+        cells = by_discipline.cells
         fra_mr = exact_counts(cells["FRA"]["Medical research"], result.unit)
         assert fra_mr[0] == Fraction(4, 3)
         usa_cs = exact_counts(cells["USA"]["Computer science"], result.unit)
         assert usa_cs[0] == Fraction(2, 3)
 
         # Whole counting: every distinct signatory gets the full record.
-        rows = {r.actor: r for r in build_indicator_table({Level.OST_DISCIPLINE: result})}
+        rows = {r.actor: r for r in build_indicator_table(
+            result, table_registry, (Level.OST_DISCIPLINE,))}
         assert rows["FRA"].x_total == 2
         assert rows["FRA"].n_oa_whole == 1
         assert rows["USA"].x_total == 1
         assert sum(x for x, _, _ in b.values()) == 2
 
-    def test_multi_status_counts_once_under_winner(self, reg10):
+    def test_multi_status_counts_once_under_winner(self):
         r = rec("r1", ("Mathematics",), statuses=(OAStatus.GOLD, OAStatus.GREEN),
                 countries=("FRA",))
-        result = aggregate([r], reg10, Level.SUBJECT_CATEGORY)
+        result = aggregate([r])
         _, oa, by_type = exact_counts(result.cells["FRA"]["Mathematics"], result.unit)
         assert oa == 1
         assert by_type[OAStatus.GOLD] == 1
         assert by_type[OAStatus.GREEN] == 0
 
-    def test_actorless_record_feeds_world_baseline_only(self, reg10):
+    def test_actorless_record_feeds_world_baseline_only(self):
         corpus = [
             rec("r1", ("Economics",), statuses=(OAStatus.GREEN,)),
             rec("r2", ("Economics",), countries=("FRA",)),
         ]
-        result = aggregate(corpus, reg10, Level.SUBJECT_CATEGORY)
+        result = aggregate(corpus)
         assert exact_counts(result.baselines["Economics"], result.unit)[0] == 2
         assert exact_counts(result.cells["FRA"]["Economics"], result.unit)[0] == 1
         assert set(result.cells) == {"FRA"}
@@ -323,12 +330,12 @@ class TestInvariants:
     @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(LEVELS))
     def test_conservation_and_dominance(self, seed, level):
         corpus = random_corpus(seed=seed, n_records=250)
-        result = aggregate(corpus, REG10, level)
+        result = at_level(aggregate(corpus), REG10, level)
         # Conservation: world fractional counts sum to the record count.
         total_x = sum(exact_counts(b, result.unit)[0] for b in result.baselines.values())
         assert total_x == len(corpus)
         # Dominance and per-type decomposition on every cell.
-        vectors = [c for by_field in field_cells(result).values()
+        vectors = [c for by_field in result.cells.values()
                    for c in by_field.values()]
         for counts in vectors + list(result.baselines.values()):
             x, oa, by_type = exact_counts(counts, result.unit)
@@ -339,9 +346,9 @@ class TestInvariants:
     @given(st.integers(min_value=0, max_value=10_000))
     def test_type_shares_sum_to_total(self, seed):
         corpus = random_corpus(seed=seed, n_records=250)
-        result = aggregate(corpus, REG10, Level.OST_DISCIPLINE)
-        table = build_indicator_table({Level.OST_DISCIPLINE: result})
-        cells = field_cells(result)
+        result = aggregate(corpus)
+        table = build_indicator_table(result, REG10, (Level.OST_DISCIPLINE,))
+        cells = at_level(result, REG10, Level.OST_DISCIPLINE).cells
         for row in table:
             total = oa_share_of_cells(cells[row.actor].values())
             assert abs(sum(row.oa_type_shares.values()) - total) <= TOL
@@ -353,9 +360,12 @@ class TestInvariants:
             r._replace(countries=r.countries | {"WORLD"})
             for r in random_corpus(seed=77, n_records=400)
         ]
+        result = aggregate(corpus)
         for level in LEVELS:
-            result = aggregate(corpus, REG10, level)
-            assert noai(field_cells(result)["WORLD"], result.baselines) == 1.0
+            view = at_level(result, REG10, level)
+            assert noai(view.cells["WORLD"], view.baselines) == 1.0
+        rows = {r.actor: r for r in build_indicator_table(result, REG10, LEVELS)}
+        assert rows["WORLD"].noai == {level: 1.0 for level in LEVELS}
 
 
 def oa_share_of_cells(cells):
@@ -364,25 +374,25 @@ def oa_share_of_cells(cells):
 
 
 class TestShares:
-    def test_oa_share(self, reg10):
+    def test_oa_share(self):
         corpus = [
             rec("r1", ("Mathematics",), statuses=(OAStatus.GOLD,), countries=("A",)),
             rec("r2", ("Mathematics",), countries=("A",)),
         ]
-        result = aggregate(corpus, reg10, Level.SUBJECT_CATEGORY)
+        result = aggregate(corpus)
         assert oa_share(result.cells["A"]["Mathematics"]) == pytest.approx(50.0)
 
     def test_oa_share_undefined_on_empty(self):
         with pytest.raises(UndefinedShare):
             oa_share((0, 0, 0, 0))
 
-    def test_single_field_indicator_is_its_normalized_share(self, reg10):
+    def test_single_field_indicator_is_its_normalized_share(self):
         # Actor at 100% OA in a field where the world is at 50%.
         corpus = [
             rec("r1", ("Economics",), statuses=(OAStatus.GREEN,), countries=("A",)),
             rec("r2", ("Economics",)),
         ]
-        result = aggregate(corpus, reg10, Level.SUBJECT_CATEGORY)
+        result = aggregate(corpus)
         assert noai(result.cells["A"], result.baselines) == 2.0
 
     def test_normalized_share_undefined_when_world_closed(self, reg10):
@@ -390,8 +400,7 @@ class TestShares:
         # there is undefined and its table row carries no indicator, while its
         # counts and OA share are still reported.
         corpus = [rec("r1", ("Economics",), countries=("A",))]
-        results = {Level.SUBJECT_CATEGORY: aggregate(corpus, reg10, Level.SUBJECT_CATEGORY)}
-        (row,) = build_indicator_table(results)
+        (row,) = build_indicator_table(aggregate(corpus), reg10, (Level.SUBJECT_CATEGORY,))
         assert row.noai == {Level.SUBJECT_CATEGORY: None}
         assert (row.x_total, row.n_oa_whole, row.oa_share) == (1, 0, 0.0)
 
@@ -401,7 +410,7 @@ class TestShares:
         with pytest.raises(KeyError):
             noai({"f1": (0, 0, 0, 1)}, {"f2": (1, 0, 0, 0)})
 
-    def test_undefined_fields_left_out_of_weighting(self, reg10):
+    def test_undefined_fields_left_out_of_weighting(self):
         # Economics: world all closed (share undefined there); Sociology:
         # world 50% OA, actor 100%. The indicator must weight Sociology
         # alone, giving exactly its normalized share.
@@ -411,18 +420,18 @@ class TestShares:
             rec("r3", ("Sociology",), statuses=(OAStatus.GOLD,), countries=("A",)),
             rec("r4", ("Sociology",)),
         ]
-        result = aggregate(corpus, reg10, Level.SUBJECT_CATEGORY)
+        result = aggregate(corpus)
         assert noai(result.cells["A"], result.baselines) == 2.0
 
-    def test_indicator_undefined_when_no_field_qualifies(self, reg10):
+    def test_indicator_undefined_when_no_field_qualifies(self):
         corpus = [rec("r1", ("Economics",), countries=("A",))]
-        result = aggregate(corpus, reg10, Level.SUBJECT_CATEGORY)
+        result = aggregate(corpus)
         with pytest.raises(UndefinedIndicator):
             noai(result.cells["A"], result.baselines)
 
 
 def series(corpus, registry, level):
-    return yearly_series(aggregate(corpus, registry, level))
+    return yearly_series(aggregate(corpus), registry, level)
 
 
 class TestYearlySeries:
@@ -459,10 +468,8 @@ class TestYearlySeries:
 class TestIndicatorTable:
     def test_matches_oracle_rows(self):
         corpus = random_corpus(seed=41, n_records=400)
-        agg = Aggregator(REG10, (Level.SUBJECT_CATEGORY, Level.OST_DISCIPLINE))
-        agg.add_all(parsed(corpus))
-        results = agg.finish()
-        table = build_indicator_table(results)
+        table = build_indicator_table(aggregate(corpus), REG10,
+                                      (Level.SUBJECT_CATEGORY, Level.OST_DISCIPLINE))
         oracle = BruteForce(corpus, REG10, Level.SUBJECT_CATEGORY)
         oracle_ost = BruteForce(corpus, REG10, Level.OST_DISCIPLINE)
         assert {r.actor for r in table} == set(oracle.actors())
@@ -489,8 +496,7 @@ class TestIndicatorTable:
 
     def test_rows_sorted_by_size(self):
         corpus = random_corpus(seed=43, n_records=300)
-        result = aggregate(corpus, REG10, Level.SUBJECT_CATEGORY)
-        table = build_indicator_table({Level.SUBJECT_CATEGORY: result})
+        table = build_indicator_table(aggregate(corpus), REG10, (Level.SUBJECT_CATEGORY,))
         sizes = [r.x_total for r in table]
         assert sizes == sorted(sizes, reverse=True)
 
@@ -498,16 +504,16 @@ class TestIndicatorTable:
         from noai.model import Actor
         corpus = [rec("r1", ("Economics",), statuses=(OAStatus.GOLD,),
                       countries=("FRA",))]
-        result = aggregate(corpus, reg10, Level.SUBJECT_CATEGORY)
+        result = aggregate(corpus)
         meta = {"FRA": Actor(id="FRA", kind=ActorKind.COUNTRY,
                              display_name="France")}
-        table = build_indicator_table({Level.SUBJECT_CATEGORY: result}, meta)
+        table = build_indicator_table(result, reg10, (Level.SUBJECT_CATEGORY,), meta)
         assert table[0].display_name == "France"
 
     def test_undefined_indicator_becomes_none(self, reg10):
         corpus = [rec("r1", ("Economics",), countries=("FRA",))]
-        result = aggregate(corpus, reg10, Level.SUBJECT_CATEGORY)
-        table = build_indicator_table({Level.SUBJECT_CATEGORY: result})
+        result = aggregate(corpus)
+        table = build_indicator_table(result, reg10, (Level.SUBJECT_CATEGORY,))
         assert table[0].noai[Level.SUBJECT_CATEGORY] is None
 
 
@@ -518,10 +524,10 @@ class TestExactAgainstOracle:
     @pytest.mark.parametrize("level", LEVELS)
     def test_table_and_series_equal_rounded_fractions(self, seed, level):
         corpus = random_corpus(seed=seed, n_records=300)
-        result = aggregate(corpus, REG10, level)
+        result = aggregate(corpus)
         oracle = BruteForce(corpus, REG10, level)
 
-        table = build_indicator_table({level: result})
+        table = build_indicator_table(result, REG10, (level,))
         assert sorted(r.actor for r in table) == oracle.actors()
         for row in table:
             actor = row.actor
@@ -533,7 +539,7 @@ class TestExactAgainstOracle:
             expected = oracle.noai(actor)
             assert row.noai[level] == (None if expected is None else float(expected))
 
-        rows = yearly_series(result)
+        rows = yearly_series(result, REG10, level)
         assert [r.year for r in rows] == sorted({r.year for r in corpus})
         for row in rows:
             world = BruteForce([r for r in corpus if r.year == row.year],
@@ -571,16 +577,16 @@ class TestOneQuotient:
     @pytest.mark.parametrize("level", LEVELS)
     def test_table_noai_is_noai_of_cells(self, seed, level):
         corpus = corpus_with_closed_fields(seed)
-        result = aggregate(corpus, REG10, level)
+        result = aggregate(corpus)
         oracle = BruteForce(corpus, REG10, level)
-        closed = {f for f, b in result.baselines.items() if oa_share(b) == 0}
-        assert closed and closed != set(result.baselines)
-        table = build_indicator_table({level: result})
-        cells = field_cells(result)
+        view = at_level(result, REG10, level)
+        closed = {f for f, b in view.baselines.items() if oa_share(b) == 0}
+        assert closed and closed != set(view.baselines)
+        table = build_indicator_table(result, REG10, (level,))
         assert {r.actor for r in table} == set(oracle.actors())
         for row in table:
             try:
-                expected = noai(cells[row.actor], result.baselines)
+                expected = noai(view.cells[row.actor], view.baselines)
             except UndefinedIndicator:
                 expected = None
             assert row.noai[level] == expected
@@ -590,38 +596,21 @@ class TestOneQuotient:
 
 
 class TestSharedVectors:
-    """The category level's cells and years are the weighed tally itself;
-    nothing downstream may change them."""
+    """The one result is the weighed tally itself; nothing downstream may
+    change it."""
 
     def test_finish_twice_and_downstream_leave_category_level_unchanged(self):
         corpus = random_corpus(seed=51, n_records=400)
-        agg = Aggregator(REG10, (Level.ERC_SUBFIELD, Level.SUBJECT_CATEGORY,
-                                 Level.OST_DISCIPLINE))
+        agg = Aggregator()
         agg.add_all(parsed(corpus))
-        results = agg.finish()
-        category = results[Level.SUBJECT_CATEGORY]
-        cells, years = copy.deepcopy(category.cells), copy.deepcopy(category.years)
-        assert agg.finish() == results
-        build_indicator_table(results)
-        for result in results.values():
-            yearly_series(result)
-        assert category.cells == cells
-        assert category.years == years
-        solo = aggregate(corpus, REG10, Level.SUBJECT_CATEGORY)
-        assert (solo.cells, solo.years, solo.baselines) == (
-            cells, years, category.baselines)
-        assert_matches_oracle(category, BruteForce(corpus, REG10, Level.SUBJECT_CATEGORY))
-
-    def test_every_level_shares_the_category_cells(self):
-        # A coarser level holds no cells of its own: it maps each category
-        # of the tally to its field, and its NOAI weighs the category cells.
-        corpus = random_corpus(seed=52, n_records=300)
-        agg = Aggregator(REG10, LEVELS)
-        agg.add_all(parsed(corpus))
-        results = agg.finish()
-        category = results[Level.SUBJECT_CATEGORY]
-        assert category.fields is None
-        for level in (Level.OST_DISCIPLINE, Level.ERC_SUBFIELD):
-            assert results[level].cells is category.cells
-            assert results[level].fields == {
-                c: field_of(REG10, c, level) for c in category.baselines}
+        result = agg.finish()
+        snapshot = copy.deepcopy(result)
+        assert agg.finish() == result
+        build_indicator_table(result, REG10, (Level.ERC_SUBFIELD, Level.SUBJECT_CATEGORY,
+                                              Level.OST_DISCIPLINE))
+        for level in LEVELS:
+            yearly_series(result, REG10, level)
+        assert result == snapshot
+        assert aggregate(corpus) == snapshot
+        assert_matches_oracle(result, REG10,
+                              BruteForce(corpus, REG10, Level.SUBJECT_CATEGORY))

@@ -1,6 +1,7 @@
 """Source hygiene: every name a package module imports is used in that module,
 every function, class and method it defines has a caller outside the tests,
-and every defaulted parameter is passed by some call outside the tests."""
+every defaulted parameter is passed by some call outside the tests, and the
+README's library example runs as written."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import noai
+from conftest import REG10, random_corpus, registry_csv_text, write_corpus
 
 MODULES = sorted(Path(noai.__file__).resolve().parent.glob("*.py"))
 ROOT = Path(noai.__file__).resolve().parents[2]
@@ -265,3 +267,22 @@ def test_every_default_is_passed_by_a_caller():
     package = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     callers = [path.read_text(encoding="utf-8") for path in CALLERS]
     assert uncalled_defaults(package, callers) == []
+
+
+def library_example() -> str:
+    """The python block under the README's "## Library" heading."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    # The example credits institutions, so its corpus must sign with some.
+    monkeypatch.chdir(tmp_path)
+    write_corpus(random_corpus(seed=7, n_records=300, institution_pool=("u1", "u2", "u3")),
+                 tmp_path / "corpus.jsonl")
+    (tmp_path / "registry.csv").write_text(registry_csv_text(REG10), encoding="utf-8")
+    exec(compile(library_example(), "README.md", "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "300 records accepted"
+    assert sorted(line.split()[-1] for line in out[-3:]) == ["u1", "u2", "u3"]
