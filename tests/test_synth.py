@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -145,50 +146,68 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             load_synth_spec(str(path))
 
-    @pytest.mark.parametrize("mutate", [
-        lambda o: o.pop("seed"),
-        lambda o: o.pop("fields"),
-        lambda o: o.update(seed="abc"),
-        lambda o: o.update(seed=2**128),
-        lambda o: o.update(years=[2015, 2**63]),
-        lambda o: o.update(years=[2019, 2015]),
-        lambda o: o.update(years=[2015]),
-        lambda o: o.update(n_records=-1),
-        lambda o: o.update(multi_category_rate=1.5),
-        lambda o: o.update(multi_status_rate=-0.1),
-        lambda o: o.update(has_doi_rate=2),
-        lambda o: o.update(unknown_key=1),
-        lambda o: o.update(doc_type_weights={"thesis": 1.0}),
-        lambda o: o.update(doc_type_weights={"article": 0.0}),
-        lambda o: o.update(doc_type_weights={"article": float("inf")}),
-        lambda o: o["fields"].append(o["fields"][0]),
-        lambda o: o["oa_profiles"].update(Palmistry={"gold": 0.1}),
-        lambda o: o["oa_profiles"]["Mathematics"].update(gold=0.9, green=0.9),
-        lambda o: o["oa_profiles"]["Mathematics"].update(silver=0.1),
-        lambda o: o["oa_profiles"].pop("Mathematics"),
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda o: o.pop("seed"), "missing spec key 'seed'"),
+        (lambda o: o.pop("fields"), "missing spec key 'fields'"),
+        (lambda o: o.update(seed="abc"), "seed must be an integer"),
+        (lambda o: o.update(seed=2**128), "seed must be an integer in [0, 2**128)"),
+        (lambda o: o.update(years=[2015, 2**63]),
+         "years must satisfy -2**31 <= start <= end < 2**31, got 2015:9223372036854775808"),
+        (lambda o: o.update(years=[2019, 2015]),
+         "years must satisfy -2**31 <= start <= end < 2**31, got 2019:2015"),
+        (lambda o: o.update(years=[2015]), "years must be a two-integer list [start, end]"),
+        (lambda o: o.update(n_records=-1), "n_records must be non-negative"),
+        (lambda o: o.update(multi_category_rate=1.5),
+         "multi_category_rate must be in [0, 1], got 1.5"),
+        (lambda o: o.update(multi_status_rate=-0.1),
+         "multi_status_rate must be in [0, 1], got -0.1"),
+        (lambda o: o.update(has_doi_rate=2), "has_doi_rate must be in [0, 1], got 2.0"),
+        (lambda o: o.update(unknown_key=1), "unknown spec key 'unknown_key'"),
+        (lambda o: o.update(doc_type_weights={"thesis": 1.0}),
+         "unknown doc type 'thesis' in doc_type_weights"),
+        (lambda o: o.update(doc_type_weights={"article": 0.0}),
+         "doc_type_weights must not sum to zero"),
+        (lambda o: o.update(doc_type_weights={"article": float("inf")}),
+         "doc type weight for 'article' must be finite, >= 0"),
+        (lambda o: o["fields"].append(o["fields"][0]), "duplicate subject category in fields"),
+        (lambda o: o["oa_profiles"].update(Palmistry={"gold": 0.1}),
+         "OA profile for unknown category 'Palmistry'"),
+        (lambda o: o["oa_profiles"]["Mathematics"].update(gold=0.9, green=0.9),
+         "'Mathematics': OA propensities sum to 1.85, above 1"),
+        (lambda o: o["oa_profiles"]["Mathematics"].update(silver=0.1),
+         "profile for 'Mathematics': unknown key 'silver'"),
+        (lambda o: o["oa_profiles"].pop("Mathematics"), "missing OA profile for 'Mathematics'"),
     ])
-    def test_bad_specs_rejected(self, mutate):
+    def test_bad_specs_rejected(self, mutate, message):
         obj = spec_obj()
         mutate(obj)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidSpec, match=re.escape(message)):
             spec_from_dict(obj)
 
-    @pytest.mark.parametrize("actor", [
-        {"id": "", "kind": "country", "volume": 10, "specialization": {"Mathematics": 1.0}},
-        {"id": "A", "kind": "planet", "volume": 10, "specialization": {"Mathematics": 1.0}},
-        {"id": "A", "kind": "country", "volume": -1, "specialization": {"Mathematics": 1.0}},
-        {"id": "A", "kind": "country", "volume": float("inf"),
-         "specialization": {"Mathematics": 1.0}},
-        {"id": "A", "kind": "country", "volume": 0,
-         "specialization": {"Mathematics": float("inf")}},
-        {"id": "A", "kind": "country", "volume": 10, "specialization": {"Palmistry": 1.0}},
-        {"id": "A", "kind": "country", "volume": 10, "specialization": {"Mathematics": 0.5}},
-        {"id": "A", "kind": "country", "volume": 10,
-         "specialization": {"Mathematics": 0.7, "History": -0.3}},
+    @pytest.mark.parametrize("actor, message", [
+        ({"id": "", "kind": "country", "volume": 10, "specialization": {"Mathematics": 1.0}},
+         "actor id must be non-empty"),
+        ({"id": "A", "kind": "planet", "volume": 10, "specialization": {"Mathematics": 1.0}},
+         "actor 'A': unknown kind 'planet'"),
+        ({"id": "A", "kind": "country", "volume": -1, "specialization": {"Mathematics": 1.0}},
+         "actor 'A': volume must be finite and non-negative"),
+        ({"id": "A", "kind": "country", "volume": float("inf"),
+          "specialization": {"Mathematics": 1.0}},
+         "actor 'A': volume must be finite and non-negative"),
+        ({"id": "A", "kind": "country", "volume": 0,
+          "specialization": {"Mathematics": float("inf")}},
+         "actor 'A': weight for 'Mathematics' must be finite, >= 0"),
+        ({"id": "A", "kind": "country", "volume": 10, "specialization": {"Palmistry": 1.0}},
+         "actor 'A': unknown category 'Palmistry'"),
+        ({"id": "A", "kind": "country", "volume": 10, "specialization": {"Mathematics": 0.5}},
+         "actor 'A': specialization weights sum to 0.5, expected 1"),
+        ({"id": "A", "kind": "country", "volume": 10,
+          "specialization": {"Mathematics": 0.7, "History": -0.3}},
+         "actor 'A': weight for 'History' must be finite, >= 0"),
     ])
-    def test_bad_actors_rejected(self, actor):
+    def test_bad_actors_rejected(self, actor, message):
         obj = spec_obj(actors=[actor])
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidSpec, match=re.escape(message)):
             spec_from_dict(obj)
 
     def test_duplicate_actor_id_rejected(self):
