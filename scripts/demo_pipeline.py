@@ -8,6 +8,7 @@ indicators, rank and series commands against it, leaving every output
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -15,7 +16,6 @@ from pathlib import Path
 from noai.cli import main as noai_main
 from noai.synth import (
     generate,
-    spec_to_dict,
     world_spec,
     write_spec_actors,
     write_spec_registry,
@@ -43,7 +43,7 @@ def main() -> int:
 
     spec = world_spec(seed=args.seed, n_records=args.n_records)
     spec_path = out / "spec.json"
-    spec_path.write_text(json.dumps(spec_to_dict(spec), indent=2) + "\n",
+    spec_path.write_text(json.dumps(dataclasses.asdict(spec), indent=2) + "\n",
                          encoding="utf-8")
     corpus = out / "corpus.jsonl"
     registry = out / "registry.csv"

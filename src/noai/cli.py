@@ -290,7 +290,7 @@ def _tally(args: argparse.Namespace, registry: ClassificationRegistry,
     agg.add_all(reader)
     _print_stats(reader.stats)
     if reader.stats.records_accepted == 0:
-        raise EmptyWindow("no records in window")
+        raise EmptyWindow("no record accepted")
     return agg.finish(), reader.stats
 
 

@@ -37,7 +37,7 @@ class UnknownCategory(NoaiError):
 
 
 class EmptyWindow(NoaiError):
-    """No records fall inside the requested year window."""
+    """The corpus yielded no accepted record; the stats printed before say why."""
 
 
 class UndefinedShare(NoaiError):

@@ -26,8 +26,10 @@ of OA records carry a second, strictly lower-priority status.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
+import sys
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -118,21 +120,31 @@ class SynthSpec:
         return tuple(f.subject_category for f in self.fields)
 
 
+_RATES = ("multi_category_rate", "multi_status_rate", "has_doi_rate")
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise InvalidSpec(message)
 
 
-def _as_rate(value: object, name: str) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             f"{name} must be a number")
-    rate = float(value)
-    _require(0.0 <= rate <= 1.0, f"{name} must be in [0, 1], got {rate}")
-    return rate
+def _is_number(value: object) -> bool:
+    """Whether ``value`` is a JSON number that a float can hold."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and (isinstance(value, float) or abs(value) <= sys.float_info.max))
+
+
+def _number_map(value: object, message: str) -> dict[str, float]:
+    """``value`` as a map of floats, if it is an object of numbers."""
+    _require(isinstance(value, dict) and all(map(_is_number, value.values())),
+             message)
+    assert isinstance(value, dict)
+    return {key: float(w) for key, w in value.items()}
 
 
 def validate_spec(spec: SynthSpec) -> None:
-    """Raise InvalidSpec unless ``spec`` is internally consistent."""
+    """Raise InvalidSpec unless ``spec`` is internally consistent; this is
+    the one range check, for specs read from JSON and built in Python."""
     # Philox takes a key below 2**128; numpy draws the years as int64.
     _require(0 <= spec.seed < 2**128, "seed must be an integer in [0, 2**128)")
     _require(spec.n_records >= 0, "n_records must be non-negative")
@@ -148,10 +160,9 @@ def validate_spec(spec: SynthSpec) -> None:
         _require(cat in spec.oa_profiles, f"missing OA profile for {cat!r}")
     for cat, prof in spec.oa_profiles.items():
         _require(cat in cats, f"OA profile for unknown category {cat!r}")
-        for name, p in (("gold", prof.gold), ("bronze", prof.bronze),
-                        ("green", prof.green)):
+        for name, p in dataclasses.asdict(prof).items():
             _require(0.0 <= p <= 1.0,
-                     f"{cat!r}: {name} propensity must be in [0, 1]")
+                     f"{cat!r}: {name} propensity must be in [0, 1], got {p}")
         _require(prof.total <= 1.0 + 1e-12,
                  f"{cat!r}: OA propensities sum to {prof.total}, above 1")
 
@@ -174,12 +185,9 @@ def validate_spec(spec: SynthSpec) -> None:
                      f"actor {actor.id!r}: specialization weights sum to "
                      f"{weight_sum}, expected 1")
 
-    _require(0.0 <= spec.multi_category_rate <= 1.0,
-             "multi_category_rate must be in [0, 1]")
-    _require(0.0 <= spec.multi_status_rate <= 1.0,
-             "multi_status_rate must be in [0, 1]")
-    _require(0.0 <= spec.has_doi_rate <= 1.0,
-             "has_doi_rate must be in [0, 1]")
+    for name in _RATES:
+        rate = getattr(spec, name)
+        _require(0.0 <= rate <= 1.0, f"{name} must be in [0, 1], got {rate}")
 
     weight_total = 0.0
     for name, w in spec.doc_type_weights.items():
@@ -191,149 +199,80 @@ def validate_spec(spec: SynthSpec) -> None:
 
 
 def spec_from_dict(obj: object) -> SynthSpec:
-    """Build and validate a SynthSpec from parsed JSON."""
+    """Build and validate a SynthSpec from parsed JSON.
+
+    This checks shapes and types; validate_spec checks every range.  An
+    absent optional key takes SynthSpec's default.
+    """
     _require(isinstance(obj, dict), "spec must be a JSON object")
     assert isinstance(obj, dict)
-    known = {"seed", "n_records", "years", "fields", "oa_profiles", "actors",
-             "multi_category_rate", "multi_status_rate", "has_doi_rate",
-             "doc_type_weights"}
+    spec_fields = dataclasses.fields(SynthSpec)
     for key in obj:
-        _require(key in known, f"unknown spec key {key!r}")
-    for key in ("seed", "n_records", "years", "fields", "oa_profiles"):
-        _require(key in obj, f"missing spec key {key!r}")
+        _require(key in {f.name for f in spec_fields}, f"unknown spec key {key!r}")
+    for f in spec_fields:
+        has_default = (f.default is not dataclasses.MISSING
+                       or f.default_factory is not dataclasses.MISSING)
+        _require(f.name in obj or has_default, f"missing spec key {f.name!r}")
 
-    seed = obj["seed"]
-    _require(isinstance(seed, int) and not isinstance(seed, bool),
-             "seed must be an integer")
-    n_records = obj["n_records"]
-    _require(isinstance(n_records, int) and not isinstance(n_records, bool),
-             "n_records must be an integer")
-
-    years_raw = obj["years"]
-    _require(isinstance(years_raw, list) and len(years_raw) == 2
+    kwargs = dict(obj)
+    for key in ("seed", "n_records"):
+        _require(isinstance(obj[key], int) and not isinstance(obj[key], bool),
+                 f"{key} must be an integer")
+    years = obj["years"]
+    _require(isinstance(years, list) and len(years) == 2
              and all(isinstance(y, int) and not isinstance(y, bool)
-                     for y in years_raw),
+                     for y in years),
              "years must be a two-integer list [start, end]")
-    years = (years_raw[0], years_raw[1])
+    kwargs["years"] = tuple(years)
 
-    fields_raw = obj["fields"]
-    _require(isinstance(fields_raw, list), "fields must be a list")
-    fields = []
-    for entry in fields_raw:
+    _require(isinstance(obj["fields"], list), "fields must be a list")
+    keys = [f.name for f in dataclasses.fields(FieldDef)]
+    for entry in obj["fields"]:
         _require(isinstance(entry, dict), "each field must be an object")
-        for key in REGISTRY_COLUMNS:
-            _require(key in entry and isinstance(entry[key], str)
-                     and entry[key] != "",
+        for key in keys:
+            _require(isinstance(entry.get(key), str) and entry[key] != "",
                      f"field entry needs non-empty string {key!r}")
-        fields.append(FieldDef(
-            subject_category=entry["subject_category"],
-            ost_discipline=entry["ost_discipline"],
-            erc_subfield=entry["erc_subfield"],
-        ))
+    kwargs["fields"] = tuple(FieldDef(*(entry[key] for key in keys))
+                             for entry in obj["fields"])
 
-    profiles_raw = obj["oa_profiles"]
-    _require(isinstance(profiles_raw, dict), "oa_profiles must be an object")
+    _require(isinstance(obj["oa_profiles"], dict), "oa_profiles must be an object")
+    statuses = [f.name for f in dataclasses.fields(OAProfile)]
     profiles = {}
-    for cat, prof in profiles_raw.items():
-        _require(isinstance(prof, dict), f"profile for {cat!r} must be an object")
-        for key in prof:
-            _require(key in ("gold", "bronze", "green"),
-                     f"profile for {cat!r}: unknown key {key!r}")
-        profiles[cat] = OAProfile(
-            gold=_as_rate(prof.get("gold", 0.0), f"{cat!r} gold"),
-            bronze=_as_rate(prof.get("bronze", 0.0), f"{cat!r} bronze"),
-            green=_as_rate(prof.get("green", 0.0), f"{cat!r} green"),
-        )
+    for cat, prof in obj["oa_profiles"].items():
+        rates = _number_map(prof, f"profile for {cat!r} must map statuses to numbers")
+        for key in rates:
+            _require(key in statuses, f"profile for {cat!r}: unknown key {key!r}")
+        profiles[cat] = OAProfile(*(rates.get(key, 0.0) for key in statuses))
+    kwargs["oa_profiles"] = profiles
 
-    actors_raw = obj.get("actors", [])
-    _require(isinstance(actors_raw, list), "actors must be a list")
-    actors = []
-    for entry in actors_raw:
-        _require(isinstance(entry, dict), "each actor must be an object")
-        for key in ("id", "kind", "volume", "specialization"):
-            _require(key in entry, f"actor entry needs key {key!r}")
-        _require(isinstance(entry["id"], str), "actor id must be a string")
-        try:
-            kind = ActorKind(entry["kind"])
-        except ValueError:
-            raise InvalidSpec(
-                f"actor {entry['id']!r}: unknown kind {entry['kind']!r}"
-            ) from None
-        volume = entry["volume"]
-        _require(isinstance(volume, (int, float)) and not isinstance(volume, bool),
-                 f"actor {entry['id']!r}: volume must be a number")
-        spec_raw = entry["specialization"]
-        _require(isinstance(spec_raw, dict) and all(
-            isinstance(w, (int, float)) and not isinstance(w, bool)
-            for w in spec_raw.values()),
-            f"actor {entry['id']!r}: specialization must map categories to numbers")
-        actors.append(SynthActor(
-            id=entry["id"],
-            kind=kind,
-            volume=float(volume),
-            specialization={c: float(w) for c, w in spec_raw.items()},
-        ))
+    if "actors" in obj:
+        _require(isinstance(obj["actors"], list), "actors must be a list")
+        actors = []
+        for entry in obj["actors"]:
+            _require(isinstance(entry, dict), "each actor must be an object")
+            for f in dataclasses.fields(SynthActor):
+                _require(f.name in entry, f"actor entry needs key {f.name!r}")
+            aid, kind, volume = entry["id"], entry["kind"], entry["volume"]
+            _require(isinstance(aid, str), "actor id must be a string")
+            _require(kind in [k.value for k in ActorKind],
+                     f"actor {aid!r}: unknown kind {kind!r}")
+            _require(_is_number(volume), f"actor {aid!r}: volume must be a number")
+            weights = _number_map(entry["specialization"], f"actor {aid!r}: "
+                                  "specialization must map categories to numbers")
+            actors.append(SynthActor(aid, ActorKind(kind), float(volume), weights))
+        kwargs["actors"] = tuple(actors)
 
-    weights_raw = obj.get("doc_type_weights")
-    if weights_raw is None:
-        weights = dict(DEFAULT_DOC_TYPE_WEIGHTS)
-    else:
-        _require(isinstance(weights_raw, dict) and all(
-            isinstance(w, (int, float)) and not isinstance(w, bool)
-            for w in weights_raw.values()),
-            "doc_type_weights must map doc types to numbers")
-        weights = {name: float(w) for name, w in weights_raw.items()}
+    for key in _RATES:
+        if key in obj:
+            _require(_is_number(obj[key]), f"{key} must be a number")
+            kwargs[key] = float(obj[key])
+    if "doc_type_weights" in obj:
+        kwargs["doc_type_weights"] = _number_map(
+            obj["doc_type_weights"], "doc_type_weights must map doc types to numbers")
 
-    spec = SynthSpec(
-        seed=seed,
-        n_records=n_records,
-        years=years,
-        fields=tuple(fields),
-        oa_profiles=profiles,
-        actors=tuple(actors),
-        multi_category_rate=_as_rate(obj.get("multi_category_rate", 0.0),
-                                     "multi_category_rate"),
-        multi_status_rate=_as_rate(obj.get("multi_status_rate", 0.0),
-                                   "multi_status_rate"),
-        has_doi_rate=_as_rate(obj.get("has_doi_rate", 1.0), "has_doi_rate"),
-        doc_type_weights=weights,
-    )
+    spec = SynthSpec(**kwargs)
     validate_spec(spec)
     return spec
-
-
-def spec_to_dict(spec: SynthSpec) -> dict:
-    """Inverse of spec_from_dict, suitable for json.dump."""
-    return {
-        "seed": spec.seed,
-        "n_records": spec.n_records,
-        "years": list(spec.years),
-        "fields": [
-            {
-                "subject_category": f.subject_category,
-                "ost_discipline": f.ost_discipline,
-                "erc_subfield": f.erc_subfield,
-            }
-            for f in spec.fields
-        ],
-        "oa_profiles": {
-            cat: {"gold": p.gold, "bronze": p.bronze, "green": p.green}
-            for cat, p in spec.oa_profiles.items()
-        },
-        "actors": [
-            {
-                "id": a.id,
-                "kind": a.kind.value,
-                "volume": a.volume,
-                "specialization": dict(a.specialization),
-            }
-            for a in spec.actors
-        ],
-        "multi_category_rate": spec.multi_category_rate,
-        "multi_status_rate": spec.multi_status_rate,
-        "has_doi_rate": spec.has_doi_rate,
-        "doc_type_weights": dict(spec.doc_type_weights),
-    }
 
 
 def load_synth_spec(path: str) -> SynthSpec:
@@ -345,7 +284,7 @@ def load_synth_spec(path: str) -> SynthSpec:
         raise IoFailure(f"cannot read spec {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InvalidSpec(f"spec {path} is not UTF-8 ({exc.reason})") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise InvalidSpec(f"spec {path} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise InvalidSpec(f"spec {path} nests too deeply to parse") from None

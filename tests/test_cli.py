@@ -222,8 +222,11 @@ class TestDataErrors:
          b'{\n"seed": 1,\n"name": "\xff"}\n', "spec bad.json is not UTF-8"),
         (["synth", "--spec", "bad.json", "--out", "x.jsonl"],
          b"[" * 100_000, "spec bad.json nests too deeply"),
+        (["synth", "--spec", "bad.json", "--out", "x.jsonl"],
+         b'{"seed": ' + b"1" * 5000 + b"}", "spec bad.json is not valid JSON"),
     ], ids=["registry-not-utf8", "actors-not-utf8", "csv-field-too-long",
-            "spec-not-utf8", "spec-nested-past-recursion-limit"])
+            "spec-not-utf8", "spec-nested-past-recursion-limit",
+            "spec-integer-past-digit-limit"])
     def test_unreadable_side_input(self, ws, capsys, argv, content, named):
         # Inputs other than the corpus fail with a message, never a traceback.
         bad = next(arg for arg in argv if arg.startswith("bad."))
@@ -238,12 +241,12 @@ class TestDataErrors:
         code = main(["indicators", "--corpus", str(ws / "empty.jsonl"),
                      "--registry", str(ws / "registry.csv")])
         assert code == 3
-        assert "no records in window" in capsys.readouterr().err
+        assert "no record accepted" in capsys.readouterr().err
 
     def test_window_excluding_everything(self, ws, capsys):
         code = main(base_args(ws) + ["--window", "1990:1991"])
         assert code == 3
-        assert "no records in window" in capsys.readouterr().err
+        assert "no record accepted" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["indicators", "rank", "series"])
     def test_every_line_rejected_says_why(self, ws, capsys, command):
@@ -258,7 +261,7 @@ class TestDataErrors:
             "  line 1: malformed (Expecting property name enclosed in double quotes: "
             "line 1 column 2 (char 1))",
             "  line 2: malformed (line is not an object)",
-            "noai: no records in window",
+            "noai: no record accepted",
         ]
 
     def test_strict_surfaces_bad_line(self, ws, capsys):
@@ -576,8 +579,13 @@ class TestSynthCommand:
         assert main(["validate", "--corpus", str(ws / "gen.jsonl"),
                      "--registry", str(ws / "gen_reg.csv"), "--strict"]) == 0
 
-    def test_invalid_spec_is_data_error(self, ws, capsys):
-        (ws / "bad.json").write_text('{"seed": 1}', encoding="utf-8")
+    @pytest.mark.parametrize("text", [
+        '{"seed": 1}',
+        '{"seed": 1, "n_records": 0, "years": [2016, 2017], "fields": [], '
+        '"oa_profiles": {}, "doc_type_weights": null}',
+    ], ids=["missing-keys", "null-doc-type-weights"])
+    def test_invalid_spec_is_data_error(self, ws, capsys, text):
+        (ws / "bad.json").write_text(text, encoding="utf-8")
         assert main(["synth", "--spec", str(ws / "bad.json"),
                      "--out", str(ws / "x.jsonl")]) == 3
 

@@ -1,11 +1,13 @@
 """Source hygiene: every name a package module imports is used in that module,
 every function, class and method it defines has a caller outside the tests,
-every defaulted parameter is passed by some call outside the tests, and the
-README's library example runs as written."""
+every defaulted parameter is passed by some call outside the tests, the
+README's library example runs as written and its spec table names every
+spec key."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 from collections import Counter
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import pytest
 
 import noai
 from conftest import REG10, random_corpus, registry_csv_text, write_corpus
+from noai.synth import SynthSpec
 
 MODULES = sorted(Path(noai.__file__).resolve().parent.glob("*.py"))
 ROOT = Path(noai.__file__).resolve().parents[2]
@@ -269,11 +272,15 @@ def test_every_default_is_passed_by_a_caller():
     assert uncalled_defaults(package, callers) == []
 
 
+def readme_section(heading: str) -> str:
+    """The README's text under ``## heading``, up to the next heading."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return readme.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def library_example() -> str:
     """The python block under the README's "## Library" heading."""
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
-    return section.split("```python\n", 1)[1].split("```", 1)[0]
+    return readme_section("Library").split("```python\n", 1)[1].split("```", 1)[0]
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
@@ -286,3 +293,11 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "300 records accepted"
     assert sorted(line.split()[-1] for line in out[-3:]) == ["u1", "u2", "u3"]
+
+
+def test_readme_spec_table_names_every_spec_key():
+    rows = [line for line in readme_section("Synthetic corpora").splitlines()
+            if line.startswith("| `")]
+    keys = {row.split("`", 2)[1] for row in rows}
+    assert len(keys) == len(rows)
+    assert keys == {f.name for f in dataclasses.fields(SynthSpec)}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import hashlib
 import json
 import re
@@ -9,6 +11,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import load_corpus, write_corpus
 from noai.errors import InvalidSpec, IoFailure
@@ -23,7 +27,6 @@ from noai.synth import (
     generate,
     load_synth_spec,
     spec_from_dict,
-    spec_to_dict,
     world_spec,
     write_spec_actors,
     write_spec_registry,
@@ -31,6 +34,40 @@ from noai.synth import (
 from oracle import resolve
 
 DEMO_SPEC = Path(__file__).resolve().parents[1] / "data" / "synth_demo.json"
+DEMO_OBJ = json.loads(DEMO_SPEC.read_text(encoding="utf-8"))
+
+#: Any value json.load can return, integers past the float range included.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=8)
+    | st.integers() | st.integers(-2**1100, 2**1100),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def json_paths(obj, path=()):
+    """The path to ``obj`` and to every value nested in it."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from json_paths(value, path + (key,))
+
+
+DEMO_PATHS = list(json_paths(DEMO_OBJ))
+
+
+def replaced(obj, path, value):
+    """A copy of ``obj`` with the value at ``path`` replaced by ``value``."""
+    if not path:
+        return value
+    obj = copy.deepcopy(obj)
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return obj
 
 FIELDS3 = (
     FieldDef("Mathematics", "Mathematics", "PE1"),
@@ -125,9 +162,14 @@ class TestDeterminism:
 
 
 class TestSpecValidation:
-    def test_round_trip_through_dict(self):
+    def test_round_trip_through_json(self):
         spec = world_spec(seed=9, n_records=1000)
-        assert spec_from_dict(spec_to_dict(spec)) == spec
+        assert spec_from_dict(json.loads(json.dumps(dataclasses.asdict(spec)))) == spec
+
+    def test_demo_spec_is_the_world_spec_as_written(self):
+        # scripts/demo_pipeline.py writes its spec with this expression.
+        text = json.dumps(dataclasses.asdict(world_spec(11, 20_000)), indent=2) + "\n"
+        assert text.encode("utf-8") == DEMO_SPEC.read_bytes()
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "spec.json"
@@ -162,6 +204,8 @@ class TestSpecValidation:
         (lambda o: o.update(multi_status_rate=-0.1),
          "multi_status_rate must be in [0, 1], got -0.1"),
         (lambda o: o.update(has_doi_rate=2), "has_doi_rate must be in [0, 1], got 2.0"),
+        (lambda o: o.update(has_doi_rate=None), "has_doi_rate must be a number"),
+        (lambda o: o.update(has_doi_rate=10**400), "has_doi_rate must be a number"),
         (lambda o: o.update(unknown_key=1), "unknown spec key 'unknown_key'"),
         (lambda o: o.update(doc_type_weights={"thesis": 1.0}),
          "unknown doc type 'thesis' in doc_type_weights"),
@@ -169,6 +213,8 @@ class TestSpecValidation:
          "doc_type_weights must not sum to zero"),
         (lambda o: o.update(doc_type_weights={"article": float("inf")}),
          "doc type weight for 'article' must be finite, >= 0"),
+        (lambda o: o.update(doc_type_weights=None),
+         "doc_type_weights must map doc types to numbers"),
         (lambda o: o["fields"].append(o["fields"][0]), "duplicate subject category in fields"),
         (lambda o: o["oa_profiles"].update(Palmistry={"gold": 0.1}),
          "OA profile for unknown category 'Palmistry'"),
@@ -176,6 +222,10 @@ class TestSpecValidation:
          "'Mathematics': OA propensities sum to 1.85, above 1"),
         (lambda o: o["oa_profiles"]["Mathematics"].update(silver=0.1),
          "profile for 'Mathematics': unknown key 'silver'"),
+        (lambda o: o["oa_profiles"]["Mathematics"].update(gold="0.1"),
+         "profile for 'Mathematics' must map statuses to numbers"),
+        (lambda o: o["oa_profiles"]["Mathematics"].update(gold=1.2),
+         "'Mathematics': gold propensity must be in [0, 1], got 1.2"),
         (lambda o: o["oa_profiles"].pop("Mathematics"), "missing OA profile for 'Mathematics'"),
     ])
     def test_bad_specs_rejected(self, mutate, message):
@@ -194,6 +244,12 @@ class TestSpecValidation:
         ({"id": "A", "kind": "country", "volume": float("inf"),
           "specialization": {"Mathematics": 1.0}},
          "actor 'A': volume must be finite and non-negative"),
+        ({"id": "A", "kind": "country", "volume": 10**400,
+          "specialization": {"Mathematics": 1.0}},
+         "actor 'A': volume must be a number"),
+        ({"id": "A", "kind": ["country"], "volume": 10,
+          "specialization": {"Mathematics": 1.0}},
+         "actor 'A': unknown kind ['country']"),
         ({"id": "A", "kind": "country", "volume": 0,
           "specialization": {"Mathematics": float("inf")}},
          "actor 'A': weight for 'Mathematics' must be finite, >= 0"),
@@ -209,6 +265,36 @@ class TestSpecValidation:
         obj = spec_obj(actors=[actor])
         with pytest.raises(InvalidSpec, match=re.escape(message)):
             spec_from_dict(obj)
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(multi_category_rate=1.5), "multi_category_rate must be in [0, 1], got 1.5"),
+        (dict(has_doi_rate=float("nan")), "has_doi_rate must be in [0, 1], got nan"),
+        (dict(oa_profiles={**PROFILES3, "Mathematics": OAProfile(1.2, 0, 0)}),
+         "'Mathematics': gold propensity must be in [0, 1], got 1.2"),
+        (dict(actors=(SynthActor("A", ActorKind.COUNTRY, -1.0, {"Mathematics": 1.0}),)),
+         "actor 'A': volume must be finite and non-negative"),
+        (dict(doc_type_weights={"article": float("nan")}),
+         "doc type weight for 'article' must be finite, >= 0"),
+    ])
+    def test_bad_python_specs_rejected_before_writing(self, tmp_path, overrides, message):
+        # validate_spec is the only range check, and generate runs it.
+        path = tmp_path / "corpus.jsonl"
+        with pytest.raises(InvalidSpec, match=re.escape(message)):
+            generate(small_spec(**overrides), str(path))
+        assert not path.exists()
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(DEMO_PATHS), JSON_VALUES)
+    def test_any_one_replaced_value_is_accepted_or_rejected(self, tmp_path, path, value):
+        # A spec with one value swapped for arbitrary JSON either generates
+        # or raises InvalidSpec; no other exception escapes.
+        try:
+            spec = spec_from_dict(replaced(DEMO_OBJ, path, value))
+        except InvalidSpec:
+            return
+        small = dataclasses.replace(spec, n_records=min(spec.n_records, 50))
+        assert generate(small, str(tmp_path / "corpus.jsonl")) == small.n_records
 
     def test_duplicate_actor_id_rejected(self):
         actor = {"id": "A", "kind": "country", "volume": 10,
