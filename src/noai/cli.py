@@ -35,6 +35,7 @@ from .errors import EmptyWindow, IoFailure, NoaiError
 from .ingest import (
     CorpusReader,
     CorpusStats,
+    Diagnostic,
     IngestOptions,
     load_actor_registry,
     load_registry,
@@ -50,6 +51,7 @@ from .model import (
     Level,
     OAStatus,
 )
+from .shards import read_corpus
 
 INDICATOR_COLUMNS = (
     "actor",
@@ -281,17 +283,18 @@ def _print_stats(stats: CorpusStats) -> None:
 
 def _tally(args: argparse.Namespace, registry: ClassificationRegistry,
            kind: ActorKind | None) -> tuple[AggregationResult, CorpusStats]:
-    """Stream the corpus once into one Aggregator; kind None credits no actor."""
+    """Stream the corpus into one Aggregator, a range on each core (see
+    noai.shards); kind None credits no actor."""
     options = IngestOptions(doc_types=args.doc_types, window=args.window,
                             require_doi=args.require_doi, strict=args.strict,
                             priority=args.priority, actor_kind=kind)
-    reader = CorpusReader(args.corpus, registry=registry, options=options)
     agg = Aggregator()
-    agg.add_all(reader)
-    _print_stats(reader.stats)
-    if reader.stats.records_accepted == 0:
+    stats = read_corpus(args.corpus,
+                        lambda span: CorpusReader(args.corpus, registry, options, span), agg)
+    _print_stats(stats)
+    if stats.records_accepted == 0:
         raise EmptyWindow("no record accepted")
-    return agg.finish(), reader.stats
+    return agg.finish(), stats
 
 
 def _table(args: argparse.Namespace,
@@ -401,26 +404,53 @@ def cmd_series(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Survey:
+    """validate's consumer: the diagnostics of validate_corpus, one dict of
+    record id -> Diagnostic per corpus range, in range order (see
+    noai.shards). Accepted ids are unique within a range, so a record that
+    proves a duplicate takes its diagnostic out of the last range's dict."""
+
+    def __init__(self, registry: ClassificationRegistry):
+        self.registry = registry
+        self.parts: list[dict[str, Diagnostic]] = []
+
+    def add_all(self, reader: CorpusReader) -> None:
+        self.parts.append({d.record_id: d for d in validate_corpus(reader, self.registry)})
+
+    def counts(self) -> Iterable[tuple]:
+        return ((d.record_id, d.unknown_categories)
+                for part in self.parts for d in part.values())
+
+    def add_counts(self, counts: Iterable[tuple]) -> None:
+        self.parts.append({record_id: Diagnostic(record_id, unknown)
+                           for record_id, unknown in counts})
+
+    def remove_all(self, records) -> None:
+        for record in records:
+            self.parts[-1].pop(record.id, None)
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     registry = load_registry(args.registry)
     # No registry on the reader: a record with an unknown category is
     # accepted, so that validate_corpus can name its categories. No actor is credited.
     options = IngestOptions(doc_types=args.doc_types, window=args.window,
                             require_doi=args.require_doi, strict=False, actor_kind=None)
-    reader = CorpusReader(args.corpus, None, options)
-    diagnostics = validate_corpus(reader, registry)
-    _print_stats(reader.stats)
+    survey = _Survey(registry)
+    stats = read_corpus(args.corpus,
+                        lambda span: CorpusReader(args.corpus, None, options, span), survey)
+    _print_stats(stats)
 
     rows = [{"record_id": d.record_id, "unknown_categories": list(d.unknown_categories)}
-            for d in diagnostics]
-    _emit(args, reader.stats, ["record_id", "unknown_categories"],
+            for part in survey.parts for d in part.values()]
+    _emit(args, stats, ["record_id", "unknown_categories"],
           (r.values() for r in rows), {"diagnostics": rows})
-    if diagnostics:
-        print(f"{len(diagnostics)} record(s) with unclassifiable categories",
+    if rows:
+        print(f"{len(rows)} record(s) with unclassifiable categories",
               file=sys.stderr)
         if args.strict:
             return 3
-    elif reader.stats.records_rejected and args.strict:
+    elif stats.records_rejected and args.strict:
         return 3
     return 0
 

@@ -13,8 +13,10 @@ actor's fractional publication counts, giving one indicator per actor
 
 Every number is a projection of one exact integer tally of records by
 (owner, category, k, status): the owner is the record's year (an int) for
-the world, an actor id (a str) otherwise, and itertools.product and
-Counter.update build and count the keys in C. The reader has already
+the world, an actor id (a str) otherwise, the status is held by its value,
+and itertools.product and Counter.update build and count the keys in C.
+The tally is plain data, and the tallies of a corpus's parts add up to
+the tally of the whole. The reader has already
 decided each record's status and actors, so the tally only counts. With L
 the lcm of the k seen, n records under k weigh n * (L // k) units of 1/L,
 so every cell and baseline is a vector of four integers over L, one per
@@ -35,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, product
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import UndefinedIndicator, UndefinedShare, UnknownCategory
 from .model import (
@@ -48,8 +50,11 @@ from .model import (
     Actor,
 )
 
-# Position of each status in a counts vector.
-_SLOT = {status: i for i, status in enumerate(OAStatus)}
+# A tally key holds a status as its value, a plain str, so that the tally is
+# plain data; an OAStatus equals its value and hashes alike.
+_VALUE = {status: status.value for status in OAStatus}
+# Position of each status in a counts vector, keyed by the value.
+_SLOT = {status.value: i for i, status in enumerate(OAStatus)}
 _CLOSED = _SLOT[OAStatus.CLOSED]
 
 #: Records of each OAStatus, in enum order, times the result's unit.
@@ -103,6 +108,15 @@ def _project(items: Iterable[tuple[str, Counts]],
     return out
 
 
+def _keys(corpus: Iterable[PublicationRecord]) -> Iterator[tuple]:
+    """Each record's (owner, category, k, status) tally keys, the year's and
+    each actor's, built by product in C."""
+    return chain.from_iterable(
+        product((r.year, *r.actors), r.subject_categories,
+                (len(r.subject_categories),), (_VALUE[r.status],))
+        for r in corpus)
+
+
 class Aggregator:
     """Streaming single-pass tally of records by subject category.
 
@@ -111,18 +125,39 @@ class Aggregator:
     credits any actor. Records are counted as given, under their status and
     actors: priority, actor kind, year windows and other perimeter filters
     belong to the reader.
+
+    The tally is linear in the records, so tallies of parts of a corpus add
+    up to the tally of the whole: counts() gives it as plain (key, n) pairs,
+    which add_counts() adds to another Aggregator's, and remove_all() takes
+    counted records back out.
     """
 
     def __init__(self):
         self._tally: Counter = Counter()
 
     def add_all(self, corpus: Iterable[PublicationRecord]) -> None:
-        # product builds each record's (owner, category, k, status) keys, the
-        # year's and each actor's, and Counter.update counts them, both in C.
-        self._tally.update(chain.from_iterable(
-            product((r.year, *r.actors), r.subject_categories,
-                    (len(r.subject_categories),), (r.status,))
-            for r in corpus))
+        # Counter.update counts the keys in C.
+        self._tally.update(_keys(corpus))
+
+    def remove_all(self, records: Iterable[PublicationRecord]) -> None:
+        """Uncount records that add_all counted; a key counted 0 times is gone."""
+        tally = self._tally
+        for key in _keys(records):
+            if tally[key] == 1:
+                del tally[key]
+            else:
+                tally[key] -= 1
+
+    def counts(self) -> Iterable[tuple]:
+        """The tally as ((owner, category, k, status value), n) pairs."""
+        return self._tally.items()
+
+    def add_counts(self, counts: Iterable[tuple]) -> None:
+        """Add a tally given as counts() gives it."""
+        tally = self._tally
+        get = tally.get
+        for key, n in counts:
+            tally[key] = get(key, 0) + n
 
     def finish(self) -> AggregationResult:
         ks = set(map(itemgetter(2), self._tally))

@@ -80,13 +80,21 @@ class IngestOptions:
 
 @dataclass
 class CorpusStats:
+    """Where a pass's lines went. `years` counts the accepted records of each
+    year, and `rejects` holds the first MAX_KEPT_DIAGNOSTICS rejections as
+    (line, reason, detail)."""
+
     records_read: int = 0
     records_accepted: int = 0
     records_rejected: int = 0
     rejection_reasons: Counter = field(default_factory=Counter)
-    year_min: int | None = None
-    year_max: int | None = None
-    diagnostics: list[str] = field(default_factory=list)
+    years: Counter = field(default_factory=Counter)
+    rejects: list[tuple[int, str, str]] = field(default_factory=list)
+
+    @property
+    def diagnostics(self) -> list[str]:
+        return [f"line {line}: {reason}" + (f" ({detail})" if detail else "")
+                for line, reason, detail in self.rejects]
 
     def as_dict(self) -> dict:
         return {
@@ -94,7 +102,7 @@ class CorpusStats:
             "records_accepted": self.records_accepted,
             "records_rejected": self.records_rejected,
             "rejection_reasons": dict(sorted(self.rejection_reasons.items())),
-            "year_range": None if self.year_min is None else [self.year_min, self.year_max],
+            "year_range": [min(self.years), max(self.years)] if self.years else None,
         }
 
 
@@ -175,15 +183,18 @@ def _parse_line(obj: dict, escaped: bool, options: IngestOptions) -> Publication
     return _new_record(PublicationRecord, (rec_id, year, status, deduped, actors))
 
 
-def _line_blocks(stream) -> Iterator[bytes]:
-    """The stream's bytes in blocks that each end with a line break, the last
-    one excepted, so that the lines of each block are lines of the stream.
+def _line_blocks(stream, size: int = -1) -> Iterator[bytes]:
+    """The stream's next `size` bytes, all of the rest when size is negative,
+    in blocks that each end with a line break, the last one excepted, so that
+    the lines of each block are lines of the stream.
 
     A block is cut after its last \\n, or after a later \\r that is not its
     last byte: a \\r at the very end may be the first half of a \\r\\n.
     """
     parts: list[bytes] = []
-    while block := stream.read(READ_BLOCK):
+    # A negative size only grows more negative: no limit.
+    while block := stream.read(READ_BLOCK if size < 0 else min(READ_BLOCK, size)):
+        size -= len(block)
         cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
         if not cut:
             parts.append(block)
@@ -204,6 +215,14 @@ class CorpusReader:
 
     When a registry is given, records with categories outside it are rejected
     (fatal in strict mode). Filters never raise: they only reject.
+
+    A `span` (start, stop) reads only that byte range of the file, to its end
+    when stop is None; both edges must be line starts, and line numbers count
+    from the range's first line (see noai.shards). After such a pass, `seen`
+    holds the ids the range accepted. A range past byte 0 also records, in
+    `checks`, each record that reached the duplicate check, as three parallel
+    sequences: line << 1 | accepted, the line's byte offset, and the id.
+    `lines` counts the lines of the last pass, blank ones included.
     """
 
     def __init__(
@@ -211,18 +230,34 @@ class CorpusReader:
         path,
         registry: ClassificationRegistry | None = None,
         options: IngestOptions | None = None,
+        span: tuple[int, int | None] | None = None,
     ):
         self.path = path
         self.registry = registry
         self.options = options or IngestOptions()
+        self.span = span
         self.stats = CorpusStats()
+        self.lines = 0
+        self.seen: set[str] | None = None
+        self.checks = None
 
     def _reject(self, line_no: int, reason: str, detail: str = ""):
-        self.stats.records_rejected += 1
-        self.stats.rejection_reasons[reason] += 1
-        if len(self.stats.diagnostics) < MAX_KEPT_DIAGNOSTICS:
-            message = f"line {line_no}: {reason}" + (f" ({detail})" if detail else "")
-            self.stats.diagnostics.append(message)
+        stats = self.stats
+        stats.records_rejected += 1
+        stats.rejection_reasons[reason] += 1
+        if len(stats.rejects) < MAX_KEPT_DIAGNOSTICS:
+            stats.rejects.append((line_no, reason, detail))
+
+    def records_at(self, offsets: Iterable[int]) -> list[PublicationRecord]:
+        """The records of lines this reader accepted, parsed again from the
+        byte offsets where the lines start."""
+        records = []
+        with open(self.path, "rb") as stream:
+            for at in offsets:
+                stream.seek(at)
+                text = next(_line_blocks(stream)).splitlines()[0].strip().decode("utf-8")
+                records.append(_parse_line(json.loads(text), "\\u" in text, self.options))
+        return records
 
     def __iter__(self) -> Iterator[PublicationRecord]:
         opts = self.options
@@ -235,6 +270,17 @@ class CorpusReader:
         registry = self.registry
         known = registry.categories if registry is not None else None
         seen_ids: set[str] = set()
+        start, stop = self.span or (0, None)
+        if self.span is not None:
+            self.seen = seen_ids
+        ids = None
+        if start:
+            # Only a range read in a child records checks, so only a child
+            # loads the array module.
+            from array import array
+
+            codes, offsets, ids = self.checks = array("q"), array("q"), []
+            add_code, add_offset, add_id = codes.append, offsets.append, ids.append
         try:
             stream = open(self.path, "rb")
         except OSError as exc:
@@ -244,14 +290,18 @@ class CorpusReader:
         line_no = 0
         read = stats.records_read
         accepted = stats.records_accepted
-        lo = stats.year_min
-        hi = stats.year_max
+        years: dict[int, int] = {}
+        pos = start
         try:
-            for block in _line_blocks(stream):
+            if start:
+                stream.seek(start)
+            for block in _line_blocks(stream, -1 if stop is None else stop - start):
                 # \r, \n and \r\n all end a line, as in text mode; JSON strings
                 # cannot hold a raw line break.
-                for line in block.splitlines():
+                for line in block.splitlines(True):
                     line_no += 1
+                    at = pos
+                    pos += len(line)
                     line = line.strip()
                     if not line:
                         continue
@@ -299,6 +349,10 @@ class CorpusReader:
                     if known is not None:
                         missing = [c for c in record.subject_categories if c not in known]
                         if missing:
+                            if ids is not None:
+                                add_code(line_no << 1)
+                                add_offset(at)
+                                add_id(rec_id)
                             if strict:
                                 raise UnknownCategory(
                                     f"line {line_no}: record {rec_id!r} has unknown "
@@ -307,20 +361,22 @@ class CorpusReader:
                             reject(line_no, REASON_UNKNOWN_CATEGORY, ", ".join(missing))
                             continue
                     seen_ids.add(rec_id)
+                    if ids is not None:
+                        add_code(line_no << 1 | 1)
+                        add_offset(at)
+                        add_id(rec_id)
                     accepted += 1
-                    if lo is None:
-                        lo = hi = year
-                    elif year < lo:
-                        lo = year
-                    elif year > hi:
-                        hi = year
+                    try:
+                        years[year] += 1
+                    except KeyError:
+                        years[year] = 1
                     yield record
         finally:
             stream.close()
+            self.lines = line_no
             stats.records_read = read
             stats.records_accepted = accepted
-            stats.year_min = lo
-            stats.year_max = hi
+            stats.years.update(years)
 
 
 @dataclass(frozen=True)

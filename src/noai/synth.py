@@ -167,12 +167,14 @@ def validate_spec(spec: SynthSpec) -> None:
                  f"{cat!r}: OA propensities sum to {prof.total}, above 1")
 
     seen_ids: set[str] = set()
+    volume_total = 0.0
     for actor in spec.actors:
         _require(bool(actor.id), "actor id must be non-empty")
         _require(actor.id not in seen_ids, f"duplicate actor id {actor.id!r}")
         seen_ids.add(actor.id)
         _require(0.0 <= actor.volume < math.inf,
                  f"actor {actor.id!r}: volume must be finite and non-negative")
+        volume_total += actor.volume
         weight_sum = 0.0
         for cat, w in actor.specialization.items():
             _require(cat in cats,
@@ -184,6 +186,7 @@ def validate_spec(spec: SynthSpec) -> None:
             _require(math.isclose(weight_sum, 1.0, abs_tol=1e-9),
                      f"actor {actor.id!r}: specialization weights sum to "
                      f"{weight_sum}, expected 1")
+    _require(volume_total < math.inf, "actor volumes must have a finite sum")
 
     for name in _RATES:
         rate = getattr(spec, name)
@@ -196,6 +199,7 @@ def validate_spec(spec: SynthSpec) -> None:
         _require(0.0 <= w < math.inf, f"doc type weight for {name!r} must be finite, >= 0")
         weight_total += w
     _require(weight_total > 0.0, "doc_type_weights must not sum to zero")
+    _require(weight_total < math.inf, "doc_type_weights must have a finite sum")
 
 
 def spec_from_dict(obj: object) -> SynthSpec:
@@ -229,6 +233,8 @@ def spec_from_dict(obj: object) -> SynthSpec:
     keys = [f.name for f in dataclasses.fields(FieldDef)]
     for entry in obj["fields"]:
         _require(isinstance(entry, dict), "each field must be an object")
+        for key in entry:
+            _require(key in keys, f"field entry: unknown key {key!r}")
         for key in keys:
             _require(isinstance(entry.get(key), str) and entry[key] != "",
                      f"field entry needs non-empty string {key!r}")
@@ -247,13 +253,16 @@ def spec_from_dict(obj: object) -> SynthSpec:
 
     if "actors" in obj:
         _require(isinstance(obj["actors"], list), "actors must be a list")
+        actor_keys = [f.name for f in dataclasses.fields(SynthActor)]
         actors = []
         for entry in obj["actors"]:
             _require(isinstance(entry, dict), "each actor must be an object")
-            for f in dataclasses.fields(SynthActor):
-                _require(f.name in entry, f"actor entry needs key {f.name!r}")
+            for key in actor_keys:
+                _require(key in entry, f"actor entry needs key {key!r}")
             aid, kind, volume = entry["id"], entry["kind"], entry["volume"]
             _require(isinstance(aid, str), "actor id must be a string")
+            for key in entry:
+                _require(key in actor_keys, f"actor {aid!r}: unknown key {key!r}")
             _require(kind in [k.value for k in ActorKind],
                      f"actor {aid!r}: unknown kind {kind!r}")
             _require(_is_number(volume), f"actor {aid!r}: volume must be a number")

@@ -854,3 +854,30 @@ class TestGolden:
             (tmp_path / f"{out}.manifest.json").read_bytes(),
             err.encode("utf-8")))
         assert (code, *digests) == CLI_DIGESTS[name, out_format]
+
+
+class TestReplicationLaw:
+    def test_a_corpus_and_its_copy_give_the_same_shares(self, tmp_path, monkeypatch, capsys):
+        # Every count doubles, so every share and NOAI is the same float and
+        # every whole count doubles.
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "--spec", str(DEMO_SPEC), "--out", "corpus.jsonl",
+                     "--registry-out", "registry.csv"]) == 0
+        lines = Path("corpus.jsonl").read_text(encoding="utf-8").splitlines()
+        copies = [json.dumps({**json.loads(line), "id": f"copy-{json.loads(line)['id']}"},
+                             separators=(",", ":")) for line in lines]
+        Path("double.jsonl").write_text("\n".join(lines + copies) + "\n", encoding="utf-8")
+        rows = {}
+        for name in ("corpus", "double"):
+            assert main(["indicators", "--corpus", f"{name}.jsonl", "--registry",
+                         "registry.csv", "--format", "json", "--out", f"{name}.json"]) == 0
+            rows[name] = {r["actor"]: r for r in json.loads(Path(f"{name}.json").read_text())["rows"]}
+        capsys.readouterr()
+        assert rows["corpus"].keys() == rows["double"].keys() and rows["corpus"]
+        for actor, one in rows["corpus"].items():
+            two = rows["double"][actor]
+            for column in INDICATOR_COLUMNS:
+                if column in ("x_total", "n_oa_whole"):
+                    assert two[column] == 2 * one[column], (actor, column)
+                else:
+                    assert two[column] == one[column], (actor, column)

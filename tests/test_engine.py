@@ -614,3 +614,50 @@ class TestSharedVectors:
         assert aggregate(corpus) == snapshot
         assert_matches_oracle(result, REG10,
                               BruteForce(corpus, REG10, Level.SUBJECT_CATEGORY))
+
+
+def outputs(result):
+    """Everything a pass's result gives: itself, the table and every series."""
+    return (result, build_indicator_table(result, REG10, LEVELS),
+            [yearly_series(result, REG10, level) for level in LEVELS])
+
+
+class TestSplitLaw:
+    """The tally is linear in the records: the tallies of a corpus's parts add
+    up to the tally of the whole, which the reading of a corpus in ranges
+    stands on. Every comparison is exact."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", [ActorKind.COUNTRY, ActorKind.INSTITUTION])
+    def test_parts_add_up_to_one_pass(self, seed, kind):
+        records = list(parsed(random_corpus(seed=seed, n_records=300,
+                                            institution_pool=("u1", "u2", "u3", "u4")),
+                              actor_kind=kind))
+        agg = Aggregator()
+        agg.add_all(records)
+        whole = outputs(agg.finish())
+        for cut in (0, 1, 97, 150, 299, 300):
+            head, tail = records[:cut], records[cut:]
+            one = Aggregator()
+            one.add_all(head)
+            one.add_all(tail)
+            assert outputs(one.finish()) == whole, cut
+            first, second = Aggregator(), Aggregator()
+            first.add_all(head)
+            second.add_all(tail)
+            first.add_counts(second.counts())
+            assert outputs(first.finish()) == whole, cut
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_removed_records_leave_no_trace(self, seed):
+        # Records counted and then removed leave the tally of the others,
+        # down to the category counts k that set the unit.
+        records = list(parsed(random_corpus(seed=seed, n_records=200)))
+        extra = list(parsed(random_corpus(seed=seed + 100, n_records=50)))
+        agg = Aggregator()
+        agg.add_all(records[:120] + extra + records[120:])
+        agg.remove_all(extra)
+        once = Aggregator()
+        once.add_all(records)
+        assert dict(agg.counts()) == dict(once.counts())
+        assert outputs(agg.finish()) == outputs(once.finish())

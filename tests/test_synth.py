@@ -215,6 +215,9 @@ class TestSpecValidation:
          "doc type weight for 'article' must be finite, >= 0"),
         (lambda o: o.update(doc_type_weights=None),
          "doc_type_weights must map doc types to numbers"),
+        (lambda o: o.update(doc_type_weights={"article": 1e308, "review": 1e308}),
+         "doc_type_weights must have a finite sum"),
+        (lambda o: o["fields"][0].update(colour="red"), "field entry: unknown key 'colour'"),
         (lambda o: o["fields"].append(o["fields"][0]), "duplicate subject category in fields"),
         (lambda o: o["oa_profiles"].update(Palmistry={"gold": 0.1}),
          "OA profile for unknown category 'Palmistry'"),
@@ -260,10 +263,20 @@ class TestSpecValidation:
         ({"id": "A", "kind": "country", "volume": 10,
           "specialization": {"Mathematics": 0.7, "History": -0.3}},
          "actor 'A': weight for 'History' must be finite, >= 0"),
+        ({"id": "A", "kind": "country", "volume": 10, "specialization": {"Mathematics": 1.0},
+          "colour": "red"},
+         "actor 'A': unknown key 'colour'"),
     ])
     def test_bad_actors_rejected(self, actor, message):
         obj = spec_obj(actors=[actor])
         with pytest.raises(InvalidSpec, match=re.escape(message)):
+            spec_from_dict(obj)
+
+    def test_actor_volumes_with_an_infinite_sum_rejected(self):
+        obj = spec_obj(actors=[
+            {"id": aid, "kind": "country", "volume": 1e308,
+             "specialization": {"Mathematics": 1.0}} for aid in ("A", "B")])
+        with pytest.raises(InvalidSpec, match=re.escape("actor volumes must have a finite sum")):
             spec_from_dict(obj)
 
     @pytest.mark.parametrize("overrides, message", [
