@@ -283,7 +283,7 @@ def _print_stats(stats: CorpusStats) -> None:
 
 def _tally(args: argparse.Namespace, registry: ClassificationRegistry,
            kind: ActorKind | None) -> tuple[AggregationResult, CorpusStats]:
-    """Stream the corpus into one Aggregator, a range on each core (see
+    """Stream the corpus into one Aggregator, its ranges on several cores (see
     noai.shards); kind None credits no actor."""
     options = IngestOptions(doc_types=args.doc_types, window=args.window,
                             require_doi=args.require_doi, strict=args.strict,

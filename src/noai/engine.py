@@ -12,11 +12,13 @@ actor's fractional publication counts, giving one indicator per actor
 (NOAI). A value of 1.0 means world-typical openness for the actor's mix.
 
 Every number is a projection of one exact integer tally of records by
-(owner, category, k, status): the owner is the record's year (an int) for
-the world, an actor id (a str) otherwise, the status is held by its value,
-and itertools.product and Counter.update build and count the keys in C.
-The tally is plain data, and the tallies of a corpus's parts add up to
-the tally of the whole. The reader has already
+(owner, category, k << 2 | slot): the owner is the record's year (an int)
+for the world, an actor id (a str) otherwise, k is the record's category
+count and slot its status's position in a counts vector, packed in one int
+so that a key is a 3-tuple, a smaller allocation than a 4-tuple; and
+itertools.product and Counter.update build and count the keys in C. The
+tally is plain data, and the tallies of a corpus's parts add up to the
+tally of the whole. The reader has already
 decided each record's status and actors, so the tally only counts. With L
 the lcm of the k seen, n records under k weigh n * (L // k) units of 1/L,
 so every cell and baseline is a vector of four integers over L, one per
@@ -50,11 +52,8 @@ from .model import (
     Actor,
 )
 
-# A tally key holds a status as its value, a plain str, so that the tally is
-# plain data; an OAStatus equals its value and hashes alike.
-_VALUE = {status: status.value for status in OAStatus}
-# Position of each status in a counts vector, keyed by the value.
-_SLOT = {status.value: i for i, status in enumerate(OAStatus)}
+# Position of each status in a counts vector.
+_SLOT = {status: i for i, status in enumerate(OAStatus)}
 _CLOSED = _SLOT[OAStatus.CLOSED]
 
 #: Records of each OAStatus, in enum order, times the result's unit.
@@ -77,16 +76,17 @@ class AggregationResult:
 
 
 def _weigh(tally: Counter, weight: Mapping[int, int]) -> tuple[dict, dict]:
-    """The tally as owner -> category -> counts over the unit, years apart from actors."""
+    """The tally as owner -> category -> counts over the unit, years apart
+    from actors; `weight` maps each k << 2 | slot to the unit over k."""
     out: dict = {}
-    for (owner, category, k, status), n in tally.items():
+    for (owner, category, code), n in tally.items():
         by_category = out.get(owner)
         if by_category is None:
             by_category = out[owner] = {}
         acc = by_category.get(category)
         if acc is None:
             acc = by_category[category] = [0, 0, 0, 0]
-        acc[_SLOT[status]] += n * weight[k]
+        acc[code & 3] += n * weight[code]
     years = {owner: out.pop(owner) for owner in [o for o in out if type(o) is int]}
     return years, out
 
@@ -109,11 +109,11 @@ def _project(items: Iterable[tuple[str, Counts]],
 
 
 def _keys(corpus: Iterable[PublicationRecord]) -> Iterator[tuple]:
-    """Each record's (owner, category, k, status) tally keys, the year's and
-    each actor's, built by product in C."""
+    """Each record's (owner, category, k << 2 | slot) tally keys, the year's
+    and each actor's, built by product in C."""
     return chain.from_iterable(
         product((r.year, *r.actors), r.subject_categories,
-                (len(r.subject_categories),), (_VALUE[r.status],))
+                (len(r.subject_categories) << 2 | _SLOT[r.status],))
         for r in corpus)
 
 
@@ -149,7 +149,7 @@ class Aggregator:
                 tally[key] -= 1
 
     def counts(self) -> Iterable[tuple]:
-        """The tally as ((owner, category, k, status value), n) pairs."""
+        """The tally as ((owner, category, k << 2 | slot), n) pairs."""
         return self._tally.items()
 
     def add_counts(self, counts: Iterable[tuple]) -> None:
@@ -160,9 +160,9 @@ class Aggregator:
             tally[key] = get(key, 0) + n
 
     def finish(self) -> AggregationResult:
-        ks = set(map(itemgetter(2), self._tally))
-        unit = math.lcm(*ks)
-        years, actors = _weigh(self._tally, {k: unit // k for k in ks})
+        codes = set(map(itemgetter(2), self._tally))
+        unit = math.lcm(*{code >> 2 for code in codes})
+        years, actors = _weigh(self._tally, {code: unit // (code >> 2) for code in codes})
         baselines = _project(chain.from_iterable(map(dict.items, years.values())), None)
         return AggregationResult(unit, actors, baselines, years)
 

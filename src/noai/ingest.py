@@ -80,21 +80,13 @@ class IngestOptions:
 
 @dataclass
 class CorpusStats:
-    """Where a pass's lines went. `years` counts the accepted records of each
-    year, and `rejects` holds the first MAX_KEPT_DIAGNOSTICS rejections as
-    (line, reason, detail)."""
-
     records_read: int = 0
     records_accepted: int = 0
     records_rejected: int = 0
     rejection_reasons: Counter = field(default_factory=Counter)
-    years: Counter = field(default_factory=Counter)
-    rejects: list[tuple[int, str, str]] = field(default_factory=list)
-
-    @property
-    def diagnostics(self) -> list[str]:
-        return [f"line {line}: {reason}" + (f" ({detail})" if detail else "")
-                for line, reason, detail in self.rejects]
+    year_min: int | None = None
+    year_max: int | None = None
+    diagnostics: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
         return {
@@ -102,7 +94,7 @@ class CorpusStats:
             "records_accepted": self.records_accepted,
             "records_rejected": self.records_rejected,
             "rejection_reasons": dict(sorted(self.rejection_reasons.items())),
-            "year_range": [min(self.years), max(self.years)] if self.years else None,
+            "year_range": None if self.year_min is None else [self.year_min, self.year_max],
         }
 
 
@@ -220,9 +212,10 @@ class CorpusReader:
     when stop is None; both edges must be line starts, and line numbers count
     from the range's first line (see noai.shards). After such a pass, `seen`
     holds the ids the range accepted. A range past byte 0 also records, in
-    `checks`, each record that reached the duplicate check, as three parallel
-    sequences: line << 1 | accepted, the line's byte offset, and the id.
-    `lines` counts the lines of the last pass, blank ones included.
+    `checks`, each record that reached the duplicate check as two parallel
+    sequences, line << 1 | accepted and the id, and the count of accepted
+    records of each year. `lines` counts the lines of the last pass, blank ones
+    included.
     """
 
     def __init__(
@@ -242,21 +235,36 @@ class CorpusReader:
         self.checks = None
 
     def _reject(self, line_no: int, reason: str, detail: str = ""):
-        stats = self.stats
-        stats.records_rejected += 1
-        stats.rejection_reasons[reason] += 1
-        if len(stats.rejects) < MAX_KEPT_DIAGNOSTICS:
-            stats.rejects.append((line_no, reason, detail))
+        self.stats.records_rejected += 1
+        self.stats.rejection_reasons[reason] += 1
+        if len(self.stats.diagnostics) < MAX_KEPT_DIAGNOSTICS:
+            message = f"line {line_no}: {reason}" + (f" ({detail})" if detail else "")
+            self.stats.diagnostics.append(message)
 
-    def records_at(self, offsets: Iterable[int]) -> list[PublicationRecord]:
-        """The records of lines this reader accepted, parsed again from the
-        byte offsets where the lines start."""
+    def _blocks(self, stream) -> Iterator[bytes]:
+        """The line blocks of this reader's range of an open stream."""
+        start, stop = self.span or (0, None)
+        if start:
+            stream.seek(start)
+        return _line_blocks(stream, -1 if stop is None else stop - start)
+
+    def records_at(self, lines: Iterable[int]) -> list[PublicationRecord]:
+        """The records of lines that a pass of this reader accepted, given by
+        their ascending line numbers, read and parsed again."""
+        wanted = iter(lines)
+        want = next(wanted, None)
         records = []
+        base = 0
         with open(self.path, "rb") as stream:
-            for at in offsets:
-                stream.seek(at)
-                text = next(_line_blocks(stream)).splitlines()[0].strip().decode("utf-8")
-                records.append(_parse_line(json.loads(text), "\\u" in text, self.options))
+            for block in self._blocks(stream):
+                if want is None:
+                    break
+                block_lines = block.splitlines()
+                while want is not None and want <= base + len(block_lines):
+                    text = block_lines[want - base - 1].strip().decode("utf-8")
+                    records.append(_parse_line(json.loads(text), "\\u" in text, self.options))
+                    want = next(wanted, None)
+                base += len(block_lines)
         return records
 
     def __iter__(self) -> Iterator[PublicationRecord]:
@@ -270,17 +278,16 @@ class CorpusReader:
         registry = self.registry
         known = registry.categories if registry is not None else None
         seen_ids: set[str] = set()
-        start, stop = self.span or (0, None)
         if self.span is not None:
             self.seen = seen_ids
         ids = None
-        if start:
+        if self.span is not None and self.span[0]:
             # Only a range read in a child records checks, so only a child
             # loads the array module.
             from array import array
 
-            codes, offsets, ids = self.checks = array("q"), array("q"), []
-            add_code, add_offset, add_id = codes.append, offsets.append, ids.append
+            codes, ids, years = self.checks = array("q"), [], {}
+            add_code, add_id, year_count = codes.append, ids.append, years.get
         try:
             stream = open(self.path, "rb")
         except OSError as exc:
@@ -290,18 +297,14 @@ class CorpusReader:
         line_no = 0
         read = stats.records_read
         accepted = stats.records_accepted
-        years: dict[int, int] = {}
-        pos = start
+        lo = stats.year_min
+        hi = stats.year_max
         try:
-            if start:
-                stream.seek(start)
-            for block in _line_blocks(stream, -1 if stop is None else stop - start):
+            for block in self._blocks(stream):
                 # \r, \n and \r\n all end a line, as in text mode; JSON strings
                 # cannot hold a raw line break.
-                for line in block.splitlines(True):
+                for line in block.splitlines():
                     line_no += 1
-                    at = pos
-                    pos += len(line)
                     line = line.strip()
                     if not line:
                         continue
@@ -351,7 +354,6 @@ class CorpusReader:
                         if missing:
                             if ids is not None:
                                 add_code(line_no << 1)
-                                add_offset(at)
                                 add_id(rec_id)
                             if strict:
                                 raise UnknownCategory(
@@ -363,20 +365,23 @@ class CorpusReader:
                     seen_ids.add(rec_id)
                     if ids is not None:
                         add_code(line_no << 1 | 1)
-                        add_offset(at)
                         add_id(rec_id)
+                        years[year] = year_count(year, 0) + 1
                     accepted += 1
-                    try:
-                        years[year] += 1
-                    except KeyError:
-                        years[year] = 1
+                    if lo is None:
+                        lo = hi = year
+                    elif year < lo:
+                        lo = year
+                    elif year > hi:
+                        hi = year
                     yield record
         finally:
             stream.close()
             self.lines = line_no
             stats.records_read = read
             stats.records_accepted = accepted
-            stats.years.update(years)
+            stats.year_min = lo
+            stats.year_max = hi
 
 
 @dataclass(frozen=True)

@@ -1,27 +1,27 @@
-"""Reading a corpus on every core: byte ranges in forked children, merged in order.
+"""Reading a corpus on several cores: byte ranges in forked children, merged in order.
 
 NOAI is a linear function of integer counts, so the tallies of the parts of
 a corpus add up to the tally of the whole. A corpus that is a regular file
-is cut into one byte range per available core, each at least
-MIN_SHARD_BYTES long. A range starts at a line start: after a \\n, or after
-a \\r that is not followed by \\n, so a \\r\\n is never split. Range 0 is read
-in this process and each other range in a child made by os.fork(); each
-range runs the command's consumer on its own CorpusReader. A child sends
-back only plain data (dicts, lists, tuples, ints and strs) through a pipe,
-in bounded chunks serialized by `marshal`, and the parent merges the ranges
-in order:
+is cut into one byte range per available core, up to MAX_SHARDS ranges of
+at least MIN_SHARD_BYTES each. A range starts at a line start: after a
+\\n, or after a \\r that is not followed by \\n, so a \\r\\n is never split.
+Range 0 is read in this process and each other range in a child made by
+os.fork(); each range runs the command's consumer on its own CorpusReader.
+A child sends back only plain data (dicts, lists, tuples, ints and strs)
+through a pipe, in bounded chunks serialized by `marshal`, and the parent
+merges the ranges in order:
 
 - it renumbers the lines, and keeps the first MAX_KEPT_DIAGNOSTICS
   diagnostics in line order;
 - it applies the duplicate-id rule across ranges. A record of a later range
   whose id an earlier range accepted is a duplicate_id rejection after all;
-  an accepted one is re-read at its byte offset and parsed again, and the
-  consumer takes it back out;
+  the accepted ones are read again from their range and parsed again, and
+  the consumer takes them back out;
 - under strict mode it raises the error with the smallest line number.
 
 So every output, statistic and message is the one a single pass gives. A
-pipe, a corpus too short for two ranges, or a platform without os.fork is
-read in one pass.
+pipe, a corpus too short for two ranges, a single core, or a platform
+without os.fork is read in one pass.
 """
 
 from __future__ import annotations
@@ -46,11 +46,17 @@ from .ingest import (
 #: Fewest corpus bytes per range. A fork costs about 3 ms, and sending and
 #: merging a range's results about 1 us per tally key. institutions-rank has
 #: the densest tally measured: each of its 1.2 MiB ranges sends 65,000 keys,
-#: about 70 ms of merging against about 110 ms of reading saved, which
-#: pays for the added code's own cost (in one process that run is 3% slower
-#: than before). Ranges of 3 MiB of the other workloads, with sparser
-#: tallies, cut a fifth of the run.
+#: about 70 ms of merging against about 110 ms of reading saved. Ranges of
+#: 3 MiB of the other workloads, with sparser tallies, cut a fifth of the
+#: run.
 MIN_SHARD_BYTES = 1 << 20
+
+#: Most ranges a corpus is cut into. The parent merges the ranges one after
+#: another, at about 1 us per tally key of each, and a dense tally repeats
+#: most of its keys in every range: so the merge grows with the range count
+#: while the reading each range saves shrinks. Two ranges pay; more have
+#: not been measured.
+MAX_SHARDS = 2
 
 #: Entries per chunk that a child writes.
 CHUNK = 1 << 10
@@ -81,12 +87,16 @@ def shard_spans(path) -> list[Span | None]:
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return [None]
     try:
+        # A stat, not an open: opening a named pipe would start its writer,
+        # and closing it again could cut the writer off.
+        info = os.stat(path)
+        if not stat.S_ISREG(info.st_mode):
+            return [None]
+        size = info.st_size
+        n = min(MAX_SHARDS, len(os.sched_getaffinity(0)), size // MIN_SHARD_BYTES)
+        if n < 2:
+            return [None]
         with open(path, "rb") as stream:
-            info = os.fstat(stream.fileno())
-            if not stat.S_ISREG(info.st_mode):
-                return [None]
-            size = info.st_size
-            n = min(len(os.sched_getaffinity(0)), size // MIN_SHARD_BYTES)
             starts = sorted({0, *(_line_start(stream, size * i // n)
                                   for i in range(1, n))} - {size})
     except OSError:
@@ -98,8 +108,8 @@ def shard_spans(path) -> list[Span | None]:
 
 def read_corpus(path, open_range: Callable[[Span | None], CorpusReader],
                 consumer) -> CorpusStats:
-    """Feed the corpus at `path` to a consumer, a range on each core, and
-    return the statistics of the whole corpus.
+    """Feed the corpus at `path` to a consumer, its ranges on several cores,
+    and return the statistics of the whole corpus.
 
     open_range(span) makes the reader of a byte range, or of the whole file
     when span is None. The consumer has an Aggregator's methods:
@@ -116,17 +126,20 @@ def read_corpus(path, open_range: Callable[[Span | None], CorpusReader],
     # Buffered output would otherwise be written again by a child.
     sys.stdout.flush()
     sys.stderr.flush()
-    children: dict[int, object] = {}  # pid -> read end of its pipe, until reaped
+    # pid -> read end of its pipe and the reader of its range, until reaped
+    children: dict[int, tuple] = {}
     try:
         for span in spans[1:]:
-            pid, pipe = _fork(open_range(span), consumer)
-            children[pid] = pipe
+            reader = open_range(span)
+            pid, pipe = _fork(reader, consumer)
+            children[pid] = pipe, reader
         head = open_range(spans[0])
         consumer.add_all(head)
         merge = _Merge(head, consumer)
-        for i, (pid, pipe) in enumerate(list(children.items())):
+        pending = list(children.items())
+        for i, (pid, (pipe, reader)) in enumerate(pending):
             with pipe:
-                merge.add(pipe, last=i == len(children) - 1)
+                merge.add(pipe, reader, last=i == len(pending) - 1)
             os.waitpid(pid, 0)
             del children[pid]
         return head.stats
@@ -134,7 +147,7 @@ def read_corpus(path, open_range: Callable[[Span | None], CorpusReader],
         if children:
             # Only a failed run gets here, so only it loads the module.
             import signal
-        for pid, pipe in children.items():
+        for pid, (pipe, _) in children.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -179,17 +192,18 @@ def _send(out, reader: CorpusReader, consumer) -> None:
         # "line N: ...".
         error = (reader.lines, type(exc).__name__, str(exc).partition(": ")[2])
     stats = reader.stats
+    codes, ids, years = reader.checks
     send((reader.lines, stats.records_read, stats.records_accepted,
-          stats.records_rejected, dict(stats.rejection_reasons), dict(stats.years),
-          stats.rejects, error))
+          stats.records_rejected, dict(stats.rejection_reasons),
+          stats.year_min, stats.year_max, years,
+          stats.diagnostics, error))
     if error is None:
         items = iter(consumer.counts())
         while chunk := list(islice(items, CHUNK)):
             send(chunk)
     send(None)
-    codes, offsets, ids = reader.checks
     for i in range(0, len(ids), CHUNK):
-        send((codes[i:i + CHUNK].tolist(), offsets[i:i + CHUNK].tolist(), ids[i:i + CHUNK]))
+        send((codes[i:i + CHUNK].tolist(), ids[i:i + CHUNK]))
     send(None)
 
 
@@ -204,9 +218,9 @@ class _Merge:
         self.lines = head.lines
         self.consumer = consumer
 
-    def add(self, pipe, last: bool) -> None:
-        """Merge the next range from its child's pipe; the last range's ids
-        are checked but not kept."""
+    def add(self, pipe, reader: CorpusReader, last: bool) -> None:
+        """Merge the next range, read by `reader` in a child, from the
+        child's pipe; the last range's ids are checked but not kept."""
         def load():
             size = int.from_bytes(pipe.read(8), "little")
             data = pipe.read(size)
@@ -215,13 +229,18 @@ class _Merge:
                                 "a reading process ended early")
             return marshal.loads(data)
 
-        lines, read, accepted, rejected, reasons, years, rejects, error = load()
+        (lines, read, accepted, rejected, reasons, lo, hi, years, diagnostics,
+         error) = load()
         base, seen, strict = self.lines, self.seen, self.head.options.strict
         self.consumer.add_counts(chain.from_iterable(iter(load, None)))
-        notes = {line: (reason, detail) for line, reason, detail in rejects}
-        for codes, offsets, ids in iter(load, None):
-            dropped = []
-            for code, at, rec_id in zip(codes, offsets, ids):
+        # "line N: reason (detail)", keyed by N
+        notes = {}
+        for message in diagnostics:
+            where, _, note = message.partition(": ")
+            notes[int(where[5:])] = note
+        dropped = []
+        for codes, ids in iter(load, None):
+            for code, rec_id in zip(codes, ids):
                 if rec_id not in seen:
                     if code & 1 and not last:
                         seen.add(rec_id)
@@ -233,18 +252,20 @@ class _Merge:
                 if code & 1:
                     accepted -= 1
                     rejected += 1
-                    dropped.append(at)
+                    dropped.append(line)
                 else:  # the duplicate check comes before the registry's
                     reasons[REASON_UNKNOWN_CATEGORY] -= 1
                 if code & 1 or line in notes:
-                    notes[line] = (REASON_DUPLICATE_ID, rec_id)
+                    notes[line] = f"{REASON_DUPLICATE_ID} ({rec_id})"
             if len(notes) > MAX_KEPT_DIAGNOSTICS:
                 notes = dict(sorted(notes.items())[:MAX_KEPT_DIAGNOSTICS])
-            if dropped:
-                records = self.head.records_at(dropped)
-                for record in records:
-                    years[record.year] -= 1
-                self.consumer.remove_all(records)
+        if dropped:
+            records = reader.records_at(dropped)
+            for record in records:
+                years[record.year] -= 1
+            self.consumer.remove_all(records)
+            kept = [year for year, n in years.items() if n]
+            lo, hi = (min(kept), max(kept)) if kept else (None, None)
         if error is not None:
             line, kind, text = error
             if kind == UnknownCategory.__name__:
@@ -256,8 +277,10 @@ class _Merge:
         stats.records_accepted += accepted
         stats.records_rejected += rejected
         stats.rejection_reasons.update({k: n for k, n in reasons.items() if n})
-        stats.years.update({y: n for y, n in years.items() if n})
-        stats.rejects = sorted([*stats.rejects, *((base + line, *note)
-                                                  for line, note in notes.items())]
-                               )[:MAX_KEPT_DIAGNOSTICS]
+        if lo is not None:
+            stats.year_min = lo if stats.year_min is None else min(stats.year_min, lo)
+            stats.year_max = hi if stats.year_max is None else max(stats.year_max, hi)
+        stats.diagnostics += [f"line {base + line}: {note}"
+                              for line, note in sorted(notes.items())]
+        del stats.diagnostics[MAX_KEPT_DIAGNOSTICS:]
         self.lines += lines

@@ -32,6 +32,7 @@ from test_cli import CLI_DIGESTS, CLI_GOLDEN, DEMO_SPEC, child_env
 def shard_count(n):
     """Cut every corpus into n ranges, as if on n cores."""
     with mock.patch.object(shards, "MIN_SHARD_BYTES", 1), \
+            mock.patch.object(shards, "MAX_SHARDS", n), \
             mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(n))):
         yield
 
@@ -321,6 +322,73 @@ class TestPipe:
             [sys.executable, "-m", "noai", *argv, "--corpus", "/dev/stdin"],
             input=data, capture_output=True, env=child_env(), timeout=60)
         assert (proc.stdout.decode(), proc.stderr.decode()) == tuple(from_file)
+
+
+    def test_named_pipe_is_opened_once(self, tmp_path, capsys):
+        # The writer starts when the reader opens the pipe. Were the pipe
+        # opened to be classified and closed again, the writer would lose its
+        # reader in the middle of more than a pipe buffer of data, and the
+        # second open would wait for a writer that never comes.
+        data = planted_corpus(4, 1000)
+        assert len(data) > 1 << 17
+        write(tmp_path, data)
+        argv = ["indicators", "--registry", str(tmp_path / "registry.csv")]
+        with shard_count(2):
+            assert main([*argv, "--corpus", str(tmp_path / "corpus.jsonl")]) == 0
+        from_file = capsys.readouterr()
+
+        fifo = tmp_path / "corpus.fifo"
+        os.mkfifo(fifo)
+        # With no writer yet, opening the pipe would block: classifying it
+        # must not open it.
+        spans = []
+        probe = threading.Thread(target=lambda: spans.append(shards.shard_spans(fifo)))
+        probe.start()
+        probe.join(10)
+        blocked = probe.is_alive()
+        if blocked:
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            probe.join(10)
+        assert not blocked and spans == [[None]]
+
+        failures = []
+
+        def feed():
+            try:
+                with open(fifo, "wb") as out:
+                    out.write(data)
+            except OSError as exc:
+                failures.append(exc)
+
+        feeder = threading.Thread(target=feed)
+        feeder.start()
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "noai", *argv, "--corpus", str(fifo)],
+                capture_output=True, env=child_env(), timeout=60)
+        finally:
+            if feeder.is_alive():
+                # Release a writer still waiting for a reader.
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            feeder.join(10)
+        assert not feeder.is_alive() and not failures
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (
+            0, *from_file)
+
+
+class TestShardCount:
+    def test_ranges_are_capped(self, tmp_path):
+        path, _ = write(tmp_path, planted_corpus(0))
+        with mock.patch.object(shards, "MIN_SHARD_BYTES", 1), \
+                mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(8))):
+            assert len(shards.shard_spans(path)) == shards.MAX_SHARDS
+
+    def test_one_core_or_a_short_corpus_is_one_pass(self, tmp_path):
+        path, _ = write(tmp_path, planted_corpus(0))
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}):
+            assert shards.shard_spans(path) == [None]
+        with mock.patch.object(shards, "MIN_SHARD_BYTES", path.stat().st_size):
+            assert shards.shard_spans(path) == [None]
 
 
 class TestGoldenInRanges:
