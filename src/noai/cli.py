@@ -283,8 +283,8 @@ def _print_stats(stats: CorpusStats) -> None:
 
 def _tally(args: argparse.Namespace, registry: ClassificationRegistry,
            kind: ActorKind | None) -> tuple[AggregationResult, CorpusStats]:
-    """Stream the corpus into one Aggregator, its ranges on several cores (see
-    noai.shards); kind None credits no actor."""
+    """Stream the corpus into one Aggregator, in one byte range or in two on
+    two cores (see noai.shards); kind None credits no actor."""
     options = IngestOptions(doc_types=args.doc_types, window=args.window,
                             require_doi=args.require_doi, strict=args.strict,
                             priority=args.priority, actor_kind=kind)
@@ -406,7 +406,7 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 class _Survey:
     """validate's consumer: the diagnostics of validate_corpus, one dict of
-    record id -> Diagnostic per corpus range, in range order (see
+    record id -> Diagnostic per corpus range, one or two, in range order (see
     noai.shards). Accepted ids are unique within a range, so a record that
     proves a duplicate takes its diagnostic out of the last range's dict."""
 

@@ -18,11 +18,6 @@ class IoFailure(NoaiError):
 class MalformedRecord(NoaiError):
     """A corpus line could not be parsed into a valid record."""
 
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"line {line_no}: {reason}")
-        self.line_no = line_no
-        self.reason = reason
-
 
 class MalformedRow(NoaiError):
     """A registry CSV row is missing fields or otherwise unusable."""

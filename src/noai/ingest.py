@@ -208,14 +208,14 @@ class CorpusReader:
     When a registry is given, records with categories outside it are rejected
     (fatal in strict mode). Filters never raise: they only reject.
 
-    A `span` (start, stop) reads only that byte range of the file, to its end
-    when stop is None; both edges must be line starts, and line numbers count
-    from the range's first line (see noai.shards). After such a pass, `seen`
-    holds the ids the range accepted. A range past byte 0 also records, in
-    `checks`, each record that reached the duplicate check as two parallel
-    sequences, line << 1 | accepted and the id, and the count of accepted
-    records of each year. `lines` counts the lines of the last pass, blank ones
-    included.
+    The `span` (start, stop) is the byte range of the file read, to its end
+    when stop is None: by default the whole file. Both edges must be line
+    starts, and line numbers count from the range's first line (see
+    noai.shards). After a pass, `seen` holds the ids it accepted and `lines`
+    counts its lines, blank ones included. A range past byte 0, the second
+    of two, also records, in `checks`, each record that reached the
+    duplicate check as two parallel sequences, line << 1 | accepted and the
+    id, and the count of accepted records of each year.
     """
 
     def __init__(
@@ -223,7 +223,7 @@ class CorpusReader:
         path,
         registry: ClassificationRegistry | None = None,
         options: IngestOptions | None = None,
-        span: tuple[int, int | None] | None = None,
+        span: tuple[int, int | None] = (0, None),
     ):
         self.path = path
         self.registry = registry
@@ -231,7 +231,7 @@ class CorpusReader:
         self.span = span
         self.stats = CorpusStats()
         self.lines = 0
-        self.seen: set[str] | None = None
+        self.seen: set[str] = set()
         self.checks = None
 
     def _reject(self, line_no: int, reason: str, detail: str = ""):
@@ -243,7 +243,7 @@ class CorpusReader:
 
     def _blocks(self, stream) -> Iterator[bytes]:
         """The line blocks of this reader's range of an open stream."""
-        start, stop = self.span or (0, None)
+        start, stop = self.span
         if start:
             stream.seek(start)
         return _line_blocks(stream, -1 if stop is None else stop - start)
@@ -277,11 +277,9 @@ class CorpusReader:
         stats = self.stats
         registry = self.registry
         known = registry.categories if registry is not None else None
-        seen_ids: set[str] = set()
-        if self.span is not None:
-            self.seen = seen_ids
+        seen_ids = self.seen = set()
         ids = None
-        if self.span is not None and self.span[0]:
+        if self.span[0]:
             # Only a range read in a child records checks, so only a child
             # loads the array module.
             from array import array
@@ -329,7 +327,7 @@ class CorpusReader:
                             else REASON_MALFORMED
                         )
                         if strict:
-                            raise MalformedRecord(line_no, f"{reason}: {exc}") from exc
+                            raise MalformedRecord(f"line {line_no}: {reason}: {exc}") from exc
                         reject(line_no, reason, str(exc))
                         continue
                     # The filters read values that _parse_line has checked.
@@ -346,7 +344,7 @@ class CorpusReader:
                     rec_id = record.id
                     if rec_id in seen_ids:
                         if strict:
-                            raise MalformedRecord(line_no, f"duplicate id {rec_id!r}")
+                            raise MalformedRecord(f"line {line_no}: duplicate id {rec_id!r}")
                         reject(line_no, REASON_DUPLICATE_ID, rec_id)
                         continue
                     if known is not None:

@@ -1,6 +1,7 @@
-"""Reading a corpus in byte ranges: 1, 2 and 3 ranges give the same tally,
+"""Reading a corpus in byte ranges: one range and two give the same tally,
 statistics, diagnostics, outputs, errors and exit codes, whatever lies on
-either side of each range edge, and no child process outlives a run."""
+either side of the range edge, a run in one range starts no process, and no
+child process outlives a run."""
 
 from __future__ import annotations
 
@@ -30,9 +31,8 @@ from test_cli import CLI_DIGESTS, CLI_GOLDEN, DEMO_SPEC, child_env
 
 @contextmanager
 def shard_count(n):
-    """Cut every corpus into n ranges, as if on n cores."""
+    """Cut every corpus into n ranges, one or two, as if on n cores."""
     with mock.patch.object(shards, "MIN_SHARD_BYTES", 1), \
-            mock.patch.object(shards, "MAX_SHARDS", n), \
             mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(n))):
         yield
 
@@ -139,18 +139,16 @@ class TestShardedPass:
     @pytest.mark.parametrize("options", OPTIONS, ids=["countries", "world-filtered"])
     def test_ranges_give_one_pass(self, tmp_path, seed, options):
         path, _ = write(tmp_path, planted_corpus(seed))
-        one = tally(path, 1, options)
-        for n in (2, 3):
-            assert tally(path, n, options) == one
+        assert tally(path, 2, options) == tally(path, 1, options)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_a_shifted_corpus_moves_every_edge(self, tmp_path, seed):
-        # Leading blank lines move the edges through the lines after them.
+        # Leading blank lines move the edge through the lines after it.
         data = planted_corpus(seed, 30)
         for shift in range(0, 120, 7):
             path, _ = write(tmp_path, b"\n" * shift + data)
             one = tally(path, 1, IngestOptions())
-            assert tally(path, 3, IngestOptions()) == one, shift
+            assert tally(path, 2, IngestOptions()) == one, shift
 
     @pytest.mark.parametrize("argv", [
         ["indicators", "--actor-kind", "country"],
@@ -164,8 +162,7 @@ class TestShardedPass:
             write(tmp_path, planted_corpus(seed))
             one = cli_run(tmp_path, capsys, 1, argv)
             assert one[1].startswith("corpus: ")
-            for n in (2, 3):
-                assert cli_run(tmp_path, capsys, n, argv) == one
+            assert cli_run(tmp_path, capsys, 2, argv) == one
 
     def test_duplicates_past_the_last_edge(self, tmp_path):
         # The last lines repeat ids of the first: one accepted with a year no
@@ -184,8 +181,7 @@ class TestShardedPass:
         assert one[1]["year_range"] == [2016, 2016]
         assert one[1]["rejection_reasons"] == {"duplicate_id": 2}
         assert one[2] == ["line 43: duplicate_id (x)", "line 44: duplicate_id (y)"]
-        for n in (2, 3):
-            assert tally(path, n, IngestOptions()) == one
+        assert tally(path, 2, IngestOptions()) == one
 
     def test_validate_drops_diagnostics_of_duplicates(self, tmp_path, capsys):
         # Two copies of one unknown-category record, in different ranges:
@@ -206,8 +202,7 @@ class TestShardedPass:
         write(tmp_path, "\r\n".join(["oops", *lines, "", "{}"]).encode())
         one = cli_run(tmp_path, capsys, 1, ["indicators"])
         assert one[0] == 3 and one[1].endswith("noai: no record accepted\n")
-        for n in (2, 3):
-            assert cli_run(tmp_path, capsys, n, ["indicators"]) == one
+        assert cli_run(tmp_path, capsys, 2, ["indicators"]) == one
 
 
 def strict_corpus(position: int, bad: str) -> bytes:
@@ -231,7 +226,7 @@ def strict_outcome(path, n):
 class TestStrict:
     @pytest.mark.parametrize("kind", ["malformed", "unknown", "duplicate", "unknown-duplicate"])
     def test_first_error_in_line_order(self, tmp_path, kind):
-        # The bad line moves through every range; the first error wins,
+        # The bad line moves through both ranges; the first error wins,
         # whichever range holds it.
         earlier = text(serialize_record(random_corpus(3, 1)[0]))
         for position in range(1, 41, 3):
@@ -246,8 +241,7 @@ class TestStrict:
             one = strict_outcome(path, 1)
             assert one[0] is (UnknownCategory if kind == "unknown" else MalformedRecord)
             assert one[1].startswith(f"line {position + 1}: ")
-            for n in (2, 3):
-                assert strict_outcome(path, n) == one, (position, n)
+            assert strict_outcome(path, 2) == one, position
 
     def test_strict_cli_messages(self, tmp_path, capsys):
         unknown = text({"id": "zz", "year": 2016, "doc_type": "article",
@@ -260,8 +254,7 @@ class TestStrict:
             one = cli_run(tmp_path, capsys, 1, ["indicators", "--strict"])
             assert one[0] == 3
             assert one[1].startswith(f"noai: line {position + 1}: {message}")
-            for n in (2, 3):
-                assert cli_run(tmp_path, capsys, n, ["indicators", "--strict"]) == one
+            assert cli_run(tmp_path, capsys, 2, ["indicators", "--strict"]) == one
 
 
 class Failing(Aggregator):
@@ -280,7 +273,7 @@ class Failing(Aggregator):
 class TestChildren:
     def test_children_are_reaped_when_the_parent_is_interrupted(self, tmp_path):
         path, _ = write(tmp_path, planted_corpus(0))
-        with shard_count(3), pytest.raises(KeyboardInterrupt):
+        with shard_count(2), pytest.raises(KeyboardInterrupt):
             shards.read_corpus(path, lambda span: CorpusReader(path, REG10, None, span),
                                Failing(0, KeyboardInterrupt()))
         assert_no_child_left()
@@ -311,7 +304,7 @@ class TestPipe:
         feeder.start()
         try:
             with shard_count(2):
-                assert shards.shard_spans(f"/dev/fd/{r}") == [None]
+                assert shards.shard_spans(f"/dev/fd/{r}") == [(0, None)]
                 assert main([*argv, "--corpus", f"/dev/fd/{r}"]) == 0
         finally:
             feeder.join()
@@ -349,7 +342,7 @@ class TestPipe:
         if blocked:
             os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
             probe.join(10)
-        assert not blocked and spans == [[None]]
+        assert not blocked and spans == [[(0, None)]]
 
         failures = []
 
@@ -376,24 +369,65 @@ class TestPipe:
             0, *from_file)
 
 
+class TestOneRange:
+    def test_a_run_in_one_range_starts_no_process(self, tmp_path, capsys):
+        # From a pipe, on one core and from a corpus too short to cut, a run
+        # prints what a run in two ranges prints, with os.fork failing.
+        data = planted_corpus(4, 200)
+        path, registry = write(tmp_path, data)
+        argv = ["indicators", "--registry", str(registry)]
+        with shard_count(2):
+            assert len(shards.shard_spans(path)) == 2
+            assert main([*argv, "--corpus", str(path)]) == 0
+        two = capsys.readouterr()
+        assert two.out.startswith("actor,")
+
+        def fork():
+            raise AssertionError("a run in one range started a process")
+
+        with mock.patch.object(os, "fork", fork):
+            r, w = os.pipe()
+            feeder = threading.Thread(target=lambda: (os.write(w, data), os.close(w)))
+            feeder.start()
+            try:
+                with shard_count(2):
+                    assert main([*argv, "--corpus", f"/dev/fd/{r}"]) == 0
+            finally:
+                feeder.join(10)
+                os.close(r)
+            assert not feeder.is_alive() and capsys.readouterr() == two
+
+            with shard_count(1):
+                assert main([*argv, "--corpus", str(path)]) == 0
+            assert capsys.readouterr() == two
+
+            assert len(data) < 2 * shards.MIN_SHARD_BYTES
+            with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(8))):
+                assert main([*argv, "--corpus", str(path)]) == 0
+            assert capsys.readouterr() == two
+        assert_no_child_left()
+
+
 class TestShardCount:
-    def test_ranges_are_capped(self, tmp_path):
+    def test_eight_cores_give_two_ranges(self, tmp_path):
         path, _ = write(tmp_path, planted_corpus(0))
+        with open(path, "rb") as stream:
+            edge = shards._line_start(stream, path.stat().st_size // 2)
         with mock.patch.object(shards, "MIN_SHARD_BYTES", 1), \
                 mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(8))):
-            assert len(shards.shard_spans(path)) == shards.MAX_SHARDS
+            assert shards.shard_spans(path) == [(0, edge), (edge, None)]
 
     def test_one_core_or_a_short_corpus_is_one_pass(self, tmp_path):
         path, _ = write(tmp_path, planted_corpus(0))
         with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}):
-            assert shards.shard_spans(path) == [None]
+            assert shards.shard_spans(path) == [(0, None)]
         with mock.patch.object(shards, "MIN_SHARD_BYTES", path.stat().st_size):
-            assert shards.shard_spans(path) == [None]
+            assert shards.shard_spans(path) == [(0, None)]
 
 
 class TestGoldenInRanges:
     @pytest.mark.parametrize("out_format", ["csv", "json"])
-    def test_golden_digests_in_three_ranges(self, tmp_path, monkeypatch, capsys, out_format):
+    def test_golden_digests_in_two_ranges(self, tmp_path, monkeypatch, capsys, out_format):
         monkeypatch.chdir(tmp_path)
         assert main(["synth", "--spec", str(DEMO_SPEC), "--out", "corpus.jsonl",
                      "--registry-out", "registry.csv", "--actors-out", "actors.csv"]) == 0
@@ -403,8 +437,8 @@ class TestGoldenInRanges:
             if command in ("indicators", "rank", "compare"):
                 argv += ["--actors", "actors.csv"]
             out = f"out.{out_format}"
-            with shard_count(3):
-                assert len(shards.shard_spans("corpus.jsonl")) == 3
+            with shard_count(2):
+                assert len(shards.shard_spans("corpus.jsonl")) == 2
                 code = main(argv + extra + ["--format", out_format, "--out", out])
             assert_no_child_left()
             err = capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Source hygiene: every name a package module imports is used in that module,
 every function, class and method it defines has a caller outside the tests,
+every attribute a package class stores on `self` is read outside the tests,
 every defaulted parameter is passed by some call outside the tests, the
 README's library example runs as written and its spec table names every
 spec key."""
@@ -160,6 +161,52 @@ def test_every_definition_has_a_caller():
     package = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     callers = [path.read_text(encoding="utf-8") for path in CALLERS]
     assert unreferenced(package, callers) == []
+
+
+def unread_attributes(package: dict[str, str], callers: list[str]) -> list[str]:
+    """Attributes that a class of the package stores on `self` and that no
+    code reads.
+
+    Attributes are matched by name alone: a read of that name on any object
+    counts, so an attribute is not flagged while another type's attribute
+    of the same name is read somewhere (a stored `reason` would hide behind
+    the reads of `UnicodeDecodeError.reason`). package maps module name ->
+    source, and callers are the sources of code outside the package.
+    """
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    read = {node.attr for tree in [*trees.values(), *map(ast.parse, callers)]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    found = set()
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"
+                        and node.attr not in read):
+                    found.add(f"{module}: {cls.name}.{node.attr}")
+    return sorted(found)
+
+
+def test_scanner_finds_an_unread_attribute():
+    package = {"box": ("class Box:\n"
+                       "    def __init__(self, size):\n"
+                       "        self.size = size\n"
+                       "        self.label = ''\n"
+                       "        self.puts = 0\n"
+                       "    def put(self, x):\n"
+                       "        self.puts += 1\n"
+                       "        return x\n")}
+    caller = "from box import Box\nprint(Box(2).size)\n"
+    assert unread_attributes(package, [caller]) == ["box: Box.label", "box: Box.puts"]
+
+
+def test_every_stored_attribute_is_read():
+    package = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    callers = [path.read_text(encoding="utf-8") for path in CALLERS]
+    assert unread_attributes(package, callers) == []
 
 
 def _defaulted(function: ast.FunctionDef) -> list[str]:
