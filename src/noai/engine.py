@@ -16,20 +16,24 @@ Every number is a projection of one exact integer tally of records by
 for the world, an actor id (a str) otherwise, k is the record's category
 count and slot its status's position in a counts vector, packed in one int
 so that a key is a 3-tuple, a smaller allocation than a 4-tuple; and
-itertools.product and Counter.update build and count the keys in C. The
-tally is plain data, and the tallies of a corpus's parts add up to the
-tally of the whole. The reader has already
-decided each record's status and actors, so the tally only counts. With L
-the lcm of the k seen, n records under k weigh n * (L // k) units of 1/L,
-so every cell and baseline is a vector of four integers over L, one per
-OAStatus in enum order, and no result depends on record order. The weighed
+itertools.product and Counter build and count the keys in C. The reader
+has already decided each record's status and actors, so the tally only
+counts. With L the lcm of the k seen, n records under k weigh n * (L // k)
+units of 1/L, so every cell and baseline is a vector of four integers over
+L, one per OAStatus in enum order, and no result depends on record order.
+A pass weighs its tally as soon as it ends, and keeps only the weighed
+cells and the credits (tally entries) under each k. Weighed cells are plain
+data and add up, once rescaled to the lcm of both units, so the cells of a
+corpus's parts add up to the cells of the whole; the credits say which k
+are left when records are taken back out, and so the unit. The weighed
 tally, keyed by subject category, is the one result of a pass. A level is
 the registry's category -> field map, applied where a result is read: the
-table and the series sum category vectors into fields there. The CLI runs
-without the cyclic collector, which would only rescan the tally's
-long-lived tuples. A record spends exactly L over its categories, so an
-actor's whole counts are its cell vectors summed and divided by L. Floats
-appear only as the correctly rounded value of an exact quotient.
+series sums category vectors into fields there, and the table gives each
+category its field's NOAI weight. The CLI runs without the cyclic
+collector, which would only rescan the tally's long-lived tuples. A record
+spends exactly L over its categories, so an actor's whole counts are its
+cell vectors summed and divided by L. Floats appear only as the correctly
+rounded value of an exact quotient.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, product
-from operator import itemgetter
+from itertools import chain, compress, product
+from operator import itemgetter, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import UndefinedIndicator, UndefinedShare, UnknownCategory
@@ -75,9 +79,13 @@ class AggregationResult:
     years: Mapping[int, Mapping[str, Counts]]
 
 
-def _weigh(tally: Counter, weight: Mapping[int, int]) -> tuple[dict, dict]:
-    """The tally as owner -> category -> counts over the unit, years apart
-    from actors; `weight` maps each k << 2 | slot to the unit over k."""
+def _weigh(tally: Counter) -> tuple[int, dict, dict]:
+    """The tally weighed: its unit, the credits under each k and owner ->
+    category -> counts over the unit."""
+    codes = set(map(itemgetter(2), tally))
+    unit = math.lcm(*{code >> 2 for code in codes})
+    # code -> [the unit over its k, the credits under it]
+    weight = {code: [unit // (code >> 2), 0] for code in codes}
     out: dict = {}
     for (owner, category, code), n in tally.items():
         by_category = out.get(owner)
@@ -86,9 +94,21 @@ def _weigh(tally: Counter, weight: Mapping[int, int]) -> tuple[dict, dict]:
         acc = by_category.get(category)
         if acc is None:
             acc = by_category[category] = [0, 0, 0, 0]
-        acc[code & 3] += n * weight[code]
-    years = {owner: out.pop(owner) for owner in [o for o in out if type(o) is int]}
-    return years, out
+        w = weight[code]
+        acc[code & 3] += n * w[0]
+        w[1] += n
+    credits: dict[int, int] = {}
+    for code, (_, n) in weight.items():
+        credits[code >> 2] = credits.get(code >> 2, 0) + n
+    return unit, credits, out
+
+
+def _rescaled(owners: Iterable[tuple], unit: int, new: int) -> dict:
+    """(owner, category -> counts) items over `unit` as owner -> category ->
+    new counts over `new`; either unit divides the other, and `new` is a
+    multiple of every k counted."""
+    return {owner: {category: [v * new // unit for v in c] for category, c in by.items()}
+            for owner, by in owners}
 
 
 def _project(items: Iterable[tuple[str, Counts]],
@@ -120,51 +140,99 @@ def _keys(corpus: Iterable[PublicationRecord]) -> Iterator[tuple]:
 class Aggregator:
     """Streaming single-pass tally of records by subject category.
 
-    Feed records with add_all(); finish() weighs the tally into one result. The
-    world baseline takes every record exactly once, whether or not it
-    credits any actor. Records are counted as given, under their status and
-    actors: priority, actor kind, year windows and other perimeter filters
-    belong to the reader.
+    add_all() counts records in a tally and weighs it; finish() gives the
+    weighed tally as one result. The world baseline takes every record
+    exactly once, whether or not it credits any actor. Records are counted
+    as given, under their status and actors: priority, actor kind, year
+    windows and other perimeter filters belong to the reader.
 
-    The tally is linear in the records, so tallies of parts of a corpus add
-    up to the tally of the whole: counts() gives it as plain (key, n) pairs,
-    which add_counts() adds to another Aggregator's, and remove_all() takes
-    counted records back out.
+    The weighed tally is linear in the records, so the weighed tallies of
+    parts of a corpus add up to that of the whole: counts() gives it as
+    plain pairs, which add_counts() adds to another Aggregator's, and
+    remove_all() takes counted records back out. No counts vector is
+    changed once made, so a result stays as it was.
     """
 
     def __init__(self):
-        self._tally: Counter = Counter()
+        # Counts over the unit, the lcm of the k with credits, by owner and
+        # category, and the credits under each category count k: the tally
+        # entries of the records with k categories.
+        self._unit = 1
+        self._credits: dict[int, int] = {}
+        self._cells: dict = {}
 
     def add_all(self, corpus: Iterable[PublicationRecord]) -> None:
-        # Counter.update counts the keys in C.
-        self._tally.update(_keys(corpus))
+        # Counter counts the keys in C.
+        unit, credits, cells = _weigh(Counter(_keys(corpus)))
+        if self._cells:
+            self._add(unit, credits, cells.items())
+        else:
+            self._unit, self._credits, self._cells = unit, credits, cells
+
+    def _add(self, unit: int, credits: Mapping[int, int], owners: Iterable[tuple]) -> None:
+        """Add credits and (owner, category -> counts) items over `unit`,
+        rescaling the side whose unit is not the lcm of both."""
+        joint = math.lcm(self._unit, unit)
+        if joint != self._unit:
+            self._cells = _rescaled(self._cells.items(), self._unit, joint)
+            self._unit = joint
+        if joint != unit:
+            owners = _rescaled(owners, unit, joint).items()
+        mine = self._credits
+        for k, n in credits.items():
+            mine[k] = mine.get(k, 0) + n
+        cells = self._cells
+        for owner, theirs in owners:
+            by_category = cells.get(owner)
+            if by_category is None:
+                cells[owner] = dict(theirs)
+                continue
+            get = by_category.get
+            for category, c in theirs.items():
+                acc = get(category)
+                by_category[category] = c if acc is None else [
+                    acc[0] + c[0], acc[1] + c[1], acc[2] + c[2], acc[3] + c[3]]
 
     def remove_all(self, records: Iterable[PublicationRecord]) -> None:
-        """Uncount records that add_all counted; a key counted 0 times is gone."""
-        tally = self._tally
-        for key in _keys(records):
-            if tally[key] == 1:
-                del tally[key]
-            else:
-                tally[key] -= 1
+        """Uncount records that were counted: a cell or owner left empty is
+        gone, and the unit becomes the lcm of the k still counted."""
+        cells, credits, unit = self._cells, self._credits, self._unit
+        for owner, category, code in _keys(records):
+            k = code >> 2
+            by_category = cells[owner]
+            c = by_category[category] = by_category[category].copy()
+            c[code & 3] -= unit // k
+            if not any(c):
+                del by_category[category]
+                if not by_category:
+                    del cells[owner]
+            credits[k] -= 1
+            if not credits[k]:
+                del credits[k]
+        joint = math.lcm(*credits)
+        if joint != unit:
+            self._cells = _rescaled(cells.items(), unit, joint)
+            self._unit = joint
 
     def counts(self) -> Iterable[tuple]:
-        """The tally as ((owner, category, k << 2 | slot), n) pairs."""
-        return self._tally.items()
+        """The weighed tally as plain pairs: first (None, k -> credits), the
+        credits under a category count k being its tally entries, then
+        (owner, category -> counts) for each owner, over the lcm of the k.
+        The dicts are the Aggregator's own, valid until its next change."""
+        return chain(((None, self._credits),), self._cells.items())
 
     def add_counts(self, counts: Iterable[tuple]) -> None:
-        """Add a tally given as counts() gives it."""
-        tally = self._tally
-        get = tally.get
-        for key, n in counts:
-            tally[key] = get(key, 0) + n
+        """Add a weighed tally given as counts() gives it."""
+        owners = iter(counts)
+        _, credits = next(owners)
+        self._add(math.lcm(*credits), credits, owners)
 
     def finish(self) -> AggregationResult:
-        codes = set(map(itemgetter(2), self._tally))
-        unit = math.lcm(*{code >> 2 for code in codes})
-        years, actors = _weigh(self._tally, {code: unit // (code >> 2) for code in codes})
+        years, actors = {}, {}
+        for owner, by_category in self._cells.items():
+            (years if type(owner) is int else actors)[owner] = dict(by_category)
         baselines = _project(chain.from_iterable(map(dict.items, years.values())), None)
-        return AggregationResult(unit, actors, baselines, years)
+        return AggregationResult(self._unit, actors, baselines, years)
 
 
 def _field_map(result: AggregationResult, registry: ClassificationRegistry,
@@ -193,28 +261,31 @@ def _type_shares(counts: Sequence[int]) -> dict[OAStatus, float]:
     return {t: 100 * counts[_SLOT[t]] / x for t in RAW_STATUSES}
 
 
-def _field_weights(baselines: Mapping[str, Sequence[int]]) -> tuple[int, dict[str, int | None]]:
-    """D and each field's NOAI weight X * (D // OA), None where the world has
-    no OA publications; D is the lcm of the world OA counts of the others."""
+def _field_weights(baselines: Mapping[str, Sequence[int]]) -> tuple[int, dict[str, int]]:
+    """D and each field's NOAI weight X * (D // OA), 0 where the world has no
+    OA publications; D is the lcm of the world OA counts of the others."""
     world_oa = {f: sum(b) - b[_CLOSED] for f, b in baselines.items()}
     d = math.lcm(*(oa for oa in world_oa.values() if oa))
-    return d, {f: sum(b) * (d // world_oa[f]) if world_oa[f] else None
+    return d, {f: sum(b) * (d // world_oa[f]) if world_oa[f] else 0
                for f, b in baselines.items()}
 
 
-def _weighted_mean(cells: Mapping[str, Sequence[int]], d: int,
-                   weights: Mapping[str, int | None]) -> float:
-    """sum(oa * weight) / (D * sum(x)) over the fields whose weight is defined."""
-    num = den = 0
-    for f, counts in cells.items():
-        w = weights[f]
-        if w is not None:
-            x = sum(counts)
-            num += (x - counts[_CLOSED]) * w
-            den += x
+def _terms(cells: Mapping[str, Sequence[int]]) -> tuple[list[int], list[int]]:
+    """Each cell's x and oa, in the cells' order."""
+    vectors = cells.values()
+    xs = list(map(sum, vectors))
+    return xs, list(map(sub, xs, map(itemgetter(_CLOSED), vectors)))
+
+
+def _weighted_mean(cells: Mapping[str, Sequence[int]], xs: Sequence[int],
+                   oas: Sequence[int], d: int, weight: Mapping[str, int]) -> float:
+    """sum(oa * weight) / (D * sum(x)) over the cells whose weight is not 0,
+    given each cell's x and oa; every sum runs in C."""
+    weights = list(map(weight.__getitem__, cells))
+    den = sum(compress(xs, weights))
     if not den:
         raise UndefinedIndicator("no field with a defined normalized share")
-    return num / (d * den)
+    return sum(map(mul, oas, weights)) / (d * den)
 
 
 def noai(cells: Mapping[str, Sequence[int]], baselines: Mapping[str, Sequence[int]]) -> float:
@@ -235,7 +306,7 @@ def noai(cells: Mapping[str, Sequence[int]], baselines: Mapping[str, Sequence[in
     is one quotient of integers, rounded once. D and the weights X * (D // OA)
     depend on the baselines alone, so a table computes them once per level.
     """
-    return _weighted_mean(cells, *_field_weights(baselines))
+    return _weighted_mean(cells, *_terms(cells), *_field_weights(baselines))
 
 
 @dataclass(frozen=True)
@@ -277,24 +348,28 @@ def build_indicator_table(
 
     A record's category fractions sum to one, so an actor's fractional output
     and its OA and OA-type counts equal its whole counts: its cell vectors
-    summed and divided by the unit. Only the NOAI depends on the level: an
-    actor's cells and the world's are summed into the level's fields first.
-    Rows are sorted by descending x_total, ties by actor id.
+    summed and divided by the unit. Only the NOAI depends on the level: the
+    world's cells are summed into the level's fields, and each category
+    takes its field's weight, so an actor's sums over its category cells are
+    the integers its field vectors give. Rows are sorted by descending
+    x_total, ties by actor id.
     """
+    # Per level, D and each category's weight: that of its field.
     weights = []
     for level in levels:
         field_map = _field_map(result, registry, level)
-        weights.append((level, field_map,
-                        *_field_weights(_project(result.baselines.items(), field_map))))
+        d, by_field = _field_weights(_project(result.baselines.items(), field_map))
+        weights.append((level, d, by_field if field_map is None else
+                        {c: by_field[field_map[c]] for c in result.baselines}))
     rows = []
     for actor, cells in result.cells.items():
         counts = [sum(c) // result.unit for c in zip(*cells.values())]
         pubs = sum(counts)
+        xs, oas = _terms(cells)
         noai_values: dict[Level, float | None] = {}
-        for level, field_map, d, level_weights in weights:
-            by_field = cells if field_map is None else _project(cells.items(), field_map)
+        for level, d, weight in weights:
             try:
-                noai_values[level] = _weighted_mean(by_field, d, level_weights)
+                noai_values[level] = _weighted_mean(cells, xs, oas, d, weight)
             except UndefinedIndicator:
                 noai_values[level] = None
         meta = actors_meta.get(actor) if actors_meta else None

@@ -211,9 +211,10 @@ class CorpusReader:
     The `span` (start, stop) is the byte range of the file read, to its end
     when stop is None: by default the whole file. Both edges must be line
     starts, and line numbers count from the range's first line (see
-    noai.shards). After a pass, `seen` holds the ids it accepted and `lines`
-    counts its lines, blank ones included. A range past byte 0, the second
-    of two, also records, in `checks`, each record that reached the
+    noai.shards). After a pass `lines` counts its lines, blank ones
+    included, and a range that stops before the end of the file, the first
+    of two, keeps in `seen` the ids it accepted. A range past byte 0, the
+    second of two, records in `checks` each record that reached the
     duplicate check as two parallel sequences, line << 1 | accepted and the
     id, and the count of accepted records of each year.
     """
@@ -277,7 +278,10 @@ class CorpusReader:
         stats = self.stats
         registry = self.registry
         known = registry.categories if registry is not None else None
-        seen_ids = self.seen = set()
+        seen_ids = set()
+        if self.span[1] is not None:
+            # Only the first of two ranges keeps its ids, for the merge.
+            self.seen = seen_ids
         ids = None
         if self.span[0]:
             # Only a range read in a child records checks, so only a child

@@ -1,28 +1,32 @@
 """Reading a corpus in one byte range, or in two on two cores: the second in
 a forked child, merged into the first.
 
-NOAI is a linear function of integer counts, so the tallies of the parts of
-a corpus add up to the tally of the whole. A corpus that is a regular file
-of at least 2 * MIN_SHARD_BYTES, read by a process that may run on at least
-two cores, is cut in two at the first line start at or after its middle:
-after a \\n, or after a \\r that is not followed by \\n, so a \\r\\n is never
-split. The first range is read in this process and the second in a child
-made by os.fork(); each range runs the command's consumer on its own
-CorpusReader. The child sends back only plain data (dicts, lists, tuples,
-ints and strs) through a pipe, in bounded chunks serialized by `marshal`,
-and the parent merges it into the first range's results:
+NOAI is a linear function of integer counts, so the weighed tallies of the
+parts of a corpus add up to the weighed tally of the whole. A corpus that is
+a regular file of at least 2 * MIN_SHARD_BYTES, read by a process that may
+run on at least two cores, is cut in two at the first line start at or after
+its middle: after a \\n, or after a \\r that is not followed by \\n, so a
+\\r\\n is never split. The first range is read in this process and the
+second in a child made by os.fork(); each range runs the command's consumer
+on its own CorpusReader, and an Aggregator weighs its range's tally where it
+was read, so both processes weigh at once. The child sends back only plain
+data (dicts, lists, tuples, ints and strs) through a pipe, in bounded chunks
+serialized by `marshal`: its statistics, its duplicate checks, then the
+consumer's state, an Aggregator's weighed cells. The parent merges them into
+the first range's results:
 
 - it renumbers the child's lines, and keeps the first MAX_KEPT_DIAGNOSTICS
   diagnostics in line order;
 - it applies the duplicate-id rule across the ranges. A record of the
   second range whose id the first accepted is a duplicate_id rejection after
   all; the accepted ones are read again from their range and parsed again,
-  and the consumer takes them back out;
+  and the consumer takes them back out of its weighed cells;
 - under strict mode it raises the error with the smallest line number.
 
 So every output, statistic and message is the one a single pass gives. Any
 other corpus (a pipe, a short file, a single core, a platform without
-os.fork) is read in one range, in this process, and no child is started.
+os.fork, a fork that fails) is read in one range, in this process, and no
+child is started.
 """
 
 from __future__ import annotations
@@ -44,15 +48,17 @@ from .ingest import (
     CorpusStats,
 )
 
-#: Fewest corpus bytes per range. A fork costs about 3 ms, and sending and
-#: merging a range's results about 1 us per tally key. institutions-rank has
-#: the densest tally measured: each of its 1.2 MiB ranges sends 65,000 keys,
-#: about 70 ms of merging against about 110 ms of reading saved. Ranges of
-#: 3 MiB of the other workloads, with sparser tallies, cut a fifth of the
-#: run.
+#: Fewest corpus bytes per range. A fork costs about 3 ms, and the parent
+#: loads and merges the child's weighed cells at about 0.6 us a cell.
+#: institutions-rank has the densest tally measured: each of its 1.2 MiB
+#: ranges weighs about 66,000 tally keys into about 37,000 cells, and the
+#: serial tail after both ranges are weighed is about 30 ms against about
+#: 110 ms of reading saved. Ranges of 3 MiB of the other workloads, with
+#: sparser tallies, cut a fifth of the run.
 MIN_SHARD_BYTES = 1 << 20
 
-#: Entries per chunk that a child writes.
+#: Entries per chunk that a child writes: duplicate checks, or entries of
+#: the consumer's state, for an Aggregator an owner with all its cells.
 CHUNK = 1 << 10
 
 Span = tuple[int, int | None]
@@ -105,20 +111,27 @@ def read_corpus(path, open_range: Callable[[Span], CorpusReader],
     Aggregator's methods: add_all(reader) consumes a range, and in the child
     counts() gives the consumer's state as plain tuples. The parent hands the
     second range's tuples to add_counts(), then that range's accepted records
-    that prove duplicates of the first range's to remove_all().
+    that prove duplicates of the first range's to remove_all(). A fork that
+    fails, for want of processes or memory, leaves the corpus to be read in
+    one range.
     """
-    head, *tail = map(open_range, shard_spans(path))
+    spans = shard_spans(path)
     pid = None
     try:
-        if tail:
+        if len(spans) == 2:
+            tail = open_range(spans[1])
             # Buffered output would otherwise be written again by the child.
             sys.stdout.flush()
             sys.stderr.flush()
-            pid, pipe = _fork(tail[0], consumer)
+            try:
+                pid, pipe = _fork(tail, consumer)
+            except OSError:
+                spans = [(0, None)]
+        head = open_range(spans[0])
         consumer.add_all(head)
-        if tail:
+        if pid is not None:
             with pipe:
-                _merge(head, consumer, pipe, tail[0])
+                _merge(head, consumer, pipe, tail)
             os.waitpid(pid, 0)
             pid = None
         return head.stats
@@ -135,7 +148,12 @@ def _fork(reader: CorpusReader, consumer):
     """Start a child that reads `reader`'s range and writes its results to a
     pipe; return its pid and the pipe's read end."""
     r, w = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
     if pid == 0:
         # The child never returns into the caller's code.
         code = 1
@@ -151,8 +169,8 @@ def _fork(reader: CorpusReader, consumer):
 
 
 def _send(out, reader: CorpusReader, consumer) -> None:
-    """Consume a range and write a header of its statistics, the consumer's
-    state in chunks, None, the duplicate checks in chunks, and None.
+    """Consume a range and write a header of its statistics, the duplicate
+    checks in chunks, None, the consumer's state in chunks, and None.
 
     marshal writes plain data only, and needs no module beyond the
     interpreter's own. It keeps an interned string interned, so the parent
@@ -173,13 +191,13 @@ def _send(out, reader: CorpusReader, consumer) -> None:
     codes, ids, years = reader.checks
     send((stats.records_read, stats.records_accepted, stats.records_rejected,
           dict(stats.rejection_reasons), years, stats.diagnostics, error))
+    for i in range(0, len(ids), CHUNK):
+        send((codes[i:i + CHUNK].tolist(), ids[i:i + CHUNK]))
+    send(None)
     if error is None:
         items = iter(consumer.counts())
         while chunk := list(islice(items, CHUNK)):
             send(chunk)
-    send(None)
-    for i in range(0, len(ids), CHUNK):
-        send((codes[i:i + CHUNK].tolist(), ids[i:i + CHUNK]))
     send(None)
 
 
@@ -196,7 +214,6 @@ def _merge(head: CorpusReader, consumer, pipe, reader: CorpusReader) -> None:
 
     read, accepted, rejected, reasons, years, diagnostics, error = load()
     base, seen, stats = head.lines, head.seen, head.stats
-    consumer.add_counts(chain.from_iterable(iter(load, None)))
     # "line N: reason (detail)", keyed by N
     notes = {}
     for message in diagnostics:
@@ -221,14 +238,15 @@ def _merge(head: CorpusReader, consumer, pipe, reader: CorpusReader) -> None:
                 notes[line] = f"{REASON_DUPLICATE_ID} ({rec_id})"
         if len(notes) > MAX_KEPT_DIAGNOSTICS:
             notes = dict(sorted(notes.items())[:MAX_KEPT_DIAGNOSTICS])
+    if error is not None:
+        line, unknown, text = error
+        raise (UnknownCategory if unknown else MalformedRecord)(f"line {base + line}: {text}")
+    consumer.add_counts(chain.from_iterable(iter(load, None)))
     if dropped:
         records = reader.records_at(dropped)
         for record in records:
             years[record.year] -= 1
         consumer.remove_all(records)
-    if error is not None:
-        line, unknown, text = error
-        raise (UnknownCategory if unknown else MalformedRecord)(f"line {base + line}: {text}")
 
     stats.records_read += read
     stats.records_accepted += accepted

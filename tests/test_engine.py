@@ -36,6 +36,7 @@ from noai.errors import (
 from noai.ingest import CorpusReader, IngestOptions
 from noai.model import (
     ActorKind,
+    ClassificationRegistry,
     DocType,
     Level,
     OAStatus,
@@ -661,3 +662,37 @@ class TestSplitLaw:
         once.add_all(records)
         assert dict(agg.counts()) == dict(once.counts())
         assert outputs(agg.finish()) == outputs(once.finish())
+
+
+class TestCoarseningLaw:
+    """A level whose fields are the categories themselves gives the
+    category-level NOAI, and a level of one field gives the actor's OA share
+    over the world's. Both compare exactly."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", [ActorKind.COUNTRY, ActorKind.INSTITUTION])
+    def test_a_discipline_per_category_repeats_the_category_level(self, seed, kind):
+        registry = ClassificationRegistry(
+            {c: (c, erc) for c, (_, erc) in REG10.categories.items()})
+        corpus = [r._replace(institutions=frozenset(r.countries))
+                  for r in corpus_with_closed_fields(seed)]
+        table = build_indicator_table(aggregate(corpus, actor_kind=kind), registry,
+                                      (Level.SUBJECT_CATEGORY, Level.OST_DISCIPLINE))
+        assert any(r.noai[Level.SUBJECT_CATEGORY] is None for r in table)
+        for row in table:
+            assert row.noai[Level.OST_DISCIPLINE] == row.noai[Level.SUBJECT_CATEGORY], row.actor
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_discipline_gives_the_share_over_the_world_share(self, seed):
+        registry = ClassificationRegistry(
+            {c: ("Everything", erc) for c, (_, erc) in REG10.categories.items()})
+        result = aggregate(random_corpus(seed=seed, n_records=300))
+        world_x, world_oa, _ = exact_counts(
+            [sum(c) for c in zip(*result.baselines.values())], result.unit)
+        table = build_indicator_table(result, registry, (Level.OST_DISCIPLINE,))
+        assert len(table) == len(result.cells)
+        for row in table:
+            x, oa, _ = exact_counts(
+                [sum(c) for c in zip(*result.cells[row.actor].values())], result.unit)
+            assert row.noai[Level.OST_DISCIPLINE] == float(
+                Fraction(oa * world_x, world_oa * x)), row.actor

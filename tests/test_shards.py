@@ -5,9 +5,11 @@ child process outlives a run."""
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -405,6 +407,80 @@ class TestOneRange:
             with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(8))):
                 assert main([*argv, "--corpus", str(path)]) == 0
             assert capsys.readouterr() == two
+        assert_no_child_left()
+
+
+def finished(path, edge=None):
+    """The finished Aggregator of a pass in one range, or in two cut at byte
+    `edge`."""
+    agg = Aggregator()
+    spans = [(0, None)] if edge is None else [(0, edge), (edge, None)]
+    with mock.patch.object(shards, "shard_spans", lambda path: spans):
+        shards.read_corpus(path, lambda span: CorpusReader(path, REG10, None, span), agg)
+    assert_no_child_left()
+    return agg.finish()
+
+
+def k_lines(prefix, ks, n):
+    """n records with k categories each, k taking the values of ks in turn."""
+    cats = sorted(REG10.categories)
+    return [(text({"id": f"{prefix}{i}", "year": 2016 + i % 3, "doc_type": "article",
+                   "categories": cats[i % 5:i % 5 + ks[i % len(ks)]],
+                   "oa": ["gold"] if i % 3 else [], "countries": ["FRA", "USA"][:1 + i % 2]})
+             + "\n").encode() for i in range(n)]
+
+
+class TestUnitAcrossRanges:
+    """The merged unit is the lcm of the k of the accepted records, as in
+    one pass."""
+
+    def test_a_duplicate_takes_its_k_out_of_the_unit(self, tmp_path):
+        # The only 5-category record repeats, in the second range, an id
+        # that the first range accepted.
+        first, second = k_lines("a", (1, 2), 20), k_lines("b", (1, 2), 20)
+        dup = k_lines("a", (5,), 1)
+        path, _ = write(tmp_path, b"".join(first + second + dup))
+        one = finished(path)
+        assert one.unit == 2
+        assert len(CorpusReader(path, REG10).records_at([41])[0].subject_categories) == 5
+        assert finished(path, len(b"".join(first))) == one
+
+    @pytest.mark.parametrize("ks", [((1, 2), (1, 4)), ((1, 4), (1, 2)), ((2,), (3,))],
+                             ids=["first-rescaled", "second-rescaled", "both-rescaled"])
+    def test_ranges_of_different_units(self, tmp_path, ks):
+        first, second = k_lines("a", ks[0], 20), k_lines("b", ks[1], 20)
+        path, _ = write(tmp_path, b"".join(first + second))
+        edge = len(b"".join(first))
+        units = []
+        for span in ((0, edge), (edge, None)):
+            part = Aggregator()
+            part.add_all(CorpusReader(path, REG10, None, span))
+            units.append(part.finish().unit)
+        assert units == [math.lcm(*ks[0]), math.lcm(*ks[1])]
+        one = finished(path)
+        assert one.unit == math.lcm(*units)
+        assert finished(path, edge) == one
+
+
+class TestForkFailure:
+    def test_a_fork_that_fails_reads_one_range(self, tmp_path, capsys):
+        # Without a process to spare, a corpus cut in two is read in one
+        # range, as on one core: the same output, no fd left open, no child.
+        path, registry = write(tmp_path, planted_corpus(4, 200))
+        argv = ["indicators", "--registry", str(registry), "--corpus", str(path)]
+        with shard_count(2):
+            assert len(shards.shard_spans(path)) == 2
+            assert main(argv) == 0
+        two = capsys.readouterr()
+
+        def fork():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        fds = set(os.listdir("/proc/self/fd"))
+        with shard_count(2), mock.patch.object(os, "fork", fork):
+            assert main(argv) == 0
+        assert set(os.listdir("/proc/self/fd")) == fds
+        assert capsys.readouterr() == two
         assert_no_child_left()
 
 
