@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateInput, EmptyTable, MismatchedActorSets
 from .model import IndicatorRow
 
 
-@dataclass(frozen=True, slots=True)
-class RankRow:
+class RankRow(NamedTuple):
     rank: int        # competition rank (ties share the minimum), for display
     avg_rank: float  # ties averaged, for correlation
 

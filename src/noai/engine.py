@@ -40,10 +40,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, compress, product
 from operator import itemgetter, mul, sub
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import UndefinedIndicator, UndefinedShare, UnknownCategory
 from .model import (
@@ -64,8 +63,7 @@ _CLOSED = _SLOT[OAStatus.CLOSED]
 Counts = list[int]
 
 
-@dataclass(frozen=True)
-class AggregationResult:
+class AggregationResult(NamedTuple):
     """An Aggregator's weighed tally, as counts over `unit`, keyed by subject category.
 
     cells maps actor -> category -> counts, baselines category -> counts for
@@ -309,8 +307,7 @@ def noai(cells: Mapping[str, Sequence[int]], baselines: Mapping[str, Sequence[in
     return _weighted_mean(cells, *_terms(cells), *_field_weights(baselines))
 
 
-@dataclass(frozen=True)
-class YearRow:
+class YearRow(NamedTuple):
     """World totals for one year: overall, per-type and per-field OA percents."""
 
     year: int

@@ -18,8 +18,7 @@ import csv
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DuplicateCategory,
@@ -65,8 +64,7 @@ REGISTRY_COLUMNS = ("subject_category", "ost_discipline", "erc_subfield")
 ACTOR_COLUMNS = ("actor_id", "kind", "group", "display_name")
 
 
-@dataclass(frozen=True)
-class IngestOptions:
+class IngestOptions(NamedTuple):
     """Perimeter filters applied while loading a corpus, the OA status order,
     and the actor kind credited (None credits no actor)."""
 
@@ -78,15 +76,13 @@ class IngestOptions:
     actor_kind: ActorKind | None = ActorKind.COUNTRY
 
 
-@dataclass
 class CorpusStats:
-    records_read: int = 0
-    records_accepted: int = 0
-    records_rejected: int = 0
-    rejection_reasons: Counter = field(default_factory=Counter)
-    year_min: int | None = None
-    year_max: int | None = None
-    diagnostics: list[str] = field(default_factory=list)
+    def __init__(self):
+        self.records_read = self.records_accepted = self.records_rejected = 0
+        self.rejection_reasons: Counter = Counter()
+        self.year_min: int | None = None
+        self.year_max: int | None = None
+        self.diagnostics: list[str] = []
 
     def as_dict(self) -> dict:
         return {
@@ -386,8 +382,7 @@ class CorpusReader:
             stats.year_max = hi
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """A record whose categories cannot all be classified."""
 
     record_id: str

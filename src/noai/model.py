@@ -9,7 +9,6 @@ to exactly one OST discipline and one ERC sub-field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, NamedTuple
 
@@ -111,29 +110,34 @@ class PublicationRecord(NamedTuple):
     actors: frozenset[str]
 
 
-@dataclass(frozen=True, slots=True)
-class Actor:
+class _ActorFields(NamedTuple):
+    id: str
+    kind: ActorKind
+    group: str | None
+    display_name: str
+
+
+class Actor(_ActorFields):
     """A country or institution, with optional reporting metadata.
 
     The group label (a benchmarking cohort such as G1/G2/G3) only makes
     sense for institutions and is used solely for filtering output
-    tables, never in computation.
+    tables, never in computation. An empty display name becomes the id.
+    Both rules hold for `_replace` too.
     """
 
-    id: str
-    kind: ActorKind
-    group: str | None = None
-    display_name: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.group is not None and self.kind is not ActorKind.INSTITUTION:
-            raise ValueError(f"actor {self.id!r}: group set on a non-institution")
-        if not self.display_name:
-            object.__setattr__(self, "display_name", self.id)
+    def __new__(cls, id: str, kind: ActorKind, group: str | None = None,
+                display_name: str = ""):
+        if group is not None and kind is not ActorKind.INSTITUTION:
+            raise ValueError(f"actor {id!r}: group set on a non-institution")
+        return tuple.__new__(cls, (id, kind, group, display_name or id))
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
-@dataclass(frozen=True)
-class ClassificationRegistry:
+class ClassificationRegistry(NamedTuple):
     """Maps each subject category to exactly one OST discipline and ERC sub-field."""
 
     categories: Mapping[str, tuple[str, str]]
@@ -149,8 +153,7 @@ class ClassificationRegistry:
         return {cat: pair[idx] for cat, pair in self.categories.items()}
 
 
-@dataclass(frozen=True, slots=True)
-class IndicatorRow:
+class IndicatorRow(NamedTuple):
     """One actor's results: shares, normalized indicators and whole-counted OA volume.
 
     Shares are percentages; normalized indicator values are ratios where 1.0

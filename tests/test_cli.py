@@ -624,14 +624,18 @@ class TestSynthCommand:
         assert all(path.read_bytes() != b"old\n" for path in paths)
         assert set(os.listdir(ws)) == before
 
-    def test_only_synth_loads_numpy(self):
+    def test_only_synth_loads_numpy(self, ws):
         # A fresh interpreter: this one has long imported the generator.
+        # A run of another command loads neither numpy nor the dataclass
+        # machinery (dataclasses, and the inspect it imports).
         probe = ("import sys, noai.cli; "
-                 "print(sorted({'numpy', 'noai.synth'} & set(sys.modules)))")
+                 f"code = noai.cli.main({base_args(ws, 'validate')!r}); "
+                 "print(code, sorted({'numpy', 'noai.synth', 'dataclasses', 'inspect'}"
+                 " & set(sys.modules)), file=sys.stderr)")
         proc = subprocess.run([sys.executable, "-c", probe], env=child_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stderr.splitlines()[-1] == "0 []", proc.stderr
 
 
 class TestInstitutions:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -696,3 +697,52 @@ class TestCoarseningLaw:
                 [sum(c) for c in zip(*result.cells[row.actor].values())], result.unit)
             assert row.noai[Level.OST_DISCIPLINE] == float(
                 Fraction(oa * world_x, world_oa * x)), row.actor
+
+
+def weighted_mean_terms(cells, baselines):
+    """_weighted_mean's terms for one actor's field counts, computed here:
+    sum(oa * weight), sum(x) over the fields of weight not 0, and D, the
+    lcm of the world's OA counts; a field's weight is X * (D // OA)."""
+    world_oa = {f: sum(b) - b[-1] for f, b in baselines.items()}
+    d = math.lcm(*filter(None, world_oa.values()))
+    num = den = 0
+    for f, c in cells.items():
+        if world_oa[f]:
+            num += (sum(c) - c[-1]) * sum(baselines[f]) * (d // world_oa[f])
+            den += sum(c)
+    return num, den, d
+
+
+class TestDisjointMergeLaw:
+    """Two actors who never co-sign a record, relabelled as one, have the
+    NOAI of their summed terms, (num_A + num_B) / (D * (den_A + den_B)):
+    the world, and so D and every weight, is the same. Exact."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_relabelled_actor_sums_the_terms(self, seed):
+        assert list(OAStatus)[-1] is OAStatus.CLOSED
+        corpus = corpus_with_closed_fields(seed)
+        signed: dict[str, set] = {}
+        for r in corpus:
+            for actor in r.countries:
+                signed.setdefault(actor, set()).add(r.id)
+        pairs = [(a, b) for a, b in itertools.combinations(sorted(signed), 2)
+                 if not signed[a] & signed[b]]
+        assert len(pairs) >= 3
+        result = aggregate(corpus)
+        # ZZZ has no defined NOAI: num_B = den_B = 0 leaves A's NOAI as it is.
+        for a, b in pairs[:2] + [p for p in pairs if "ZZZ" in p][:1]:
+            merged = aggregate([r._replace(countries=frozenset(
+                a if actor == b else actor for actor in r.countries)) for r in corpus])
+            assert merged.unit == result.unit and b not in merged.cells
+            for level in LEVELS:
+                view, merged_view = at_level(result, REG10, level), at_level(merged, REG10, level)
+                assert merged_view.baselines == view.baselines
+                num_a, den_a, d = weighted_mean_terms(view.cells[a], view.baselines)
+                num_b, den_b, _ = weighted_mean_terms(view.cells[b], view.baselines)
+                num, den, _ = weighted_mean_terms(merged_view.cells[a], view.baselines)
+                row, = [r for r in build_indicator_table(merged, REG10, (level,))
+                        if r.actor == a]
+                law = Fraction(num_a + num_b, d * (den_a + den_b))
+                assert Fraction(num, d * den) == law, (a, b, level)
+                assert row.noai[level] == float(law), (a, b, level)

@@ -1,12 +1,21 @@
-"""Domain-type behavior: nomenclatures and registries."""
+"""Domain-type behavior: nomenclatures, registries and the value types."""
 
 from __future__ import annotations
 
+import pytest
+
+from noai.analysis import RankRow
+from noai.engine import AggregationResult, YearRow
+from noai.ingest import CorpusStats, Diagnostic, IngestOptions
 from noai.model import (
+    DEFAULT_PRIORITY,
     ERC_SUBFIELDS,
     OST_DISCIPLINES,
     RAW_STATUSES,
+    Actor,
+    ActorKind,
     ClassificationRegistry,
+    IndicatorRow,
     Level,
     OAStatus,
 )
@@ -63,3 +72,66 @@ class TestClassificationRegistry:
         reg = ClassificationRegistry({"c1": ("D1", "PE1"), "c2": ("D1", "LS2")})
         assert set(reg.field_map(Level.OST_DISCIPLINE).values()) == {"D1"}
         assert set(reg.field_map(Level.ERC_SUBFIELD).values()) == {"PE1", "LS2"}
+
+
+class TestValueTypes:
+    """The contract of the value types, whatever class machinery builds them."""
+
+    def test_actor_rules(self):
+        with pytest.raises(ValueError, match="non-institution"):
+            Actor("FRA", ActorKind.COUNTRY, group="G1")
+        with pytest.raises(ValueError, match="non-institution"):
+            Actor(id="FRA", kind=ActorKind.COUNTRY, group="G1", display_name="France")
+        assert Actor("X", ActorKind.COUNTRY).display_name == "X"
+        assert Actor("u1", ActorKind.INSTITUTION, None, "").display_name == "u1"
+        u1 = Actor("u1", ActorKind.INSTITUTION, "G1", "Univ One")
+        assert (u1.id, u1.kind, u1.group, u1.display_name) == (
+            "u1", ActorKind.INSTITUTION, "G1", "Univ One")
+
+    def test_actor_replace_keeps_the_rules(self):
+        fra = Actor("FRA", ActorKind.COUNTRY, display_name="France")
+        with pytest.raises(ValueError, match="non-institution"):
+            fra._replace(group="G1")
+        assert fra._replace(display_name="") == ("FRA", ActorKind.COUNTRY, None, "FRA")
+
+    VALUES = [
+        (IngestOptions(), "strict"),
+        (Diagnostic("r1", ("Astrology",)), "record_id"),
+        (AggregationResult(1, {}, {}, {}), "unit"),
+        (YearRow(2018, 50.0, {}, {}), "year"),
+        (Actor("FRA", ActorKind.COUNTRY), "display_name"),
+        (ClassificationRegistry({}), "categories"),
+        (IndicatorRow("FRA", "FRA", None, 1.0, 50.0, {}, {}, 1), "x_total"),
+        (RankRow(1, 1.0), "rank"),
+    ]
+
+    @pytest.mark.parametrize("value, name", VALUES)
+    def test_fields_are_read_only(self, value, name):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+
+    @pytest.mark.parametrize("value, name", VALUES)
+    def test_no_attribute_can_be_added(self, value, name):
+        with pytest.raises(AttributeError):
+            setattr(value, "extra", 0)
+
+    def test_corpus_stats_share_nothing(self):
+        a, b = CorpusStats(), CorpusStats()
+        assert a.rejection_reasons is not b.rejection_reasons
+        assert a.diagnostics is not b.diagnostics
+        a.rejection_reasons["malformed"] += 1
+        a.diagnostics.append("line 1: malformed")
+        a.records_read = 1
+        assert (b.records_read, b.rejection_reasons, b.diagnostics) == (0, {}, [])
+        assert b.as_dict() == {"records_read": 0, "records_accepted": 0,
+                               "records_rejected": 0, "rejection_reasons": {},
+                               "year_range": None}
+
+    def test_ingest_options_defaults(self):
+        # No filter, lenient, gold over bronze over green, countries credited.
+        options = IngestOptions()
+        assert (options.doc_types, options.window, options.require_doi, options.strict) == (
+            None, None, False, False)
+        assert options.priority == DEFAULT_PRIORITY == (
+            OAStatus.GOLD, OAStatus.BRONZE, OAStatus.GREEN)
+        assert options.actor_kind is ActorKind.COUNTRY

@@ -267,8 +267,8 @@ def uncalled_defaults(package: dict[str, str], callers: list[str]) -> list[str]:
     passes, by position, by keyword or through `*`/`**`.
 
     Callees are matched by name, so a call reaches every definition of that
-    name; a call to a class reaches its `__init__`. package maps module
-    name -> source, and callers are the sources of code outside the package.
+    name; a call to a class reaches its `__init__` and its `__new__`.
+    package maps module name -> source, and callers are the sources of code outside the package.
     """
     trees = {module: ast.parse(source) for module, source in package.items()}
     calls = [c for tree in [*trees.values(), *map(ast.parse, callers)] for c in _calls(tree)]
@@ -289,7 +289,7 @@ def uncalled_defaults(package: dict[str, str], callers: list[str]) -> list[str]:
                     # called through its module (`cli.main(argv)`) is not.
                     if name == function.name and (on_object or owner is None):
                         passed |= _passed(function, call, on_object and owner is not None)
-                    elif function.name == "__init__" and name == owner:
+                    elif function.name in ("__init__", "__new__") and name == owner:
                         passed |= _passed(function, call, True)
                 found += [f"{module}: {qualname}.{p}" for p in _defaulted(function)
                           if p not in passed]
@@ -306,11 +306,16 @@ def test_scanner_finds_an_uncalled_default():
                        "        put = self._put\n"
                        "        return [put(x, 1) for x in xs]\n"
                        "def make(n, label='', unused=None):\n"
-                       "    return Box(size=n)\n")}
+                       "    return Box(size=n)\n"
+                       "class Tag(tuple):\n"
+                       "    def __new__(cls, n, tag='', spare=None):\n"
+                       "        return tuple.__new__(cls, (n, tag))\n")}
     caller = ("from box import Box, make as build\n"
               "build(3, label='x')._put(1, strict=True)\n"
-              "Box(2).fill([1])\n")
-    assert uncalled_defaults(package, [caller]) == ["box: make.unused"]
+              "Box(2).fill([1])\n"
+              "Tag(1, tag='x')\n")
+    assert uncalled_defaults(package, [caller]) == ["box: Tag.__new__.spare",
+                                                    "box: make.unused"]
 
 
 def test_every_default_is_passed_by_a_caller():
