@@ -107,7 +107,8 @@ def _strings(value, name: str) -> None:
             raise ValueError(f"{name} must be an array of non-empty strings")
 
 
-def _parse_line(obj: dict, escaped: bool, options: IngestOptions) -> PublicationRecord:
+def _parse_line(obj: dict, escaped: bool, priority: tuple[OAStatus, ...],
+                actor_kind: ActorKind | None) -> PublicationRecord:
     """Build a record from a decoded JSON object; ValueError on schema violations.
 
     This is the one place where a record is checked: each field is checked
@@ -116,8 +117,9 @@ def _parse_line(obj: dict, escaped: bool, options: IngestOptions) -> Publication
     and `type(year) is int` keeps a bool from passing as a year. `escaped`
     False says that the line held no `\\u` escape, the only source of a lone
     surrogate in text decoded as strict UTF-8, so that check is skipped.
-    The record counts under the first status of `options.priority` that the
-    line holds, closed if none, and credits the actors of `options.actor_kind`.
+    The record counts under the first status of `priority` that the line
+    holds, closed if none, and credits the actors of `actor_kind`: two
+    `IngestOptions` fields that the reader reads once per pass.
     """
     rec_id = obj.get("id")
     if type(rec_id) is not str or not rec_id:
@@ -157,16 +159,15 @@ def _parse_line(obj: dict, escaped: bool, options: IngestOptions) -> Publication
         # A JSON escape can yield a lone surrogate, which no UTF-8 output can
         # hold; encoding raises UnicodeEncodeError, a ValueError.
         "".join((rec_id, *deduped, *countries, *institutions)).encode("utf-8")
-    for status in options.priority:
+    for status in priority:
         if status in oa:
             break
     else:
         status = OAStatus.CLOSED
-    kind = options.actor_kind
-    if kind is None:
+    if actor_kind is None:
         actors = frozenset()
     else:
-        actors = frozenset(map(sys.intern, countries if kind is ActorKind.COUNTRY
+        actors = frozenset(map(sys.intern, countries if actor_kind is ActorKind.COUNTRY
                                else institutions))
     return _new_record(PublicationRecord, (rec_id, year, status, deduped, actors))
 
@@ -248,6 +249,7 @@ class CorpusReader:
     def records_at(self, lines: Iterable[int]) -> list[PublicationRecord]:
         """The records of lines that a pass of this reader accepted, given by
         their ascending line numbers, read and parsed again."""
+        priority, actor_kind = self.options.priority, self.options.actor_kind
         wanted = iter(lines)
         want = next(wanted, None)
         records = []
@@ -259,7 +261,8 @@ class CorpusReader:
                 block_lines = block.splitlines()
                 while want is not None and want <= base + len(block_lines):
                     text = block_lines[want - base - 1].strip().decode("utf-8")
-                    records.append(_parse_line(json.loads(text), "\\u" in text, self.options))
+                    records.append(_parse_line(json.loads(text), "\\u" in text,
+                                               priority, actor_kind))
                     want = next(wanted, None)
                 base += len(block_lines)
         return records
@@ -270,6 +273,8 @@ class CorpusReader:
         doc_types = opts.doc_types
         window = opts.window
         require_doi = opts.require_doi
+        priority = opts.priority
+        actor_kind = opts.actor_kind
         reject = self._reject
         stats = self.stats
         registry = self.registry
@@ -319,7 +324,7 @@ class CorpusReader:
                             obj = json.loads(text)
                         if type(obj) is not dict:
                             raise ValueError("line is not an object")
-                        record = _parse_line(obj, "\\u" in text, opts)
+                        record = _parse_line(obj, "\\u" in text, priority, actor_kind)
                     except (ValueError, TypeError, RecursionError) as exc:
                         reason = (
                             REASON_EMPTY_CATEGORIES

@@ -63,7 +63,7 @@ _COL_SECOND_STATUS = 10
 _N_FIXED_COLS = 11
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class FieldDef:
     """One subject category and its position in the coarser nomenclatures."""
 
@@ -72,7 +72,7 @@ class FieldDef:
     erc_subfield: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class OAProfile:
     """Per-category OA propensities; the remainder is closed."""
 
@@ -85,7 +85,7 @@ class OAProfile:
         return self.gold + self.bronze + self.green
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SynthActor:
     """An actor with an expected output volume and a field profile.
 
@@ -99,7 +99,7 @@ class SynthActor:
     specialization: Mapping[str, float]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SynthSpec:
     """Complete description of a synthetic corpus."""
 
@@ -154,38 +154,48 @@ def validate_spec(spec: SynthSpec) -> None:
     _require(spec.n_records == 0 or len(spec.fields) > 0,
              "at least one field is required to generate records")
 
+    # Membership goes through a set and each loop formats its message only
+    # on failure, so the check is linear in fields plus actor entries.
     cats = spec.categories()
-    _require(len(set(cats)) == len(cats), "duplicate subject category in fields")
+    known = set(cats)
+    _require(len(known) == len(cats), "duplicate subject category in fields")
     for cat in cats:
-        _require(cat in spec.oa_profiles, f"missing OA profile for {cat!r}")
+        if cat not in spec.oa_profiles:
+            raise InvalidSpec(f"missing OA profile for {cat!r}")
     for cat, prof in spec.oa_profiles.items():
-        _require(cat in cats, f"OA profile for unknown category {cat!r}")
-        for name, p in dataclasses.asdict(prof).items():
-            _require(0.0 <= p <= 1.0,
-                     f"{cat!r}: {name} propensity must be in [0, 1], got {p}")
-        _require(prof.total <= 1.0 + 1e-12,
-                 f"{cat!r}: OA propensities sum to {prof.total}, above 1")
+        if cat not in known:
+            raise InvalidSpec(f"OA profile for unknown category {cat!r}")
+        for name, p in (("gold", prof.gold), ("bronze", prof.bronze),
+                        ("green", prof.green)):
+            if not 0.0 <= p <= 1.0:
+                raise InvalidSpec(
+                    f"{cat!r}: {name} propensity must be in [0, 1], got {p}")
+        if not prof.total <= 1.0 + 1e-12:
+            raise InvalidSpec(f"{cat!r}: OA propensities sum to {prof.total}, above 1")
 
     seen_ids: set[str] = set()
     volume_total = 0.0
     for actor in spec.actors:
-        _require(bool(actor.id), "actor id must be non-empty")
-        _require(actor.id not in seen_ids, f"duplicate actor id {actor.id!r}")
+        if not actor.id:
+            raise InvalidSpec("actor id must be non-empty")
+        if actor.id in seen_ids:
+            raise InvalidSpec(f"duplicate actor id {actor.id!r}")
         seen_ids.add(actor.id)
-        _require(0.0 <= actor.volume < math.inf,
-                 f"actor {actor.id!r}: volume must be finite and non-negative")
+        if not 0.0 <= actor.volume < math.inf:
+            raise InvalidSpec(
+                f"actor {actor.id!r}: volume must be finite and non-negative")
         volume_total += actor.volume
         weight_sum = 0.0
         for cat, w in actor.specialization.items():
-            _require(cat in cats,
-                     f"actor {actor.id!r}: unknown category {cat!r}")
-            _require(0.0 <= w < math.inf,
-                     f"actor {actor.id!r}: weight for {cat!r} must be finite, >= 0")
+            if cat not in known:
+                raise InvalidSpec(f"actor {actor.id!r}: unknown category {cat!r}")
+            if not 0.0 <= w < math.inf:
+                raise InvalidSpec(
+                    f"actor {actor.id!r}: weight for {cat!r} must be finite, >= 0")
             weight_sum += w
-        if actor.volume > 0.0:
-            _require(math.isclose(weight_sum, 1.0, abs_tol=1e-9),
-                     f"actor {actor.id!r}: specialization weights sum to "
-                     f"{weight_sum}, expected 1")
+        if actor.volume > 0.0 and not math.isclose(weight_sum, 1.0, abs_tol=1e-9):
+            raise InvalidSpec(f"actor {actor.id!r}: specialization weights sum to "
+                              f"{weight_sum}, expected 1")
     _require(volume_total < math.inf, "actor volumes must have a finite sum")
 
     for name in _RATES:
@@ -193,8 +203,9 @@ def validate_spec(spec: SynthSpec) -> None:
         _require(0.0 <= rate <= 1.0, f"{name} must be in [0, 1], got {rate}")
 
     weight_total = 0.0
+    doc_types = {d.value for d in DocType}
     for name, w in spec.doc_type_weights.items():
-        _require(name in {d.value for d in DocType},
+        _require(name in doc_types,
                  f"unknown doc type {name!r} in doc_type_weights")
         _require(0.0 <= w < math.inf, f"doc type weight for {name!r} must be finite, >= 0")
         weight_total += w
@@ -254,6 +265,7 @@ def spec_from_dict(obj: object) -> SynthSpec:
     if "actors" in obj:
         _require(isinstance(obj["actors"], list), "actors must be a list")
         actor_keys = [f.name for f in dataclasses.fields(SynthActor)]
+        kinds = [k.value for k in ActorKind]
         actors = []
         for entry in obj["actors"]:
             _require(isinstance(entry, dict), "each actor must be an object")
@@ -263,7 +275,7 @@ def spec_from_dict(obj: object) -> SynthSpec:
             _require(isinstance(aid, str), "actor id must be a string")
             for key in entry:
                 _require(key in actor_keys, f"actor {aid!r}: unknown key {key!r}")
-            _require(kind in [k.value for k in ActorKind],
+            _require(kind in kinds,
                      f"actor {aid!r}: unknown kind {kind!r}")
             _require(_is_number(volume), f"actor {aid!r}: volume must be a number")
             weights = _number_map(entry["specialization"], f"actor {aid!r}: "
@@ -360,7 +372,7 @@ class _SamplingPlan:
                              if a.kind is kind)
             rows = np.array([i for _, i in members], dtype=np.int64)
             self.signers.append((
-                _N_FIXED_COLS + rows,
+                _column_run(_N_FIXED_COLS + rows),
                 np.ascontiguousarray(sign_prob[rows].T),
                 _fragments(aid for aid, _ in members),
             ))
@@ -369,6 +381,15 @@ class _SamplingPlan:
         self.doc_types = _fragments(order)
         self.categories = _fragments(categories)
         self.more_categories = "," + self.categories
+
+
+def _column_run(cols: np.ndarray) -> np.ndarray | slice:
+    """``cols`` as a slice when they are one ascending run, so that a chunk
+    reads them as a view of its uniform matrix instead of a copy."""
+    first = int(cols[0]) if cols.size else 0
+    if np.array_equal(cols, np.arange(first, first + cols.size)):
+        return slice(first, first + cols.size)
+    return cols
 
 
 def _fragments(values: Iterable) -> np.ndarray:
@@ -402,14 +423,12 @@ def _probe(idx: np.ndarray, taken: tuple[np.ndarray, ...],
 def _signer_lists(signs: np.ndarray, ids: np.ndarray) -> list[str]:
     """The comma-joined JSON ids of each row's signers, "" for none."""
     rows, cols = np.nonzero(signs)
-    out = [""] * len(signs)
-    if rows.size:
-        names = ids[cols].tolist()
-        present, first = np.unique(rows, return_index=True)
-        bounds = first.tolist() + [rows.size]
-        for k, row in enumerate(present.tolist()):
-            out[row] = ",".join(names[bounds[k]:bounds[k + 1]])
-    return out
+    if not rows.size:
+        return [""] * len(signs)
+    names = ids[cols].tolist()
+    # Row r's signers are names[bounds[r]:bounds[r + 1]].
+    bounds = np.searchsorted(rows, np.arange(len(signs) + 1)).tolist()
+    return [",".join(names[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def _chunk_text(plan: _SamplingPlan, start: int) -> str:
@@ -461,7 +480,7 @@ def _chunk_text(plan: _SamplingPlan, start: int) -> str:
     status = np.where(is_green, 6, status)
 
     countries, institutions = (
-        _signer_lists(u.take(cols, axis=1) < prob[primary], ids)
+        _signer_lists(u[:, cols] < prob[primary], ids)
         for cols, prob, ids in plan.signers
     )
     return "".join(map(_LINE.__mod__, zip(

@@ -62,8 +62,8 @@ def parsed(records, actor_kind=ActorKind.COUNTRY, priority=DEFAULT_PRIORITY):
     """The records the reader yields for these raw records' corpus lines
     under an actor kind and a priority: each line's object goes through the
     reader's own parser."""
-    options = ingest.IngestOptions(priority=priority, actor_kind=actor_kind)
-    return (ingest._parse_line(serialize_record(r), True, options) for r in records)
+    return (ingest._parse_line(serialize_record(r), True, priority, actor_kind)
+            for r in records)
 
 
 def exact_counts(counts, unit):
@@ -253,9 +253,10 @@ def load_corpus(path, registry=None, options=None):
     the line's raw record counts as; the raw record is then kept whole."""
     parse = ingest._parse_line
 
-    def keep_whole(obj, escaped, opts):
-        record = parse(obj, escaped, opts)
+    def keep_whole(obj, escaped, priority, actor_kind):
+        record = parse(obj, escaped, priority, actor_kind)
         raw = raw_record(obj)
+        opts = ingest.IngestOptions(priority=priority, actor_kind=actor_kind)
         assert record == counted(raw, opts), (record, raw)
         assert type(record) is PublicationRecord
         return raw

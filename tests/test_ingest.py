@@ -651,7 +651,8 @@ def _loads_outcome(path, registry, options):
     parse = ingest._parse_line
     with mock.patch.object(ingest, "_raw_decode", no_scanner), \
             mock.patch.object(ingest, "_parse_line",
-                              lambda obj, escaped, opts: parse(obj, True, opts)):
+                              lambda obj, escaped, priority, actor_kind:
+                              parse(obj, True, priority, actor_kind)):
         return _outcome(CorpusReader(path, registry, options))
 
 

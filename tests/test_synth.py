@@ -10,6 +10,7 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -24,9 +25,11 @@ from noai.synth import (
     OAProfile,
     SynthActor,
     SynthSpec,
+    _signer_lists,
     generate,
     load_synth_spec,
     spec_from_dict,
+    validate_spec,
     world_spec,
     write_spec_actors,
     write_spec_registry,
@@ -323,6 +326,126 @@ class TestSpecValidation:
         spec = spec_from_dict(obj)
         records = generated(spec, tmp_path)
         assert all("A" not in r.countries for r in records)
+
+
+class CountedName(str):
+    """A category name that counts the equality tests made on any such name."""
+
+    eq_calls = 0
+
+    def __eq__(self, other):
+        CountedName.eq_calls += 1
+        return str.__eq__(self, other)
+
+    __hash__ = str.__hash__
+
+
+def counted_names_spec(n_fields: int, n_actors: int) -> SynthSpec:
+    """A spec whose every mention of a category is its own CountedName, so
+    that no lookup can pass on identity alone; five entries per actor."""
+    names = [f"Category {j:04d}" for j in range(n_fields)]
+    fields = tuple(FieldDef(CountedName(n), "Mathematics", "PE1") for n in names)
+    profiles = {CountedName(n): OAProfile(0.1, 0.1, 0.1) for n in names}
+    actors = tuple(
+        SynthActor(f"A{a}", ActorKind.INSTITUTION, 10.0,
+                   {CountedName(names[(a + k) % n_fields]): 0.2 for k in range(5)})
+        for a in range(n_actors))
+    return SynthSpec(seed=1, n_records=100, years=(2015, 2015), fields=fields,
+                     oa_profiles=profiles, actors=actors)
+
+
+def _with_profiles(first, second) -> dict:
+    """PROFILES3 with two (category, profile) pairs put first, in that order."""
+    profiles = dict((first, second))
+    return {**profiles, **{c: p for c, p in PROFILES3.items() if c not in profiles}}
+
+
+#: Per-entry checks of validate_spec: a spec with two bad entries, named by
+#: their categories in spec order, and the message that names the first.
+TWO_BAD_ENTRIES = {
+    "unknown profile category": (
+        ("Palmistry", "Alchemy"),
+        lambda a, b: small_spec(oa_profiles=_with_profiles(
+            (a, OAProfile(0.1, 0.1, 0.1)), (b, OAProfile(0.1, 0.1, 0.1)))),
+        "OA profile for unknown category {!r}"),
+    "propensity range": (
+        ("History", "Cell Biology"),
+        lambda a, b: small_spec(oa_profiles=_with_profiles(
+            (a, OAProfile(0.1, 1.5, 0.1)), (b, OAProfile(0.1, 1.5, 0.1)))),
+        "{!r}: bronze propensity must be in [0, 1], got 1.5"),
+    "propensity sum": (
+        ("History", "Cell Biology"),
+        lambda a, b: small_spec(oa_profiles=_with_profiles(
+            (a, OAProfile(0.5, 0.4, 0.3)), (b, OAProfile(0.5, 0.4, 0.3)))),
+        "{!r}: OA propensities sum to"),
+    "unknown specialization category": (
+        ("Palmistry", "Alchemy"),
+        lambda a, b: small_spec(actors=(
+            SynthActor("A", ActorKind.COUNTRY, 10.0, {"Mathematics": 1.0}),
+            SynthActor("B", ActorKind.COUNTRY, 10.0, {a: 0.5, b: 0.5}))),
+        "actor 'B': unknown category {!r}"),
+    "weight range": (
+        ("History", "Cell Biology"),
+        lambda a, b: small_spec(actors=(SynthActor(
+            "A", ActorKind.COUNTRY, 10.0, {"Mathematics": 2.0, a: -0.5, b: -0.5}),)),
+        "actor 'A': weight for {!r} must be finite, >= 0"),
+}
+
+
+class TestValidationOrderAndCost:
+    @pytest.mark.parametrize("check", sorted(TWO_BAD_ENTRIES))
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_first_bad_entry_in_spec_order_is_named(self, check, swap):
+        (first, second), make_spec, message = TWO_BAD_ENTRIES[check]
+        if swap:
+            first, second = second, first
+        with pytest.raises(InvalidSpec, match=re.escape(message.format(first))):
+            validate_spec(make_spec(first, second))
+
+    @pytest.mark.parametrize("n_fields, n_actors", [(200, 100), (800, 400)])
+    def test_category_comparisons_are_linear(self, n_fields, n_actors):
+        # One comparison per lookup gives 2 * n_fields + entries: 900 and
+        # 3,600 here. A tuple scan per lookup made 46,550 and 726,200.
+        spec = counted_names_spec(n_fields, n_actors)
+        entries = 5 * n_actors
+        CountedName.eq_calls = 0
+        validate_spec(spec)
+        assert CountedName.eq_calls <= 2 * (n_fields + entries)
+
+
+def reference_signer_lists(signs: np.ndarray, ids: np.ndarray) -> list[str]:
+    return [",".join(ids[np.nonzero(row)[0]]) for row in signs]
+
+
+class TestSignerLists:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_matrices_match_the_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        m, n = rng.integers(1, 40), rng.integers(1, 30)
+        signs = rng.random((m, n)) < rng.choice([0.02, 0.2, 0.7])
+        ids = np.array([f'"I{j}"' for j in range(n)], dtype=object)
+        assert _signer_lists(signs, ids) == reference_signer_lists(signs, ids)
+
+    @pytest.mark.parametrize("signs", [
+        np.zeros((5, 4), dtype=bool),
+        np.zeros((3, 0), dtype=bool),
+        np.ones((4, 6), dtype=bool),
+        np.array([[False, True, True, False, True, False]]),
+        np.array([[False] * 6, [True] + [False] * 5, [False] * 6, [False] * 5 + [True]]),
+    ], ids=["no signer", "no columns", "all true", "one row", "empty rows between"])
+    def test_edge_matrices_match_the_reference(self, signs):
+        ids = np.array([f'"C{j}"' for j in range(signs.shape[1])], dtype=object)
+        assert _signer_lists(signs, ids) == reference_signer_lists(signs, ids)
+
+
+@pytest.mark.parametrize("value", [
+    FIELDS3[0], PROFILES3["Mathematics"],
+    SynthActor("A", ActorKind.COUNTRY, 1.0, {"Mathematics": 1.0}), small_spec(),
+], ids=lambda v: type(v).__name__)
+def test_setting_any_attribute_raises_attribute_error(value):
+    for name in (dataclasses.fields(value)[0].name, "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
 
 
 class TestOutputs:
