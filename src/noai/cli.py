@@ -27,6 +27,7 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import chain
 
 from . import __version__
 from .analysis import filter_actors, rank, rank_shift, spearman, top_actors
@@ -35,7 +36,6 @@ from .errors import EmptyWindow, IoFailure, NoaiError
 from .ingest import (
     CorpusReader,
     CorpusStats,
-    Diagnostic,
     IngestOptions,
     load_actor_registry,
     load_registry,
@@ -277,8 +277,9 @@ def _print_stats(stats: CorpusStats) -> None:
     if reasons:
         line += " (" + ", ".join(f"{k}={v}" for k, v in reasons.items()) + ")"
     print(line, file=sys.stderr)
-    for diag in stats.diagnostics:
-        print(f"  {diag}", file=sys.stderr)
+    for line_no, reason, detail in stats.diagnostics:
+        print(f"  line {line_no}: {reason}" + (f" ({detail})" if detail else ""),
+              file=sys.stderr)
 
 
 def _tally(args: argparse.Namespace, registry: ClassificationRegistry,
@@ -406,24 +407,23 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 class _Survey:
     """validate's consumer: the diagnostics of validate_corpus, one dict of
-    record id -> Diagnostic per corpus range, one or two, in range order (see
-    noai.shards). Accepted ids are unique within a range, so a record that
-    proves a duplicate takes its diagnostic out of the last range's dict."""
+    record id -> unknown categories per corpus range, one or two, in range
+    order (see noai.shards). Accepted ids are unique within a range, so a
+    record that proves a duplicate takes its diagnostic out of the last
+    range's dict."""
 
     def __init__(self, registry: ClassificationRegistry):
         self.registry = registry
-        self.parts: list[dict[str, Diagnostic]] = []
+        self.parts: list[dict[str, tuple[str, ...]]] = []
 
     def add_all(self, reader: CorpusReader) -> None:
-        self.parts.append({d.record_id: d for d in validate_corpus(reader, self.registry)})
+        self.parts.append(dict(validate_corpus(reader, self.registry)))
 
     def counts(self) -> Iterable[tuple]:
-        return ((d.record_id, d.unknown_categories)
-                for part in self.parts for d in part.values())
+        return chain.from_iterable(part.items() for part in self.parts)
 
     def add_counts(self, counts: Iterable[tuple]) -> None:
-        self.parts.append({record_id: Diagnostic(record_id, unknown)
-                           for record_id, unknown in counts})
+        self.parts.append(dict(counts))
 
     def remove_all(self, records) -> None:
         for record in records:
@@ -441,8 +441,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
                         lambda span: CorpusReader(args.corpus, None, options, span), survey)
     _print_stats(stats)
 
-    rows = [{"record_id": d.record_id, "unknown_categories": list(d.unknown_categories)}
-            for part in survey.parts for d in part.values()]
+    rows = [{"record_id": record_id, "unknown_categories": list(unknown)}
+            for record_id, unknown in survey.counts()]
     _emit(args, stats, ["record_id", "unknown_categories"],
           (r.values() for r in rows), {"diagnostics": rows})
     if rows:

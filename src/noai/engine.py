@@ -162,10 +162,7 @@ class Aggregator:
     def add_all(self, corpus: Iterable[PublicationRecord]) -> None:
         # Counter counts the keys in C.
         unit, credits, cells = _weigh(Counter(_keys(corpus)))
-        if self._cells:
-            self._add(unit, credits, cells.items())
-        else:
-            self._unit, self._credits, self._cells = unit, credits, cells
+        self._add(unit, credits, cells.items())
 
     def _add(self, unit: int, credits: Mapping[int, int], owners: Iterable[tuple]) -> None:
         """Add credits and (owner, category -> counts) items over `unit`,

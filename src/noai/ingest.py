@@ -77,20 +77,29 @@ class IngestOptions(NamedTuple):
 
 
 class CorpusStats:
+    """Counts that add up over the ranges of a corpus: records read and
+    accepted, rejections by reason, accepted records by year, and the
+    first per-line (line, reason, detail) diagnostics. The rejected count
+    and the year range are derived from them."""
+
     def __init__(self):
-        self.records_read = self.records_accepted = self.records_rejected = 0
+        self.records_read = self.records_accepted = 0
         self.rejection_reasons: Counter = Counter()
-        self.year_min: int | None = None
-        self.year_max: int | None = None
-        self.diagnostics: list[str] = []
+        self.years: Counter = Counter()
+        self.diagnostics: list[tuple[int, str, str]] = []
+
+    @property
+    def records_rejected(self) -> int:
+        return sum(self.rejection_reasons.values())
 
     def as_dict(self) -> dict:
+        years = [year for year, n in self.years.items() if n > 0]
         return {
             "records_read": self.records_read,
             "records_accepted": self.records_accepted,
             "records_rejected": self.records_rejected,
             "rejection_reasons": dict(sorted(self.rejection_reasons.items())),
-            "year_range": None if self.year_min is None else [self.year_min, self.year_max],
+            "year_range": [min(years), max(years)] if years else None,
         }
 
 
@@ -200,7 +209,7 @@ class CorpusReader:
     `stats` is complete once a pass ends: when the file is exhausted, when
     strict mode aborts on a line, or when the consumer closes the iterator
     after any number of records. While a pass is suspended between records,
-    its read and accepted counts and its year range are not yet in `stats`.
+    its read and accepted counts and its years are not yet in `stats`.
 
     When a registry is given, records with categories outside it are rejected
     (fatal in strict mode). Filters never raise: they only reject.
@@ -209,11 +218,10 @@ class CorpusReader:
     when stop is None: by default the whole file. Both edges must be line
     starts, and line numbers count from the range's first line (see
     noai.shards). After a pass `lines` counts its lines, blank ones
-    included, and a range that stops before the end of the file, the first
-    of two, keeps in `seen` the ids it accepted. A range past byte 0, the
-    second of two, records in `checks` each record that reached the
-    duplicate check as two parallel sequences, line << 1 | accepted and the
-    id, and the count of accepted records of each year.
+    included, and `seen` holds the ids it accepted. A range past byte 0,
+    the second of two, records in `checks` each record that reached the
+    duplicate check as two parallel sequences, (codes, ids): line << 1 |
+    accepted, and the id.
     """
 
     def __init__(
@@ -233,11 +241,9 @@ class CorpusReader:
         self.checks = None
 
     def _reject(self, line_no: int, reason: str, detail: str = ""):
-        self.stats.records_rejected += 1
         self.stats.rejection_reasons[reason] += 1
         if len(self.stats.diagnostics) < MAX_KEPT_DIAGNOSTICS:
-            message = f"line {line_no}: {reason}" + (f" ({detail})" if detail else "")
-            self.stats.diagnostics.append(message)
+            self.stats.diagnostics.append((line_no, reason, detail))
 
     def _blocks(self, stream) -> Iterator[bytes]:
         """The line blocks of this reader's range of an open stream."""
@@ -279,18 +285,15 @@ class CorpusReader:
         stats = self.stats
         registry = self.registry
         known = registry.categories if registry is not None else None
-        seen_ids = set()
-        if self.span[1] is not None:
-            # Only the first of two ranges keeps its ids, for the merge.
-            self.seen = seen_ids
+        seen_ids = self.seen = set()
         ids = None
         if self.span[0]:
             # Only a range read in a child records checks, so only a child
             # loads the array module.
             from array import array
 
-            codes, ids, years = self.checks = array("q"), [], {}
-            add_code, add_id, year_count = codes.append, ids.append, years.get
+            codes, ids = self.checks = array("q"), []
+            add_code, add_id = codes.append, ids.append
         try:
             stream = open(self.path, "rb")
         except OSError as exc:
@@ -300,8 +303,8 @@ class CorpusReader:
         line_no = 0
         read = stats.records_read
         accepted = stats.records_accepted
-        lo = stats.year_min
-        hi = stats.year_max
+        years = {}
+        year_count = years.get
         try:
             for block in self._blocks(stream):
                 # \r, \n and \r\n all end a line, as in text mode; JSON strings
@@ -369,22 +372,15 @@ class CorpusReader:
                     if ids is not None:
                         add_code(line_no << 1 | 1)
                         add_id(rec_id)
-                        years[year] = year_count(year, 0) + 1
                     accepted += 1
-                    if lo is None:
-                        lo = hi = year
-                    elif year < lo:
-                        lo = year
-                    elif year > hi:
-                        hi = year
+                    years[year] = year_count(year, 0) + 1
                     yield record
         finally:
             stream.close()
             self.lines = line_no
             stats.records_read = read
             stats.records_accepted = accepted
-            stats.year_min = lo
-            stats.year_max = hi
+            stats.years.update(years)
 
 
 class Diagnostic(NamedTuple):

@@ -15,12 +15,14 @@ serialized by `marshal`: its statistics, its duplicate checks, then the
 consumer's state, an Aggregator's weighed cells. The parent merges them into
 the first range's results:
 
-- it renumbers the child's lines, and keeps the first MAX_KEPT_DIAGNOSTICS
-  diagnostics in line order;
 - it applies the duplicate-id rule across the ranges. A record of the
   second range whose id the first accepted is a duplicate_id rejection after
-  all; the accepted ones are read again from their range and parsed again,
-  and the consumer takes them back out of its weighed cells;
+  all: the child's counts of accepted records, of rejections by reason and
+  of years are corrected for it, and then added to the first range's. The
+  accepted ones are read again from their range and parsed again, and the
+  consumer takes them back out of its weighed cells;
+- it renumbers the child's diagnostics by adding the first range's line
+  count, and keeps the first MAX_KEPT_DIAGNOSTICS in line order;
 - under strict mode it raises the error with the smallest line number.
 
 So every output, statistic and message is the one a single pass gives. Any
@@ -41,11 +43,11 @@ from itertools import chain, islice
 from .errors import IoFailure, MalformedRecord, UnknownCategory
 from .ingest import (
     MAX_KEPT_DIAGNOSTICS,
-    READ_BLOCK,
     REASON_DUPLICATE_ID,
     REASON_UNKNOWN_CATEGORY,
     CorpusReader,
     CorpusStats,
+    _line_blocks,
 )
 
 #: Fewest corpus bytes per range. A fork costs about 3 ms, and the parent
@@ -66,18 +68,10 @@ Span = tuple[int, int | None]
 
 def _line_start(stream, pos: int) -> int:
     """The first line start at or after byte `pos` > 0 of a seekable stream,
-    or the stream's size if none follows."""
-    base = pos - 1
-    stream.seek(base)
-    while block := stream.read(READ_BLOCK):
-        ends = [i for i in (block.find(b"\n"), block.find(b"\r")) if i >= 0]
-        if ends:
-            j = min(ends)
-            if block[j:j + 1] == b"\r" and (block[j + 1:j + 2] or stream.read(1)) == b"\n":
-                j += 1
-            return base + j + 1
-        base += len(block)
-    return base
+    or the stream's size if none follows: the end of the line that holds
+    byte pos - 1. A line block never ends inside a \\r\\n."""
+    stream.seek(pos - 1)
+    return pos - 1 + len(next(_line_blocks(stream)).splitlines(True)[0])
 
 
 def shard_spans(path) -> list[Span]:
@@ -188,9 +182,9 @@ def _send(out, reader: CorpusReader, consumer) -> None:
         # "line N: ...".
         error = (reader.lines, type(exc) is UnknownCategory, str(exc).partition(": ")[2])
     stats = reader.stats
-    codes, ids, years = reader.checks
-    send((stats.records_read, stats.records_accepted, stats.records_rejected,
-          dict(stats.rejection_reasons), years, stats.diagnostics, error))
+    codes, ids = reader.checks
+    send((stats.records_read, stats.records_accepted, dict(stats.rejection_reasons),
+          dict(stats.years), stats.diagnostics, error))
     for i in range(0, len(ids), CHUNK):
         send((codes[i:i + CHUNK].tolist(), ids[i:i + CHUNK]))
     send(None)
@@ -212,13 +206,9 @@ def _merge(head: CorpusReader, consumer, pipe, reader: CorpusReader) -> None:
                             "a reading process ended early")
         return marshal.loads(data)
 
-    read, accepted, rejected, reasons, years, diagnostics, error = load()
+    read, accepted, reasons, years, diagnostics, error = load()
     base, seen, stats = head.lines, head.seen, head.stats
-    # "line N: reason (detail)", keyed by N
-    notes = {}
-    for message in diagnostics:
-        where, _, note = message.partition(": ")
-        notes[int(where[5:])] = note
+    notes = {line: (reason, detail) for line, reason, detail in diagnostics}
     dropped = []
     for codes, ids in iter(load, None):
         for code, rec_id in zip(codes, ids):
@@ -230,12 +220,11 @@ def _merge(head: CorpusReader, consumer, pipe, reader: CorpusReader) -> None:
             reasons[REASON_DUPLICATE_ID] = reasons.get(REASON_DUPLICATE_ID, 0) + 1
             if code & 1:
                 accepted -= 1
-                rejected += 1
                 dropped.append(line)
             else:  # the duplicate check comes before the registry's
                 reasons[REASON_UNKNOWN_CATEGORY] -= 1
             if code & 1 or line in notes:
-                notes[line] = f"{REASON_DUPLICATE_ID} ({rec_id})"
+                notes[line] = (REASON_DUPLICATE_ID, rec_id)
         if len(notes) > MAX_KEPT_DIAGNOSTICS:
             notes = dict(sorted(notes.items())[:MAX_KEPT_DIAGNOSTICS])
     if error is not None:
@@ -250,12 +239,8 @@ def _merge(head: CorpusReader, consumer, pipe, reader: CorpusReader) -> None:
 
     stats.records_read += read
     stats.records_accepted += accepted
-    stats.records_rejected += rejected
-    stats.rejection_reasons.update({k: n for k, n in reasons.items() if n})
-    kept = [year for year, n in years.items() if n]
-    kept += [year for year in (stats.year_min, stats.year_max) if year is not None]
-    if kept:
-        stats.year_min, stats.year_max = min(kept), max(kept)
-    stats.diagnostics += [f"line {base + line}: {note}"
-                          for line, note in sorted(notes.items())]
+    # A Counter's += keeps only the counts above zero.
+    stats.rejection_reasons += reasons
+    stats.years += years
+    stats.diagnostics += [(base + line, *note) for line, note in sorted(notes.items())]
     del stats.diagnostics[MAX_KEPT_DIAGNOSTICS:]

@@ -123,9 +123,11 @@ class SynthSpec:
 _RATES = ("multi_category_rate", "multi_status_rate", "has_doi_rate")
 
 
-def _require(condition: bool, message: str) -> None:
+def _require(condition: bool, message: str, *args: object) -> None:
+    """Raise InvalidSpec unless ``condition``; the message is ``message``
+    formatted with ``args``, and only a failed check formats it."""
     if not condition:
-        raise InvalidSpec(message)
+        raise InvalidSpec(message.format(*args))
 
 
 def _is_number(value: object) -> bool:
@@ -134,10 +136,10 @@ def _is_number(value: object) -> bool:
             and (isinstance(value, float) or abs(value) <= sys.float_info.max))
 
 
-def _number_map(value: object, message: str) -> dict[str, float]:
+def _number_map(value: object, message: str, *args: object) -> dict[str, float]:
     """``value`` as a map of floats, if it is an object of numbers."""
     _require(isinstance(value, dict) and all(map(_is_number, value.values())),
-             message)
+             message, *args)
     assert isinstance(value, dict)
     return {key: float(w) for key, w in value.items()}
 
@@ -150,7 +152,7 @@ def validate_spec(spec: SynthSpec) -> None:
     _require(spec.n_records >= 0, "n_records must be non-negative")
     lo, hi = spec.years
     _require(-2**31 <= lo <= hi < 2**31,
-             f"years must satisfy -2**31 <= start <= end < 2**31, got {lo}:{hi}")
+             "years must satisfy -2**31 <= start <= end < 2**31, got {}:{}", lo, hi)
     _require(spec.n_records == 0 or len(spec.fields) > 0,
              "at least one field is required to generate records")
 
@@ -200,14 +202,13 @@ def validate_spec(spec: SynthSpec) -> None:
 
     for name in _RATES:
         rate = getattr(spec, name)
-        _require(0.0 <= rate <= 1.0, f"{name} must be in [0, 1], got {rate}")
+        _require(0.0 <= rate <= 1.0, "{} must be in [0, 1], got {}", name, rate)
 
     weight_total = 0.0
     doc_types = {d.value for d in DocType}
     for name, w in spec.doc_type_weights.items():
-        _require(name in doc_types,
-                 f"unknown doc type {name!r} in doc_type_weights")
-        _require(0.0 <= w < math.inf, f"doc type weight for {name!r} must be finite, >= 0")
+        _require(name in doc_types, "unknown doc type {!r} in doc_type_weights", name)
+        _require(0.0 <= w < math.inf, "doc type weight for {!r} must be finite, >= 0", name)
         weight_total += w
     _require(weight_total > 0.0, "doc_type_weights must not sum to zero")
     _require(weight_total < math.inf, "doc_type_weights must have a finite sum")
@@ -223,16 +224,16 @@ def spec_from_dict(obj: object) -> SynthSpec:
     assert isinstance(obj, dict)
     spec_fields = dataclasses.fields(SynthSpec)
     for key in obj:
-        _require(key in {f.name for f in spec_fields}, f"unknown spec key {key!r}")
+        _require(key in {f.name for f in spec_fields}, "unknown spec key {!r}", key)
     for f in spec_fields:
         has_default = (f.default is not dataclasses.MISSING
                        or f.default_factory is not dataclasses.MISSING)
-        _require(f.name in obj or has_default, f"missing spec key {f.name!r}")
+        _require(f.name in obj or has_default, "missing spec key {!r}", f.name)
 
     kwargs = dict(obj)
     for key in ("seed", "n_records"):
         _require(isinstance(obj[key], int) and not isinstance(obj[key], bool),
-                 f"{key} must be an integer")
+                 "{} must be an integer", key)
     years = obj["years"]
     _require(isinstance(years, list) and len(years) == 2
              and all(isinstance(y, int) and not isinstance(y, bool)
@@ -245,10 +246,10 @@ def spec_from_dict(obj: object) -> SynthSpec:
     for entry in obj["fields"]:
         _require(isinstance(entry, dict), "each field must be an object")
         for key in entry:
-            _require(key in keys, f"field entry: unknown key {key!r}")
+            _require(key in keys, "field entry: unknown key {!r}", key)
         for key in keys:
             _require(isinstance(entry.get(key), str) and entry[key] != "",
-                     f"field entry needs non-empty string {key!r}")
+                     "field entry needs non-empty string {!r}", key)
     kwargs["fields"] = tuple(FieldDef(*(entry[key] for key in keys))
                              for entry in obj["fields"])
 
@@ -256,9 +257,9 @@ def spec_from_dict(obj: object) -> SynthSpec:
     statuses = [f.name for f in dataclasses.fields(OAProfile)]
     profiles = {}
     for cat, prof in obj["oa_profiles"].items():
-        rates = _number_map(prof, f"profile for {cat!r} must map statuses to numbers")
+        rates = _number_map(prof, "profile for {!r} must map statuses to numbers", cat)
         for key in rates:
-            _require(key in statuses, f"profile for {cat!r}: unknown key {key!r}")
+            _require(key in statuses, "profile for {!r}: unknown key {!r}", cat, key)
         profiles[cat] = OAProfile(*(rates.get(key, 0.0) for key in statuses))
     kwargs["oa_profiles"] = profiles
 
@@ -270,22 +271,21 @@ def spec_from_dict(obj: object) -> SynthSpec:
         for entry in obj["actors"]:
             _require(isinstance(entry, dict), "each actor must be an object")
             for key in actor_keys:
-                _require(key in entry, f"actor entry needs key {key!r}")
+                _require(key in entry, "actor entry needs key {!r}", key)
             aid, kind, volume = entry["id"], entry["kind"], entry["volume"]
             _require(isinstance(aid, str), "actor id must be a string")
             for key in entry:
-                _require(key in actor_keys, f"actor {aid!r}: unknown key {key!r}")
-            _require(kind in kinds,
-                     f"actor {aid!r}: unknown kind {kind!r}")
-            _require(_is_number(volume), f"actor {aid!r}: volume must be a number")
-            weights = _number_map(entry["specialization"], f"actor {aid!r}: "
-                                  "specialization must map categories to numbers")
+                _require(key in actor_keys, "actor {!r}: unknown key {!r}", aid, key)
+            _require(kind in kinds, "actor {!r}: unknown kind {!r}", aid, kind)
+            _require(_is_number(volume), "actor {!r}: volume must be a number", aid)
+            weights = _number_map(entry["specialization"], "actor {!r}: "
+                                  "specialization must map categories to numbers", aid)
             actors.append(SynthActor(aid, ActorKind(kind), float(volume), weights))
         kwargs["actors"] = tuple(actors)
 
     for key in _RATES:
         if key in obj:
-            _require(_is_number(obj[key]), f"{key} must be a number")
+            _require(_is_number(obj[key]), "{} must be a number", key)
             kwargs[key] = float(obj[key])
     if "doc_type_weights" in obj:
         kwargs["doc_type_weights"] = _number_map(

@@ -118,14 +118,30 @@ class TestValueTypes:
     def test_corpus_stats_share_nothing(self):
         a, b = CorpusStats(), CorpusStats()
         assert a.rejection_reasons is not b.rejection_reasons
+        assert a.years is not b.years
         assert a.diagnostics is not b.diagnostics
         a.rejection_reasons["malformed"] += 1
-        a.diagnostics.append("line 1: malformed")
+        a.years[2016] += 1
+        a.diagnostics.append((1, "malformed", ""))
         a.records_read = 1
-        assert (b.records_read, b.rejection_reasons, b.diagnostics) == (0, {}, [])
+        assert (b.records_read, b.rejection_reasons, b.years, b.diagnostics) == (
+            0, {}, {}, [])
         assert b.as_dict() == {"records_read": 0, "records_accepted": 0,
                                "records_rejected": 0, "rejection_reasons": {},
                                "year_range": None}
+
+    def test_corpus_stats_derive_rejected_and_year_range(self):
+        # The rejected count and the year range come from the counts; a year
+        # whose count is 0 does not widen the range.
+        stats = CorpusStats()
+        stats.rejection_reasons.update({"malformed": 2, "duplicate_id": 1})
+        stats.years.update({2016: 3, 2018: 1, 2030: 0, 2001: 0})
+        assert stats.records_rejected == 3
+        assert stats.as_dict()["year_range"] == [2016, 2018]
+        stats.years[2018] -= 1
+        assert stats.as_dict()["year_range"] == [2016, 2016]
+        stats.years[2016] = 0
+        assert stats.as_dict()["year_range"] is None
 
     def test_ingest_options_defaults(self):
         # No filter, lenient, gold over bronze over green, countries credited.

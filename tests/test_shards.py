@@ -22,12 +22,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import noai.ingest as ingest
 import noai.shards as shards
 from conftest import REG10, random_corpus, registry_csv_text, serialize_record
 from noai.cli import main
 from noai.engine import Aggregator
 from noai.errors import MalformedRecord, NoaiError, UnknownCategory
-from noai.ingest import CorpusReader, IngestOptions
+from noai.ingest import CorpusReader, CorpusStats, IngestOptions
 from test_cli import CLI_DIGESTS, CLI_GOLDEN, DEMO_SPEC, child_env
 
 
@@ -117,6 +118,37 @@ OPTIONS = [
 ]
 
 
+def stats_corpus(seed: int, n_records: int = 60) -> list[bytes]:
+    """The lines of a random_corpus with bad lines planted among them:
+    malformed lines, empty and unknown categories, blank lines, and a
+    record's id again on the next line, with a year no other record has,
+    the only id that repeats."""
+    rng = random.Random(seed)
+    lines = []
+    for i, record in enumerate(random_corpus(seed, n_records)):
+        obj = serialize_record(record)
+        lines.append(text(obj))
+        kind = rng.choice(("good", "good", "dup", "malformed", "empty", "unknown", "blank"))
+        if kind == "dup":
+            lines.append(text({**obj, "year": 2030}))
+        elif kind == "malformed":
+            lines.append(text(obj)[: rng.randrange(1, 40)])
+        elif kind == "empty":
+            lines.append(text({**obj, "id": f"e{i}", "categories": []}))
+        elif kind == "unknown":
+            lines.append(text({**obj, "id": f"u{i}", "categories": ["Alchemy"]}))
+        elif kind == "blank":
+            lines.append(" " * rng.randrange(3))
+    return [(line + "\n").encode() for line in lines]
+
+
+def line_id(line: bytes):
+    try:
+        return json.loads(line)["id"]
+    except (ValueError, KeyError):
+        return None
+
+
 class TestLineStarts:
     @settings(max_examples=300, deadline=None)
     @given(data=st.lists(st.sampled_from([b"x", b"yz", b"\n", b"\r", b"\r\n"]),
@@ -129,11 +161,50 @@ class TestLineStarts:
             return (q == len(data) or data[q - 1:q] == b"\n"
                     or (data[q - 1:q] == b"\r" and data[q:q + 1] != b"\n"))
 
-        with mock.patch.object(shards, "READ_BLOCK", block):
+        with mock.patch.object(ingest, "READ_BLOCK", block):
             start = shards._line_start(io.BytesIO(data), pos)
         assert pos <= start <= len(data) and starts_line(start)
         assert not any(starts_line(q) for q in range(pos, start))
         assert data[:start].splitlines() + data[start:].splitlines() == data.splitlines()
+
+
+class TestStatsSplitLaw:
+    """A pass's statistics are counts: those of two ranges with no id on both
+    sides of their edge add up to those of one pass."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("options", OPTIONS, ids=["countries", "world-filtered"])
+    def test_ranges_add_up_to_one_pass(self, tmp_path, seed, options):
+        lines = stats_corpus(seed)
+        path, _ = write(tmp_path, b"".join(lines))
+        whole = CorpusReader(path, REG10, options)
+        list(whole)
+        ids = [line_id(line) for line in lines]
+        cuts = [cut for cut in range(len(lines) + 1)
+                if not set(ids[:cut]) & set(ids[cut:]) - {None}]
+        assert len(cuts) > len(lines) // 2
+        for cut in cuts:
+            edge = len(b"".join(lines[:cut]))
+            parts = [CorpusReader(path, REG10, options, span)
+                     for span in ((0, edge), (edge, None))]
+            for part in parts:
+                list(part)
+            first, second = (part.stats for part in parts)
+            summed = CorpusStats()
+            summed.records_read = first.records_read + second.records_read
+            summed.records_accepted = first.records_accepted + second.records_accepted
+            summed.rejection_reasons = first.rejection_reasons + second.rejection_reasons
+            summed.years = first.years + second.years
+            stats = whole.stats
+            assert (summed.records_read, summed.records_accepted) == (
+                stats.records_read, stats.records_accepted), cut
+            assert summed.rejection_reasons == stats.rejection_reasons, cut
+            assert summed.years == stats.years, cut
+            assert summed.as_dict() == stats.as_dict(), cut
+            renumbered = [(parts[0].lines + line, reason, detail)
+                          for line, reason, detail in second.diagnostics]
+            assert ((first.diagnostics + renumbered)[:ingest.MAX_KEPT_DIAGNOSTICS]
+                    == stats.diagnostics), cut
 
 
 class TestShardedPass:
@@ -182,7 +253,7 @@ class TestShardedPass:
         one = tally(path, 1, IngestOptions())
         assert one[1]["year_range"] == [2016, 2016]
         assert one[1]["rejection_reasons"] == {"duplicate_id": 2}
-        assert one[2] == ["line 43: duplicate_id (x)", "line 44: duplicate_id (y)"]
+        assert one[2] == [(43, "duplicate_id", "x"), (44, "duplicate_id", "y")]
         assert tally(path, 2, IngestOptions()) == one
 
     def test_validate_drops_diagnostics_of_duplicates(self, tmp_path, capsys):
