@@ -12,25 +12,22 @@ actor's fractional publication counts, giving one indicator per actor
 (NOAI). A value of 1.0 means world-typical openness for the actor's mix.
 
 Every number is a projection of one exact integer tally of records by
-(owner, category, k << 2 | slot): the owner is the record's year (an int)
-for the world, an actor id (a str) otherwise, k is the record's category
-count and slot its status's position in a counts vector, packed in one int
-so that a key is a 3-tuple, a smaller allocation than a 4-tuple; and
-itertools.product and Counter build and count the keys in C. The reader
-has already decided each record's status and actors, so the tally only
-counts. With L the lcm of the k seen, n records under k weigh n * (L // k)
-units of 1/L, so every cell and baseline is a vector of four integers over
-L, one per OAStatus in enum order, and no result depends on record order.
-A pass weighs its tally as soon as it ends, and keeps only the weighed
-cells and the credits (tally entries) under each k. Weighed cells are plain
-data and add up, once rescaled to the lcm of both units, so the cells of a
-corpus's parts add up to the cells of the whole; the credits say which k
-are left when records are taken back out, and so the unit. The weighed
+owner and subject category: the owner is the record's year (an int) for the
+world, an actor id (a str) otherwise. The reader has already decided each
+record's status and actors, so the tally only counts. With L the lcm of the
+category counts k seen, a record with k categories adds L // k at its
+status's slot to each of its (owner, category) cells, so every cell and
+baseline is a vector of four integers over L, one per OAStatus in enum
+order, and no result depends on record order. Beside the cells the tally
+keeps the credits, the (owner, category) pairs credited, under each k.
+Cells are plain data and add up, once rescaled to the lcm of both units, so
+the cells of a corpus's parts add up to the cells of the whole; the credits
+say which k are left when records are taken back out, and so the unit. The
 tally, keyed by subject category, is the one result of a pass. A level is
 the registry's category -> field map, applied where a result is read: the
 series sums category vectors into fields there, and the table gives each
 category its field's NOAI weight. The CLI runs without the cyclic
-collector, which would only rescan the tally's long-lived tuples. A record
+collector, which would only rescan the tally's long-lived lists. A record
 spends exactly L over its categories, so an actor's whole counts are its
 cell vectors summed and divided by L. Floats appear only as the correctly
 rounded value of an exact quotient.
@@ -39,10 +36,9 @@ rounded value of an exact quotient.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from itertools import chain, compress, product
+from itertools import chain, compress
 from operator import itemgetter, mul, sub
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import UndefinedIndicator, UndefinedShare, UnknownCategory
 from .model import (
@@ -64,7 +60,7 @@ Counts = list[int]
 
 
 class AggregationResult(NamedTuple):
-    """An Aggregator's weighed tally, as counts over `unit`, keyed by subject category.
+    """An Aggregator's tally, as counts over `unit`, keyed by subject category.
 
     cells maps actor -> category -> counts, baselines category -> counts for
     the world and years year -> category -> counts. A coarser level's
@@ -75,30 +71,6 @@ class AggregationResult(NamedTuple):
     cells: Mapping[str, Mapping[str, Counts]]
     baselines: Mapping[str, Counts]
     years: Mapping[int, Mapping[str, Counts]]
-
-
-def _weigh(tally: Counter) -> tuple[int, dict, dict]:
-    """The tally weighed: its unit, the credits under each k and owner ->
-    category -> counts over the unit."""
-    codes = set(map(itemgetter(2), tally))
-    unit = math.lcm(*{code >> 2 for code in codes})
-    # code -> [the unit over its k, the credits under it]
-    weight = {code: [unit // (code >> 2), 0] for code in codes}
-    out: dict = {}
-    for (owner, category, code), n in tally.items():
-        by_category = out.get(owner)
-        if by_category is None:
-            by_category = out[owner] = {}
-        acc = by_category.get(category)
-        if acc is None:
-            acc = by_category[category] = [0, 0, 0, 0]
-        w = weight[code]
-        acc[code & 3] += n * w[0]
-        w[1] += n
-    credits: dict[int, int] = {}
-    for code, (_, n) in weight.items():
-        credits[code >> 2] = credits.get(code >> 2, 0) + n
-    return unit, credits, out
 
 
 def _rescaled(owners: Iterable[tuple], unit: int, new: int) -> dict:
@@ -126,42 +98,54 @@ def _project(items: Iterable[tuple[str, Counts]],
     return out
 
 
-def _keys(corpus: Iterable[PublicationRecord]) -> Iterator[tuple]:
-    """Each record's (owner, category, k << 2 | slot) tally keys, the year's
-    and each actor's, built by product in C."""
-    return chain.from_iterable(
-        product((r.year, *r.actors), r.subject_categories,
-                (len(r.subject_categories) << 2 | _SLOT[r.status],))
-        for r in corpus)
-
-
 class Aggregator:
     """Streaming single-pass tally of records by subject category.
 
-    add_all() counts records in a tally and weighs it; finish() gives the
-    weighed tally as one result. The world baseline takes every record
-    exactly once, whether or not it credits any actor. Records are counted
-    as given, under their status and actors: priority, actor kind, year
+    add_all() adds each record straight into its cells; finish() gives the
+    tally as one result. The world baseline takes every record exactly
+    once, whether or not it credits any actor. Records are counted as
+    given, under their status and actors: priority, actor kind, year
     windows and other perimeter filters belong to the reader.
 
-    The weighed tally is linear in the records, so the weighed tallies of
-    parts of a corpus add up to that of the whole: counts() gives it as
-    plain pairs, which add_counts() adds to another Aggregator's, and
-    remove_all() takes counted records back out. No counts vector is
-    changed once made, so a result stays as it was.
+    The tally is linear in the records, so the tallies of parts of a corpus
+    add up to that of the whole: counts() gives it as plain pairs, which
+    add_counts() adds to another Aggregator's, and remove_all() takes
+    counted records back out. No counts vector is changed once it is the
+    Aggregator's, so a result stays as it was.
     """
 
     def __init__(self):
         # Counts over the unit, the lcm of the k with credits, by owner and
-        # category, and the credits under each category count k: the tally
-        # entries of the records with k categories.
+        # category, and the credits under each category count k: the
+        # (owner, category) pairs of the records with k categories.
         self._unit = 1
         self._credits: dict[int, int] = {}
         self._cells: dict = {}
 
     def add_all(self, corpus: Iterable[PublicationRecord]) -> None:
-        # Counter counts the keys in C.
-        unit, credits, cells = _weigh(Counter(_keys(corpus)))
+        # The pass's own cells, over the lcm of the k it has seen; the
+        # Aggregator takes them once the pass ends.
+        unit, credits, cells = 1, {}, {}
+        for r in corpus:
+            categories = r.subject_categories
+            k = len(categories)
+            if k not in credits:
+                joint = math.lcm(unit, k)
+                if joint != unit:
+                    cells = _rescaled(cells.items(), unit, joint)
+                    unit = joint
+                credits[k] = 0
+            share, slot = unit // k, _SLOT[r.status]
+            for owner in (r.year, *r.actors):
+                by_category = cells.get(owner)
+                if by_category is None:
+                    by_category = cells[owner] = {}
+                for category in categories:
+                    acc = by_category.get(category)
+                    if acc is None:
+                        acc = by_category[category] = [0, 0, 0, 0]
+                    acc[slot] += share
+            credits[k] += (1 + len(r.actors)) * k
         self._add(unit, credits, cells.items())
 
     def _add(self, unit: int, credits: Mapping[int, int], owners: Iterable[tuple]) -> None:
@@ -192,16 +176,20 @@ class Aggregator:
         """Uncount records that were counted: a cell or owner left empty is
         gone, and the unit becomes the lcm of the k still counted."""
         cells, credits, unit = self._cells, self._credits, self._unit
-        for owner, category, code in _keys(records):
-            k = code >> 2
-            by_category = cells[owner]
-            c = by_category[category] = by_category[category].copy()
-            c[code & 3] -= unit // k
-            if not any(c):
-                del by_category[category]
+        for r in records:
+            categories = r.subject_categories
+            k = len(categories)
+            share, slot = unit // k, _SLOT[r.status]
+            for owner in (r.year, *r.actors):
+                by_category = cells[owner]
+                for category in categories:
+                    c = by_category[category] = by_category[category].copy()
+                    c[slot] -= share
+                    if not any(c):
+                        del by_category[category]
                 if not by_category:
                     del cells[owner]
-            credits[k] -= 1
+            credits[k] -= (1 + len(r.actors)) * k
             if not credits[k]:
                 del credits[k]
         joint = math.lcm(*credits)
@@ -210,14 +198,14 @@ class Aggregator:
             self._unit = joint
 
     def counts(self) -> Iterable[tuple]:
-        """The weighed tally as plain pairs: first (None, k -> credits), the
-        credits under a category count k being its tally entries, then
+        """The tally as plain pairs: first (None, k -> credits), the credits
+        under a category count k being its (owner, category) pairs, then
         (owner, category -> counts) for each owner, over the lcm of the k.
         The dicts are the Aggregator's own, valid until its next change."""
         return chain(((None, self._credits),), self._cells.items())
 
     def add_counts(self, counts: Iterable[tuple]) -> None:
-        """Add a weighed tally given as counts() gives it."""
+        """Add a tally given as counts() gives it."""
         owners = iter(counts)
         _, credits = next(owners)
         self._add(math.lcm(*credits), credits, owners)

@@ -218,10 +218,11 @@ class CorpusReader:
     when stop is None: by default the whole file. Both edges must be line
     starts, and line numbers count from the range's first line (see
     noai.shards). After a pass `lines` counts its lines, blank ones
-    included, and `seen` holds the ids it accepted. A range past byte 0,
-    the second of two, records in `checks` each record that reached the
-    duplicate check as two parallel sequences, (codes, ids): line << 1 |
-    accepted, and the id.
+    included. Only a range that stops before the end of the file, the first
+    of two, keeps its accepted ids in `seen`, for the merge. A range past
+    byte 0, the second of two, records in `checks` each record that reached
+    the duplicate check as two parallel sequences, (codes, ids): the code
+    line << 1 | accepted, and the id.
     """
 
     def __init__(
@@ -285,7 +286,10 @@ class CorpusReader:
         stats = self.stats
         registry = self.registry
         known = registry.categories if registry is not None else None
-        seen_ids = self.seen = set()
+        seen_ids = set()
+        if self.span[1] is not None:
+            # Only the first of two ranges keeps its ids, for the merge.
+            self.seen = seen_ids
         ids = None
         if self.span[0]:
             # Only a range read in a child records checks, so only a child

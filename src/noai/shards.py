@@ -8,8 +8,8 @@ run on at least two cores, is cut in two at the first line start at or after
 its middle: after a \\n, or after a \\r that is not followed by \\n, so a
 \\r\\n is never split. The first range is read in this process and the
 second in a child made by os.fork(); each range runs the command's consumer
-on its own CorpusReader, and an Aggregator weighs its range's tally where it
-was read, so both processes weigh at once. The child sends back only plain
+on its own CorpusReader, and an Aggregator tallies its range's cells where
+it was read, so both processes count at once. The child sends back only plain
 data (dicts, lists, tuples, ints and strs) through a pipe, in bounded chunks
 serialized by `marshal`: its statistics, its duplicate checks, then the
 consumer's state, an Aggregator's weighed cells. The parent merges them into
@@ -38,7 +38,7 @@ import os
 import stat
 import sys
 from collections.abc import Callable
-from itertools import chain, islice
+from itertools import chain
 
 from .errors import IoFailure, MalformedRecord, UnknownCategory
 from .ingest import (
@@ -51,16 +51,16 @@ from .ingest import (
 )
 
 #: Fewest corpus bytes per range. A fork costs about 3 ms, and the parent
-#: loads and merges the child's weighed cells at about 0.6 us a cell.
+#: loads and merges the child's weighed cells at about 0.8 us a cell.
 #: institutions-rank has the densest tally measured: each of its 1.2 MiB
-#: ranges weighs about 66,000 tally keys into about 37,000 cells, and the
-#: serial tail after both ranges are weighed is about 30 ms against about
-#: 110 ms of reading saved. Ranges of 3 MiB of the other workloads, with
-#: sparser tallies, cut a fifth of the run.
+#: ranges credits about 100,000 (owner, category) pairs to about 37,000
+#: cells, and the serial tail after both ranges are counted is about 30 ms
+#: against about 95 ms of reading saved. Ranges of 3 MiB of the other
+#: workloads, with sparser tallies, cut a fifth of the run.
 MIN_SHARD_BYTES = 1 << 20
 
-#: Entries per chunk that a child writes: duplicate checks, or entries of
-#: the consumer's state, for an Aggregator an owner with all its cells.
+#: Duplicate checks per chunk that a child writes, and the fewest values (an
+#: Aggregator's cells) that close a chunk of whole entries of the state.
 CHUNK = 1 << 10
 
 Span = tuple[int, int | None]
@@ -189,9 +189,14 @@ def _send(out, reader: CorpusReader, consumer) -> None:
         send((codes[i:i + CHUNK].tolist(), ids[i:i + CHUNK]))
     send(None)
     if error is None:
-        items = iter(consumer.counts())
-        while chunk := list(islice(items, CHUNK)):
-            send(chunk)
+        chunk, size = [], 0
+        for entry in consumer.counts():
+            chunk.append(entry)
+            size += len(entry[1])
+            if size >= CHUNK:
+                send(chunk)
+                chunk, size = [], 0
+        send(chunk)
     send(None)
 
 

@@ -30,6 +30,7 @@ from noai.engine import (
     yearly_series,
 )
 from noai.errors import (
+    MalformedRecord,
     UndefinedIndicator,
     UndefinedShare,
     UnknownCategory,
@@ -663,6 +664,57 @@ class TestSplitLaw:
         once.add_all(records)
         assert dict(agg.counts()) == dict(once.counts())
         assert outputs(agg.finish()) == outputs(once.finish())
+
+
+def growing_unit_corpus(seed):
+    """A random corpus whose category counts k grow as it goes: 1 and 2
+    first, then 3, then 4, 5 and 7, so that a pass in this order grows its
+    unit while it runs: to 2, then to 6, and at last to 420."""
+    rng = random.Random(seed)
+    ks = [rng.choice(group) for group in [(1, 2)] * 80 + [(3,)] * 60 + [(4, 5, 7)] * 100]
+    return [r._replace(subject_categories=tuple(rng.sample(CATS10, k)))
+            for r, k in zip(random_corpus(seed=seed, n_records=len(ks)), ks)]
+
+
+class TestUnitGrowsMidPass:
+    """A k that changes the unit mid-pass rescales the cells counted so far,
+    and only the pass's own: the Aggregator takes them once the pass ends."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_counts_equal_the_oracle_in_any_order(self, seed):
+        corpus = growing_unit_corpus(seed)
+        shuffled = corpus[:]
+        random.Random(seed).shuffle(shuffled)
+        runs = []
+        for records in (corpus, corpus[::-1], shuffled):
+            agg = Aggregator()
+            agg.add_all(parsed(records))
+            runs.append((dict(agg.counts()), agg.finish()))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        counts, result = runs[0]
+        assert result.unit == 420
+        credits = {}
+        for r in corpus:
+            k = len(r.subject_categories)
+            credits[k] = credits.get(k, 0) + (1 + len(r.countries)) * k
+        assert counts[None] == credits
+        for level in LEVELS:
+            assert_matches_oracle(result, REG10, BruteForce(corpus, REG10, level))
+
+    def test_a_pass_that_raises_leaves_the_counts_unchanged(self, tmp_path):
+        # The strict pass fails past the records that grow the unit to 420.
+        corpus = growing_unit_corpus(7)
+        agg = Aggregator()
+        agg.add_all(parsed(corpus[:80]))
+        before = copy.deepcopy(dict(agg.counts()))
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(corpus[80:], path)
+        lines = path.read_text(encoding="utf-8").splitlines(True)
+        path.write_text("".join(lines[:120] + ["oops\n"] + lines[120:]), encoding="utf-8")
+        with pytest.raises(MalformedRecord, match="^line 121: "):
+            agg.add_all(CorpusReader(path, REG10, IngestOptions(strict=True)))
+        assert dict(agg.counts()) == before
+        assert agg.finish() == aggregate(corpus[:80])
 
 
 class TestCoarseningLaw:

@@ -9,6 +9,7 @@ import errno
 import hashlib
 import io
 import json
+import marshal
 import math
 import os
 import random
@@ -16,6 +17,7 @@ import subprocess
 import sys
 import threading
 from contextlib import contextmanager
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -359,6 +361,32 @@ class TestChildren:
                 shards.read_corpus(path, lambda span: CorpusReader(path, REG10, None, span),
                                    Failing(spans[1][0], MemoryError()))
         assert_no_child_left()
+
+
+class TestChunks:
+    @pytest.mark.parametrize("options", OPTIONS, ids=["countries", "world-filtered"])
+    def test_small_chunks_give_one_pass(self, tmp_path, options):
+        # With 3 per chunk, both the duplicate checks and the cells of the
+        # child's state cross many chunks. A state chunk holds whole owners
+        # and closes at its first entry that brings it to 3 cells or more.
+        path, _ = write(tmp_path, planted_corpus(5, 200))
+        one = tally(path, 1, options)
+        loaded = []
+
+        def loads(data):
+            loaded.append(marshal.loads(data))
+            return loaded[-1]
+
+        with mock.patch.object(shards, "CHUNK", 3), \
+                mock.patch.object(shards, "marshal", SimpleNamespace(dumps=marshal.dumps,
+                                                                     loads=loads)):
+            assert tally(path, 2, options) == one
+        checks = [x for x in loaded if type(x) is tuple and len(x) == 2]
+        state = [x for x in loaded if type(x) is list]
+        assert len(checks) > 10 and all(len(ids) <= 3 for _, ids in checks)
+        assert len(state) > 3
+        assert all(sum(len(v) for _, v in chunk[:-1]) < 3 <= sum(len(v) for _, v in chunk)
+                   for chunk in state[:-1])
 
 
 class TestPipe:
