@@ -26,18 +26,19 @@ say which k are left when records are taken back out, and so the unit. The
 tally, keyed by subject category, is the one result of a pass. A level is
 the registry's category -> field map, applied where a result is read: the
 series sums category vectors into fields there, and the table gives each
-category its field's NOAI weight. The CLI runs without the cyclic
-collector, which would only rescan the tally's long-lived lists. A record
-spends exactly L over its categories, so an actor's whole counts are its
-cell vectors summed and divided by L. Floats appear only as the correctly
-rounded value of an exact quotient.
+category its field's NOAI weight at every level, packed into one integer,
+so one pass over an actor's cells scores it at all levels. The CLI runs
+without the cyclic collector, which would only rescan the tally's lists. A
+record spends exactly L over its categories, so an actor's whole counts are
+its cell vectors summed and divided by L. Floats are only ever the
+correctly rounded value of an exact quotient.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, compress
-from operator import itemgetter, mul, sub
+from itertools import chain
+from operator import add, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import UndefinedIndicator, UndefinedShare, UnknownCategory
@@ -88,13 +89,7 @@ def _project(items: Iterable[tuple[str, Counts]],
     for category, c in items:
         f = category if field_map is None else field_map[category]
         acc = out.get(f)
-        if acc is None:
-            out[f] = list(c)
-        else:
-            acc[0] += c[0]
-            acc[1] += c[1]
-            acc[2] += c[2]
-            acc[3] += c[3]
+        out[f] = list(c) if acc is None else list(map(add, acc, c))
     return out
 
 
@@ -111,7 +106,8 @@ class Aggregator:
     add up to that of the whole: counts() gives it as plain pairs, which
     add_counts() adds to another Aggregator's, and remove_all() takes
     counted records back out. No counts vector is changed once it is the
-    Aggregator's, so a result stays as it was.
+    Aggregator's, and finish() hands out its owner dicts, which it copies
+    before its next change, so a result stays as it was.
     """
 
     def __init__(self):
@@ -121,6 +117,11 @@ class Aggregator:
         self._unit = 1
         self._credits: dict[int, int] = {}
         self._cells: dict = {}
+        self._handed = False
+
+    def _own(self) -> None:
+        if self._handed:  # copy the owner dicts finish() handed out
+            self._cells, self._handed = {o: dict(by) for o, by in self._cells.items()}, False
 
     def add_all(self, corpus: Iterable[PublicationRecord]) -> None:
         # The pass's own cells, over the lcm of the k it has seen; the
@@ -151,6 +152,7 @@ class Aggregator:
     def _add(self, unit: int, credits: Mapping[int, int], owners: Iterable[tuple]) -> None:
         """Add credits and (owner, category -> counts) items over `unit`,
         rescaling the side whose unit is not the lcm of both."""
+        self._own()
         joint = math.lcm(self._unit, unit)
         if joint != self._unit:
             self._cells = _rescaled(self._cells.items(), self._unit, joint)
@@ -175,6 +177,7 @@ class Aggregator:
     def remove_all(self, records: Iterable[PublicationRecord]) -> None:
         """Uncount records that were counted: a cell or owner left empty is
         gone, and the unit becomes the lcm of the k still counted."""
+        self._own()
         cells, credits, unit = self._cells, self._credits, self._unit
         for r in records:
             categories = r.subject_categories
@@ -211,9 +214,10 @@ class Aggregator:
         self._add(math.lcm(*credits), credits, owners)
 
     def finish(self) -> AggregationResult:
+        self._handed = True
         years, actors = {}, {}
         for owner, by_category in self._cells.items():
-            (years if type(owner) is int else actors)[owner] = dict(by_category)
+            (years if type(owner) is int else actors)[owner] = by_category
         baselines = _project(chain.from_iterable(map(dict.items, years.values())), None)
         return AggregationResult(self._unit, actors, baselines, years)
 
@@ -244,52 +248,72 @@ def _type_shares(counts: Sequence[int]) -> dict[OAStatus, float]:
     return {t: 100 * counts[_SLOT[t]] / x for t in RAW_STATUSES}
 
 
-def _field_weights(baselines: Mapping[str, Sequence[int]]) -> tuple[int, dict[str, int]]:
-    """D and each field's NOAI weight X * (D // OA), 0 where the world has no
-    OA publications; D is the lcm of the world OA counts of the others."""
-    world_oa = {f: sum(b) - b[_CLOSED] for f, b in baselines.items()}
-    d = math.lcm(*(oa for oa in world_oa.values() if oa))
-    return d, {f: sum(b) * (d // world_oa[f]) if world_oa[f] else 0
-               for f, b in baselines.items()}
+def _scorer(baselines: Mapping[str, Sequence[int]],
+            field_maps: Sequence[Mapping[str, str] | None]):
+    """The scoring kernel: the function from an actor's cells, keyed like
+    `baselines`, to its status totals and its NOAI at each level (a field
+    map of those keys, None for the keys themselves), None where undefined.
 
+    At each level D is the lcm of the world's nonzero OA counts and a
+    field's weight X * (D // OA), or 0. Each key's weights, its fields', are
+    packed into one integer, level i from bit i * lane on, with lane the bit
+    length of the world's OA count times the largest weight. An actor's OA
+    never exceeds the world's, so one sum(oa * packed) over its cells holds
+    each level's numerator in its own lane, with no carry; an actor with
+    more, which only a hand-built result can hold, raises ValueError. A
+    level's denominator is the actor's count less its cells of weight 0.
+    """
+    world_oa = sum(sum(b) - b[_CLOSED] for b in baselines.values())
+    weights, levels = [], []
+    for field_map in field_maps:
+        world = _project(baselines.items(), field_map)
+        oa = {f: sum(b) - b[_CLOSED] for f, b in world.items()}
+        d = math.lcm(*filter(None, oa.values()))
+        by_field = {f: sum(b) * (d // oa[f]) if oa[f] else 0 for f, b in world.items()}
+        weights.append(by_field if field_map is None else
+                       {c: by_field[field_map[c]] for c in baselines})
+        levels.append((d, [c for c, w in weights[-1].items() if not w]))
+    lane = (world_oa * max(chain.from_iterable(map(dict.values, weights)),
+                           default=0)).bit_length()
+    packed = {c: sum(w[c] << i * lane for i, w in enumerate(weights)) for c in baselines}
 
-def _terms(cells: Mapping[str, Sequence[int]]) -> tuple[list[int], list[int]]:
-    """Each cell's x and oa, in the cells' order."""
-    vectors = cells.values()
-    xs = list(map(sum, vectors))
-    return xs, list(map(sub, xs, map(itemgetter(_CLOSED), vectors)))
+    def score(cells: Mapping[str, Sequence[int]]) -> tuple[list[int], list[float | None]]:
+        columns = list(zip(*cells.values())) or [()] * len(_SLOT)
+        totals = list(map(sum, columns))
+        x = sum(totals)
+        if x - totals[_CLOSED] > world_oa:
+            raise ValueError(f"an actor has more OA counts than the world's {world_oa}")
+        gold, bronze, green, _ = columns  # CLOSED is the last slot
+        num = sum(map(mul, map(add, map(add, gold, bronze), green),
+                      map(packed.__getitem__, cells)))
+        values = []
+        for d, zeros in levels:
+            den = x - sum(sum(cells[c]) for c in zeros if c in cells)
+            values.append((num & ((1 << lane) - 1)) / (d * den) if den else None)
+            num >>= lane
+        return totals, values
 
-
-def _weighted_mean(cells: Mapping[str, Sequence[int]], xs: Sequence[int],
-                   oas: Sequence[int], d: int, weight: Mapping[str, int]) -> float:
-    """sum(oa * weight) / (D * sum(x)) over the cells whose weight is not 0,
-    given each cell's x and oa; every sum runs in C."""
-    weights = list(map(weight.__getitem__, cells))
-    den = sum(compress(xs, weights))
-    if not den:
-        raise UndefinedIndicator("no field with a defined normalized share")
-    return sum(map(mul, oas, weights)) / (d * den)
+    return score
 
 
 def noai(cells: Mapping[str, Sequence[int]], baselines: Mapping[str, Sequence[int]]) -> float:
     """Stage-two normalization: weighted mean of defined normalized shares.
 
     cells maps each of an actor's fields to its counts and baselines every
-    field to the world's, over one unit: an AggregationResult's at the
-    subject-category level, both summed by the level's field map at a
-    coarser one. A
-    field's normalized share is undefined when the actor has no publications
-    there or the world has no OA ones. Weights are the fractional
-    publication counts; the denominator sums only over fields whose
-    normalized share is defined, so the result stays a true weighted average
-    of the terms present.
-
-    A field's term share * x is oa * X / OA (actor counts in lower case, world
-    counts in upper case), so with D the lcm of the world OA counts the mean
-    is one quotient of integers, rounded once. D and the weights X * (D // OA)
-    depend on the baselines alone, so a table computes them once per level.
+    field to the world's, over one unit: a result's at the subject-category
+    level, or both summed into a coarser level's fields. A field's
+    normalized share is undefined when the actor has no publications there
+    or the world has no OA ones; the mean, weighted by the actor's
+    fractional publication counts, runs over the defined ones. A term
+    share * x is oa * X / OA (actor counts in lower case, world counts in
+    upper case), so with D the lcm of the world OA counts the mean is
+    sum(oa * X * (D // OA)) / (D * sum(x)) over the fields with world OA:
+    one quotient of integers rounded once, as the table's kernel gives it.
     """
-    return _weighted_mean(cells, *_terms(cells), *_field_weights(baselines))
+    _, (value,) = _scorer(baselines, (None,))(cells)
+    if value is None:
+        raise UndefinedIndicator("no field with a defined normalized share")
+    return value
 
 
 class YearRow(NamedTuple):
@@ -332,28 +356,17 @@ def build_indicator_table(
     and its OA and OA-type counts equal its whole counts: its cell vectors
     summed and divided by the unit. Only the NOAI depends on the level: the
     world's cells are summed into the level's fields, and each category
-    takes its field's weight, so an actor's sums over its category cells are
-    the integers its field vectors give. Rows are sorted by descending
-    x_total, ties by actor id.
+    takes its field's weight, so an actor's sums over its category cells,
+    one kernel pass for all levels, are the integers its field vectors give.
+    Rows are sorted by descending x_total, ties by actor id.
     """
-    # Per level, D and each category's weight: that of its field.
-    weights = []
-    for level in levels:
-        field_map = _field_map(result, registry, level)
-        d, by_field = _field_weights(_project(result.baselines.items(), field_map))
-        weights.append((level, d, by_field if field_map is None else
-                        {c: by_field[field_map[c]] for c in result.baselines}))
+    score = _scorer(result.baselines,
+                    [_field_map(result, registry, level) for level in levels])
     rows = []
     for actor, cells in result.cells.items():
-        counts = [sum(c) // result.unit for c in zip(*cells.values())]
+        totals, values = score(cells)
+        counts = [t // result.unit for t in totals]
         pubs = sum(counts)
-        xs, oas = _terms(cells)
-        noai_values: dict[Level, float | None] = {}
-        for level, d, weight in weights:
-            try:
-                noai_values[level] = _weighted_mean(cells, xs, oas, d, weight)
-            except UndefinedIndicator:
-                noai_values[level] = None
         meta = actors_meta.get(actor) if actors_meta else None
         rows.append(
             IndicatorRow(
@@ -362,7 +375,7 @@ def build_indicator_table(
                 group=meta.group if meta else None,
                 x_total=float(pubs),
                 oa_share=oa_share(counts),
-                noai=noai_values,
+                noai=dict(zip(levels, values)),
                 oa_type_shares=_type_shares(counts),
                 n_oa_whole=pubs - counts[_CLOSED],
             )

@@ -23,6 +23,7 @@ from conftest import (
     write_corpus,
 )
 from noai.engine import (
+    AggregationResult,
     Aggregator,
     build_indicator_table,
     noai,
@@ -43,7 +44,7 @@ from noai.model import (
     Level,
     OAStatus,
 )
-from oracle import OA_TYPES, BruteForce
+from oracle import OA_TYPES, BruteForce, field_of
 
 TOL = 1e-9
 RAW = (OAStatus.GOLD, OAStatus.BRONZE, OAStatus.GREEN)
@@ -618,6 +619,28 @@ class TestSharedVectors:
         assert_matches_oracle(result, REG10,
                               BruteForce(corpus, REG10, Level.SUBJECT_CATEGORY))
 
+    @pytest.mark.parametrize("change", ["add_all", "add_counts", "remove_all"])
+    def test_a_change_after_finish_leaves_the_result(self, change):
+        # finish() hands out the Aggregator's own owner dicts; its next
+        # change must work on copies.
+        records = list(parsed(random_corpus(seed=52, n_records=300)))
+        more = list(parsed(random_corpus(seed=53, n_records=100)))
+        agg = Aggregator()
+        agg.add_all(records)
+        result = agg.finish()
+        snapshot = copy.deepcopy(result)
+        if change == "add_all":
+            agg.add_all(more)
+        elif change == "add_counts":
+            other = Aggregator()
+            other.add_all(more)
+            agg.add_counts(other.counts())
+        else:
+            agg.remove_all(records[:100])
+        assert agg.finish().unit == result.unit == 6
+        assert agg.finish() != snapshot
+        assert result == snapshot
+
 
 def outputs(result):
     """Everything a pass's result gives: itself, the table and every series."""
@@ -752,7 +775,7 @@ class TestCoarseningLaw:
 
 
 def weighted_mean_terms(cells, baselines):
-    """_weighted_mean's terms for one actor's field counts, computed here:
+    """The NOAI's terms for one actor's field counts, computed here:
     sum(oa * weight), sum(x) over the fields of weight not 0, and D, the
     lcm of the world's OA counts; a field's weight is X * (D // OA)."""
     world_oa = {f: sum(b) - b[-1] for f, b in baselines.items()}
@@ -798,3 +821,88 @@ class TestDisjointMergeLaw:
                 law = Fraction(num_a + num_b, d * (den_a + den_b))
                 assert Fraction(num, d * den) == law, (a, b, level)
                 assert row.noai[level] == float(law), (a, b, level)
+
+
+def per_level_noai(cells, result, registry, level):
+    """An actor's NOAI at one level from its category cells, one level at a
+    time, as the table computed it before one kernel scored every level:
+    sum(oa * w) over the cells of weight w not 0, over D * sum(x) of those
+    cells, a category's weight being its field's X * (D // OA); None when
+    no cell has a weight."""
+    world = at_level(result, registry, level).baselines
+    world_oa = {f: sum(b) - b[-1] for f, b in world.items()}
+    d = math.lcm(*filter(None, world_oa.values()))
+    num = den = 0
+    for category, c in cells.items():
+        f = field_of(registry, category, level)
+        if world_oa[f]:
+            num += (sum(c) - c[-1]) * sum(world[f]) * (d // world_oa[f])
+            den += sum(c)
+    return num / (d * den) if den else None
+
+
+#: The levels in several orders: each takes each lane, and one alone.
+LEVEL_ORDERS = (LEVELS, LEVELS[1:] + LEVELS[:1], LEVELS[2:] + LEVELS[:2], LEVELS[::-1],
+                LEVELS[1:2])
+
+
+def lane_bound_corpus():
+    """A corpus whose every OA record is in Astronomy alone, a field of its
+    own at every level, and signed by FRA, so that FRA's numerator at each
+    level is the lane bound: the world's OA count times the largest weight,
+    Astronomy's X. FRA also signs closed records in fields of weight 0."""
+    records = [rec(f"o{i}", ("Astronomy & Astrophysics",), statuses=(OAStatus.GOLD,),
+                   countries=("FRA", "DEU")[:1 + i % 2]) for i in range(37)]
+    records += [rec(f"c{i}", ("Astronomy & Astrophysics",), countries=("DEU",))
+                for i in range(11)]
+    records += [rec(f"m{i}", ("Mathematics", "Economics")[:1 + i % 2], countries=("FRA",))
+                for i in range(13)]
+    return records
+
+
+class TestOneKernel:
+    """One kernel scores an actor at every level at once, each level's
+    numerator in its own lane of one integer; each level's NOAI equals the
+    per-level formula exactly, in any order of the levels."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", [ActorKind.COUNTRY, ActorKind.INSTITUTION])
+    def test_every_level_equals_the_per_level_formula(self, seed, kind):
+        corpus = [r._replace(institutions=frozenset(f"u{a[-1]}" for a in r.countries))
+                  for r in corpus_with_closed_fields(seed)]
+        result = aggregate(corpus, actor_kind=kind)
+        expected = {actor: {level: per_level_noai(cells, result, REG10, level)
+                            for level in LEVELS}
+                    for actor, cells in result.cells.items()}
+        assert any(None in by_level.values() for by_level in expected.values())
+        for levels in LEVEL_ORDERS:
+            table = build_indicator_table(result, REG10, levels)
+            assert len(table) == len(expected)
+            for row in table:
+                assert list(row.noai) == list(levels)
+                assert row.noai == {level: expected[row.actor][level] for level in levels}
+
+    def test_the_lane_bound_is_reached_without_carry(self):
+        result = aggregate(lane_bound_corpus())
+        astro = result.baselines["Astronomy & Astrophysics"]
+        x_world, oa_world = sum(astro), sum(astro) - astro[-1]
+        fra = result.cells["FRA"]["Astronomy & Astrophysics"]
+        assert sum(fra) - fra[-1] == oa_world
+        for levels in LEVEL_ORDERS:
+            for row in build_indicator_table(result, REG10, levels):
+                for level in levels:
+                    assert row.noai[level] == per_level_noai(
+                        result.cells[row.actor], result, REG10, level), (row.actor, level)
+            fra_row, = [r for r in build_indicator_table(result, REG10, levels)
+                        if r.actor == "FRA"]
+            assert fra_row.noai == dict.fromkeys(levels, x_world / sum(fra))
+
+    def test_an_actor_with_more_oa_than_the_world_raises(self):
+        # Only a hand-built result can hold one, and it could overflow a lane.
+        world = {"Mathematics": [1, 0, 0, 1], "Economics": [0, 0, 2, 0]}
+        result = AggregationResult(1, {"FRA": {"Mathematics": [2, 0, 0, 0],
+                                               "Economics": [0, 0, 2, 0]}}, world, {})
+        with pytest.raises(ValueError, match="more OA counts than the world"):
+            build_indicator_table(result, REG10, LEVELS)
+        with pytest.raises(ValueError, match="more OA counts than the world"):
+            noai(result.cells["FRA"], world)

@@ -388,6 +388,39 @@ class TestChunks:
         assert all(sum(len(v) for _, v in chunk[:-1]) < 3 <= sum(len(v) for _, v in chunk)
                    for chunk in state[:-1])
 
+    def test_duplicates_in_the_first_a_middle_and_the_last_chunk(self, tmp_path):
+        # The parent checks a chunk of ids record by record only when it
+        # holds an id the first range accepted; here the first, a middle
+        # and the last of the child's chunks do.
+        records = random_corpus(9, 90)
+        data = "".join(text(serialize_record(r)) + "\n" for r in records).encode()
+        path, _ = write(tmp_path, data)
+        with shard_count(2):
+            (_, edge), _ = shards.shard_spans(path)
+        cut = data[:edge].count(b"\n")
+        tail = len(records) - cut
+        for j in (0, 3 * (tail // 6), tail - 1):
+            # An id of the first range, of the same length, so the edge stays.
+            records[cut + j] = records[cut + j]._replace(id=records[j].id)
+        path, _ = write(tmp_path, "".join(text(serialize_record(r)) + "\n"
+                                          for r in records).encode())
+        one = tally(path, 1, IngestOptions())
+        loaded = []
+
+        def loads(data):
+            loaded.append(marshal.loads(data))
+            return loaded[-1]
+
+        with mock.patch.object(shards, "CHUNK", 3), \
+                mock.patch.object(shards, "marshal", SimpleNamespace(dumps=marshal.dumps,
+                                                                     loads=loads)):
+            assert tally(path, 2, IngestOptions()) == one
+        head = {r.id for r in records[:cut]}
+        checks = [x[1] for x in loaded if type(x) is tuple and len(x) == 2]
+        hits = [i for i, ids in enumerate(checks) if head.intersection(ids)]
+        assert len(checks) > 10 and hits == [0, tail // 6, len(checks) - 1]
+        assert one[1]["rejection_reasons"]["duplicate_id"] == 3
+
 
 class TestPipe:
     def test_piped_corpus_is_one_pass_and_matches_the_file(self, tmp_path, capsys):
