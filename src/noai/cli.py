@@ -13,7 +13,8 @@ Manifests and outputs carry no timestamps, so identical inputs give
 byte-identical files.  CSV is the canonical format; JSON mirrors the
 same rows at full float precision.
 
-Exit codes: 0 on success, 2 on a usage error, 3 on a data error.
+Exit codes: 0 on success, 2 on a usage error, 3 on a data error or
+an output that cannot be written.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import os
 import sys
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain
+from typing import NoReturn
 
 from . import __version__
 from .analysis import filter_actors, rank, rank_shift, spearman, top_actors
@@ -51,7 +53,7 @@ from .model import (
     Level,
     OAStatus,
 )
-from .shards import read_corpus
+from .shards import flush_stdio, read_corpus
 
 INDICATOR_COLUMNS = (
     "actor",
@@ -263,10 +265,23 @@ def _emit(args: argparse.Namespace, stats: CorpusStats, header: Sequence[str],
         text = json.dumps({"command": args.command, **payload},
                           sort_keys=True, indent=2) + "\n"
     if args.out is None:
+        if sys.stdout is None:
+            raise IoFailure("cannot write output: standard output is closed")
         sys.stdout.write(text)
         return
     _write_text(args.out, text)
     _write_text(args.out + ".manifest.json", _manifest(args, stats.as_dict(), [args.out]))
+
+
+def _say(line: str) -> None:
+    """Write a line to standard error. A run whose standard error is closed
+    (None) or cannot be written goes on without it, and never writes the
+    line to standard output instead."""
+    if sys.stderr is not None:
+        try:
+            print(line, file=sys.stderr)
+        except OSError:
+            pass
 
 
 def _print_stats(stats: CorpusStats) -> None:
@@ -276,10 +291,9 @@ def _print_stats(stats: CorpusStats) -> None:
     reasons = {k: v for k, v in sorted(stats.rejection_reasons.items()) if v}
     if reasons:
         line += " (" + ", ".join(f"{k}={v}" for k, v in reasons.items()) + ")"
-    print(line, file=sys.stderr)
+    _say(line)
     for line_no, reason, detail in stats.diagnostics:
-        print(f"  line {line_no}: {reason}" + (f" ({detail})" if detail else ""),
-              file=sys.stderr)
+        _say(f"  line {line_no}: {reason}" + (f" ({detail})" if detail else ""))
 
 
 def _tally(args: argparse.Namespace, registry: ClassificationRegistry,
@@ -347,8 +361,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     for r in table:
         undefined = [lv.value for lv in levels if r.noai[lv] is None]
         if undefined:
-            print(f"excluded {r.actor}: indicator undefined at "
-                  + ", ".join(undefined), file=sys.stderr)
+            _say(f"excluded {r.actor}: indicator undefined at " + ", ".join(undefined))
         else:
             kept.append(r)
 
@@ -446,8 +459,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     _emit(args, stats, ["record_id", "unknown_categories"],
           (r.values() for r in rows), {"diagnostics": rows})
     if rows:
-        print(f"{len(rows)} record(s) with unclassifiable categories",
-              file=sys.stderr)
+        _say(f"{len(rows)} record(s) with unclassifiable categories")
         if args.strict:
             return 3
     elif stats.records_rejected and args.strict:
@@ -496,7 +508,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         for tmp in staged.values():
             if os.path.lexists(tmp):
                 os.remove(tmp)
-    print(f"wrote {n} records to {args.out}", file=sys.stderr)
+    _say(f"wrote {n} records to {args.out}")
     return 0
 
 
@@ -518,18 +530,32 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
-        print(f"noai: {exc}", file=sys.stderr)
+        _say(f"noai: {exc}")
         return 2
-    except NoaiError as exc:
-        print(f"noai: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"noai: {exc}", file=sys.stderr)
+    except (NoaiError, OSError) as exc:
+        _say(f"noai: {exc}")
         return 3
     finally:
         if enabled:
             gc.enable()
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run() -> NoReturn:
+    """The process entry of `python -m noai` and of the `noai` script: main()
+    on the command line, then a flush of standard output and error, then
+    os._exit, as a forked reader child ends.
+
+    The interpreter's own exit would run a final collection and free every
+    object and module, work that grows with the tally and that no output
+    depends on: every file a run writes is closed by a `with` block before
+    main() returns, and noai registers no atexit handler. Output that
+    cannot be flushed is an I/O error, exit 3. A SystemExit from argparse
+    (--help, --version, a usage error) takes the interpreter's usual exit.
+    """
+    code = main()
+    try:
+        flush_stdio()
+    except OSError as exc:
+        _say(f"noai: cannot write standard output: {exc}")
+        code = 3
+    os._exit(code)

@@ -147,11 +147,14 @@ class Aggregator:
                         acc = by_category[category] = [0, 0, 0, 0]
                     acc[slot] += share
             credits[k] += (1 + len(r.actors)) * k
-        self._add(unit, credits, cells.items())
+        # Nothing else holds the pass's cells, so their owner dicts are taken as they are.
+        self._add(unit, credits, cells.items(), take=True)
 
-    def _add(self, unit: int, credits: Mapping[int, int], owners: Iterable[tuple]) -> None:
+    def _add(self, unit: int, credits: Mapping[int, int], owners: Iterable[tuple],
+             take: bool = False) -> None:
         """Add credits and (owner, category -> counts) items over `unit`,
-        rescaling the side whose unit is not the lcm of both."""
+        rescaling the side whose unit is not the lcm of both. A new owner's
+        dict is copied unless `take`, when the caller hands it over."""
         self._own()
         joint = math.lcm(self._unit, unit)
         if joint != self._unit:
@@ -166,7 +169,7 @@ class Aggregator:
         for owner, theirs in owners:
             by_category = cells.get(owner)
             if by_category is None:
-                cells[owner] = dict(theirs)
+                cells[owner] = theirs if take else dict(theirs)
                 continue
             get = by_category.get
             for category, c in theirs.items():

@@ -285,7 +285,7 @@ class CorpusReader:
         reject = self._reject
         stats = self.stats
         registry = self.registry
-        known = registry.categories if registry is not None else None
+        known = registry.categories.__contains__ if registry is not None else None
         seen_ids = set()
         if self.span[1] is not None:
             # Only the first of two ranges keeps its ids, for the merge.
@@ -359,19 +359,18 @@ class CorpusReader:
                             raise MalformedRecord(f"line {line_no}: duplicate id {rec_id!r}")
                         reject(line_no, REASON_DUPLICATE_ID, rec_id)
                         continue
-                    if known is not None:
-                        missing = [c for c in record.subject_categories if c not in known]
-                        if missing:
-                            if ids is not None:
-                                add_code(line_no << 1)
-                                add_id(rec_id)
-                            if strict:
-                                raise UnknownCategory(
-                                    f"line {line_no}: record {rec_id!r} has unknown "
-                                    f"categories {missing}"
-                                )
-                            reject(line_no, REASON_UNKNOWN_CATEGORY, ", ".join(missing))
-                            continue
+                    if known is not None and not all(map(known, record.subject_categories)):
+                        missing = [c for c in record.subject_categories if not known(c)]
+                        if ids is not None:
+                            add_code(line_no << 1)
+                            add_id(rec_id)
+                        if strict:
+                            raise UnknownCategory(
+                                f"line {line_no}: record {rec_id!r} has unknown "
+                                f"categories {missing}"
+                            )
+                        reject(line_no, REASON_UNKNOWN_CATEGORY, ", ".join(missing))
+                        continue
                     seen_ids.add(rec_id)
                     if ids is not None:
                         add_code(line_no << 1 | 1)
@@ -398,12 +397,9 @@ def validate_corpus(
     corpus: Iterable[PublicationRecord], registry: ClassificationRegistry
 ) -> list[Diagnostic]:
     """One diagnostic per record with a category the registry cannot classify."""
-    diagnostics = []
-    for record in corpus:
-        unknown = tuple(c for c in record.subject_categories if c not in registry)
-        if unknown:
-            diagnostics.append(Diagnostic(record.id, unknown))
-    return diagnostics
+    known = registry.categories.__contains__
+    return [Diagnostic(record.id, tuple(c for c in record.subject_categories if not known(c)))
+            for record in corpus if not all(map(known, record.subject_categories))]
 
 
 def _read_csv_rows(path, expected: Sequence[str], label: str):

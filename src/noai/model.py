@@ -142,9 +142,6 @@ class ClassificationRegistry(NamedTuple):
 
     categories: Mapping[str, tuple[str, str]]
 
-    def __contains__(self, category: str) -> bool:
-        return category in self.categories
-
     def field_map(self, level: Level) -> Mapping[str, str] | None:
         """category -> field lookup table for a level; None at category level."""
         if level is Level.SUBJECT_CATEGORY:

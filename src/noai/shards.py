@@ -115,8 +115,7 @@ def read_corpus(path, open_range: Callable[[Span], CorpusReader],
         if len(spans) == 2:
             tail = open_range(spans[1])
             # Buffered output would otherwise be written again by the child.
-            sys.stdout.flush()
-            sys.stderr.flush()
+            flush_stdio()
             try:
                 pid, pipe = _fork(tail, consumer)
             except OSError:
@@ -136,6 +135,21 @@ def read_corpus(path, open_range: Callable[[Span], CorpusReader],
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+
+
+def flush_stdio() -> None:
+    """Flush standard output, then standard error, skipping either one that
+    is None: the interpreter leaves it so when its descriptor was closed at
+    start. An error writing standard output is raised. Standard error is
+    written where it can be: a run whose standard error is broken goes on
+    without it."""
+    if sys.stdout is not None:
+        sys.stdout.flush()
+    if sys.stderr is not None:
+        try:
+            sys.stderr.flush()
+        except OSError:
+            pass
 
 
 def _fork(reader: CorpusReader, consumer):

@@ -23,7 +23,7 @@ from conftest import (
     registry_csv_text,
     write_corpus,
 )
-from noai.cli import INDICATOR_COLUMNS, main
+from noai.cli import INDICATOR_COLUMNS, main, run
 from noai.model import DocType, Level, OAStatus
 from oracle import BruteForce
 
@@ -885,3 +885,171 @@ class TestReplicationLaw:
                     assert two[column] == 2 * one[column], (actor, column)
                 else:
                     assert two[column] == one[column], (actor, column)
+
+
+#: The process entry, noai.cli.run, as `python -m noai` runs it, with the
+#: corpus cut into argv[1] ranges (see noai.shards) whatever the cores. A
+#: process that would end with a child left unreaped exits 99 instead.
+ENTRY_IN_RANGES = """
+import os, sys
+import noai.shards
+
+n = int(sys.argv.pop(1))
+noai.shards.MIN_SHARD_BYTES = 1
+os.sched_getaffinity = lambda pid: set(range(n))
+parent, end = os.getpid(), os._exit
+
+
+def _exit(code):
+    if os.getpid() == parent:
+        try:
+            os.waitpid(-1, os.WNOHANG)
+            code = 99
+        except ChildProcessError:
+            pass
+    end(code)
+
+
+os._exit = _exit
+from noai.cli import run
+
+run()
+"""
+
+
+def entry(argv, cwd, ranges=None, closed=None):
+    """A `python -m noai` process on argv, or ENTRY_IN_RANGES in `ranges`
+    ranges; `closed` names a standard descriptor, 1 or 2, to close first."""
+    command = ([sys.executable, "-m", "noai"] if ranges is None
+               else [sys.executable, "-c", ENTRY_IN_RANGES, str(ranges)])
+    if closed is not None:
+        command = ["sh", "-c", f'exec "$0" "$@" {closed}>&-', *command]
+    return subprocess.run([*command, *argv], cwd=cwd, env=child_env(),
+                          capture_output=True, timeout=120)
+
+
+def in_process(argv, capsys):
+    """Exit code, standard output and standard error of main(argv)."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out.encode(), captured.err.encode()
+
+
+@pytest.fixture(scope="module")
+def demo(tmp_path_factory):
+    """The demo corpus with its registry and actor files, written once."""
+    path = tmp_path_factory.mktemp("demo")
+    code = main(["synth", "--spec", str(DEMO_SPEC), "--out", str(path / "corpus.jsonl"),
+                 "--registry-out", str(path / "registry.csv"),
+                 "--actors-out", str(path / "actors.csv")])
+    assert code == 0
+    return path
+
+
+class TestEntry:
+    """`python -m noai` ends with os._exit; it must give what main() gives."""
+
+    @pytest.mark.parametrize("name", sorted(CLI_GOLDEN))
+    def test_golden_digests(self, demo, tmp_path, name):
+        # TestGolden pins main()'s results to the same digests. The paths are
+        # relative, as there, so that the manifests match.
+        for file in demo.iterdir():
+            (tmp_path / file.name).symlink_to(file)
+        command, extra = CLI_GOLDEN[name]
+        argv = [command, "--corpus", "corpus.jsonl", "--registry", "registry.csv"]
+        if command in ("indicators", "rank", "compare"):
+            argv += ["--actors", "actors.csv"]
+        for out_format in ("csv", "json"):
+            out = f"out.{out_format}"
+            proc = entry([*argv, *extra, "--format", out_format, "--out", out], tmp_path)
+            digests = tuple(hashlib.sha256(data).hexdigest() for data in (
+                (tmp_path / out).read_bytes(), (tmp_path / f"{out}.manifest.json").read_bytes(),
+                proc.stderr))
+            assert (proc.returncode, *digests) == CLI_DIGESTS[name, out_format]
+            assert proc.stdout == b""
+
+    @pytest.mark.parametrize("argv", [
+        ["--version"], ["--help"], ["bogus"], ["indicators", "--top-n", "0"],
+        ["indicators", "--corpus", "missing.jsonl", "--registry", "registry.csv"],
+        ["rank", "--corpus", "corpus.jsonl", "--registry", "registry.csv", "--format", "json"],
+    ], ids=["version", "help", "usage", "bad-flag", "data-error", "stdout"])
+    def test_same_output_and_code_as_main(self, ws, capsys, argv):
+        proc = entry(argv, ws)
+        assert (proc.returncode, proc.stdout, proc.stderr) == in_process(argv, capsys)
+
+    @pytest.mark.parametrize("ranges", [1, 2])
+    def test_no_child_left(self, ws, capsys, ranges):
+        argv = [*base_args(ws), "--actors", str(ws / "actors.csv")]
+        proc = entry(argv, ws, ranges=ranges)
+        assert (proc.returncode, proc.stdout, proc.stderr) == in_process(argv, capsys)
+
+
+class TestClosedStreams:
+    """A run with standard output or error closed prints no traceback. With
+    --out it writes what a normal run writes. Rows for a closed standard
+    output are an I/O error; a closed standard error loses only its lines."""
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    @pytest.mark.parametrize("ranges", [1, 2])
+    @pytest.mark.parametrize("closed", [1, 2])
+    def test_closed_descriptor(self, ws, capsys, closed, ranges, to_file):
+        argv = base_args(ws)
+        if to_file:
+            argv += ["--out", str(ws / "out.csv")]
+        code, out, err = in_process(argv, capsys)
+        written = [p.read_bytes() for p in (ws / "out.csv", ws / "out.csv.manifest.json")
+                   if to_file]
+        for path in ws.glob("out.csv*"):
+            path.unlink()
+        proc = entry(argv, ws, ranges=ranges, closed=closed)
+        assert code == 0 and b"Traceback" not in proc.stderr
+        if closed == 1:
+            if not to_file:
+                err += b"noai: cannot write output: standard output is closed\n"
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                0 if to_file else 3, b"", err)
+        else:
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, b"")
+        assert [p.read_bytes() for p in (ws / "out.csv", ws / "out.csv.manifest.json")
+                if to_file] == written
+
+    def test_no_standard_error_keeps_its_lines_out_of_standard_output(
+            self, ws, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stderr", None)
+        assert main(base_args(ws)) == 0
+        assert capsys.readouterr().out.startswith("actor,")
+
+    def test_unwritable_standard_error(self, ws, capsys, monkeypatch):
+        class Unwritable(io.StringIO):
+            def write(self, text):
+                raise OSError(9, "Bad file descriptor")
+
+        out = ws / "out.csv"
+        monkeypatch.setattr(sys, "stderr", Unwritable())
+        assert main([*base_args(ws), "--out", str(out)]) == 0
+        assert main(base_args(ws, "series") + ["--window", "1990:1991"]) == 3
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes().startswith(b"actor,")
+
+    def test_a_failed_flush_is_an_io_error(self, ws, capsys, monkeypatch):
+        class BrokenPipe(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        class Exited(Exception):
+            pass
+
+        def _exit(code):
+            raise Exited(code)
+
+        monkeypatch.setattr(sys, "argv", ["noai", *base_args(ws)])
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        monkeypatch.setattr(os, "_exit", _exit)
+        with pytest.raises(Exited) as exited:
+            run()
+        assert exited.value.args == (3,)
+        assert capsys.readouterr().err.endswith(
+            "\nnoai: cannot write standard output: [Errno 32] Broken pipe\n")

@@ -59,10 +59,6 @@ class TestClassificationRegistry:
         fmap = table_registry.field_map(Level.ERC_SUBFIELD)
         assert fmap["Health Care Sciences & Services"] == "LS7"
 
-    def test_contains(self, table_registry):
-        assert "Medical Informatics" in table_registry
-        assert "Basket Weaving" not in table_registry
-
     def test_field_map(self, table_registry):
         fmap = table_registry.field_map(Level.OST_DISCIPLINE)
         assert fmap["Computer Science, Information Systems"] == "Computer science"

@@ -353,3 +353,33 @@ def test_readme_spec_table_names_every_spec_key():
     keys = {row.split("`", 2)[1] for row in rows}
     assert len(keys) == len(rows)
     assert keys == {f.name for f in dataclasses.fields(SynthSpec)}
+
+
+def test_console_script_is_the_module_entry():
+    # `noai` and `python -m noai` must end the process the same way.
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        script = tomllib.load(fh)["project"]["scripts"]["noai"]
+    tree = ast.parse((ROOT / "src" / "noai" / "__main__.py").read_text(encoding="utf-8"))
+    # Names imported as `from .module import name`, as the script spells them.
+    imported = {alias.asname or alias.name: f"noai.{node.module}:{alias.name}"
+                for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    guard = tree.body[-1]
+    assert isinstance(guard, ast.If) and ast.unparse(guard.test) == "__name__ == '__main__'"
+    called = [node.func.id for node in ast.walk(guard)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert [imported.get(name) for name in called] == [script]
+
+
+def test_no_exit_handler_or_finalizer():
+    # The process entry ends with os._exit, which runs none of them.
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        names |= {alias.name.split(".")[0] for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        names |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert not names & {"atexit", "finalize", "__del__"}, path.name
