@@ -19,7 +19,6 @@ from .engine import (
     AggregationResult,
     Aggregator,
     build_indicator_table,
-    noai,
     oa_share,
     yearly_series,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "build_indicator_table",
     "load_actor_registry",
     "load_registry",
-    "noai",
     "oa_share",
     "validate_corpus",
     "yearly_series",

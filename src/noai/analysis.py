@@ -95,9 +95,3 @@ def filter_actors(
     return [row for row in rows
             if row.x_total > min_pubs and (group is None or row.group == group)]
 
-
-def top_actors(rows: list[IndicatorRow], n: int) -> list[IndicatorRow]:
-    """The n largest producers by x_total; ties break lexicographically by id."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    return sorted(rows, key=lambda r: (-r.x_total, r.actor))[:n]

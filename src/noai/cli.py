@@ -1,10 +1,9 @@
 """Command-line batch runs over publication corpora.
 
 Subcommands: ``validate`` (corpus QA against a registry), ``indicators``
-(the per-actor table), ``rank`` / ``compare`` (rank shifts between plain
-and normalized openness, with Spearman rho per level), ``series``
-(yearly world shares for plotting), and ``synth`` (deterministic test
-corpora).
+(the per-actor table), ``rank`` (rank shifts between plain and
+normalized openness, with Spearman rho per level), ``series`` (yearly
+world shares for plotting), and ``synth`` (deterministic test corpora).
 
 A run with ``--out`` writes a manifest next to its output file: the
 resolved config, corpus ingest statistics, the tool version, and the
@@ -32,7 +31,7 @@ from itertools import chain
 from typing import NoReturn
 
 from . import __version__
-from .analysis import filter_actors, rank, rank_shift, spearman, top_actors
+from .analysis import filter_actors, rank, rank_shift, spearman
 from .engine import AggregationResult, Aggregator, build_indicator_table, yearly_series
 from .errors import EmptyWindow, IoFailure, NoaiError
 from .ingest import (
@@ -173,10 +172,10 @@ def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
     if command == "series":
         p.add_argument("--level", help="field breakdown level "
                                        f"(default {Level.OST_DISCIPLINE.value})")
-    if command in ("rank", "compare"):
+    if command == "rank":
         p.add_argument("--level", help="comma-separated normalization levels "
                                        f"(default {_DEFAULT_RANK_LEVELS})")
-    if command in ("indicators", "rank", "compare"):
+    if command in ("indicators", "rank"):
         p.add_argument("--actors", help="actor registry CSV (display names, groups)")
         p.add_argument("--actor-kind", choices=[k.value for k in ActorKind],
                        default=ActorKind.COUNTRY.value, help="which actor ids to credit")
@@ -199,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("validate", "report corpus categories missing from the registry"),
         ("indicators", "per-actor indicator table"),
         ("rank", "rank shift between plain and normalized openness"),
-        ("compare", "rank shift between plain and normalized openness"),
         ("series", "yearly world OA shares"),
     ):
         _add_flags(sub.add_parser(name, help=help_text), name)
@@ -326,8 +324,8 @@ def _table(args: argparse.Namespace,
     if args.min_pubs is not None or args.group is not None:
         min_pubs = args.min_pubs if args.min_pubs is not None else float("-inf")
         table = filter_actors(table, min_pubs=min_pubs, group=args.group)
-    if args.top_n is not None:
-        table = top_actors(table, args.top_n)
+    if args.top_n is not None:  # the table is in (-x_total, actor) order
+        table = table[:args.top_n]
     return table, stats
 
 
@@ -485,7 +483,12 @@ def _stage(staged: dict[str, str], path: str, what: str) -> str:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     # Imported here so that no other command pays for loading numpy.
-    from .synth import generate, load_synth_spec, write_spec_actors, write_spec_registry
+    try:
+        from .synth import generate, load_synth_spec, write_spec_actors, write_spec_registry
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        raise NoaiError("synth needs numpy, the synth extra: pip install 'noai[synth]'") from None
 
     spec = load_synth_spec(args.spec)
     outputs = [p for p in (args.out, args.registry_out, args.actors_out) if p is not None]
@@ -516,7 +519,6 @@ _COMMANDS = {
     "validate": cmd_validate,
     "indicators": cmd_indicators,
     "rank": cmd_rank,
-    "compare": cmd_rank,
     "series": cmd_series,
     "synth": cmd_synth,
 }

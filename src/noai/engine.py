@@ -41,7 +41,7 @@ from itertools import chain
 from operator import add, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import UndefinedIndicator, UndefinedShare, UnknownCategory
+from .errors import UndefinedShare, UnknownCategory
 from .model import (
     ClassificationRegistry,
     IndicatorRow,
@@ -297,26 +297,6 @@ def _scorer(baselines: Mapping[str, Sequence[int]],
         return totals, values
 
     return score
-
-
-def noai(cells: Mapping[str, Sequence[int]], baselines: Mapping[str, Sequence[int]]) -> float:
-    """Stage-two normalization: weighted mean of defined normalized shares.
-
-    cells maps each of an actor's fields to its counts and baselines every
-    field to the world's, over one unit: a result's at the subject-category
-    level, or both summed into a coarser level's fields. A field's
-    normalized share is undefined when the actor has no publications there
-    or the world has no OA ones; the mean, weighted by the actor's
-    fractional publication counts, runs over the defined ones. A term
-    share * x is oa * X / OA (actor counts in lower case, world counts in
-    upper case), so with D the lcm of the world OA counts the mean is
-    sum(oa * X * (D // OA)) / (D * sum(x)) over the fields with world OA:
-    one quotient of integers rounded once, as the table's kernel gives it.
-    """
-    _, (value,) = _scorer(baselines, (None,))(cells)
-    if value is None:
-        raise UndefinedIndicator("no field with a defined normalized share")
-    return value
 
 
 class YearRow(NamedTuple):

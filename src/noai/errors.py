@@ -39,10 +39,6 @@ class UndefinedShare(NoaiError):
     """OA share requested for an aggregate with zero publications."""
 
 
-class UndefinedIndicator(NoaiError):
-    """No field of the actor has a defined normalized share."""
-
-
 class EmptyTable(NoaiError):
     """Ranking requested on a table with no rows."""
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noai.analysis import filter_actors, rank, rank_shift, spearman, top_actors
+from noai.analysis import filter_actors, rank, rank_shift, spearman
 from noai.errors import DegenerateInput, EmptyTable, MismatchedActorSets
 from noai.model import IndicatorRow, Level, OAStatus
 from oracle import competition_ranks, textbook_spearman
@@ -156,24 +156,6 @@ class TestFilters:
         ]
         kept = filter_actors(table, min_pubs=0.0, group="G1")
         assert {r.actor for r in kept} == {"u1", "u3"}
-
-    def test_top_actors(self):
-        table = make_table([
-            ("A", 10.0, 0.0, 1.0), ("B", 30.0, 0.0, 1.0),
-            ("C", 20.0, 0.0, 1.0), ("D", 30.0, 0.0, 1.0),
-        ])
-        top = top_actors(table, 3)
-        assert [r.actor for r in top] == ["B", "D", "C"]
-
-    def test_top_actors_n_beyond_size(self):
-        table = make_table([("A", 1.0, 0.0, 1.0)])
-        assert len(top_actors(table, 10)) == 1
-
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_top_actors_rejects_n_below_one(self, n):
-        table = make_table([("A", 1.0, 0.0, 1.0), ("B", 2.0, 0.0, 1.0)])
-        with pytest.raises(ValueError, match="at least 1"):
-            top_actors(table, n)
 
     def test_nan_threshold_rejected(self):
         table = make_table([("A", 50.0, 0.0, 1.0)])

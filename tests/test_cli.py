@@ -134,7 +134,7 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "unknown doc type ''" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["indicators", "rank", "compare"])
+    @pytest.mark.parametrize("command", ["indicators", "rank"])
     @pytest.mark.parametrize("flag,value", [
         ("--top-n", "0"),
         ("--top-n", "-1"),
@@ -177,7 +177,7 @@ class TestUsageErrors:
             main(base_args(ws, command) + [flag, value])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("command", ["indicators", "rank", "compare"])
+    @pytest.mark.parametrize("command", ["indicators", "rank"])
     @pytest.mark.parametrize("extra", [
         [],
         ["--actor-kind", "institution"],
@@ -399,12 +399,12 @@ class TestRankCompare:
         ranks = [int(r[4]) for r in rows]
         assert ranks == sorted(ranks)
 
-    def test_compare_is_alias(self, ws, capsys):
-        assert main(base_args(ws, "rank")) == 0
-        rank_out = capsys.readouterr().out
-        assert main(base_args(ws, "compare")) == 0
-        compare_out = capsys.readouterr().out
-        assert rank_out == compare_out
+    def test_compare_is_not_a_command(self, ws):
+        # `rank` is the one name of the rank-shift command.
+        proc = entry(base_args(ws, "compare"), ws)
+        assert proc.returncode == 2
+        assert b"invalid choice: 'compare'" in proc.stderr
+        assert b"Traceback" not in proc.stderr
 
     def test_identical_profiles_delta_zero_rho_one(self, ws, capsys, tmp_path):
         # One shared field: normalization preserves the share ordering,
@@ -446,7 +446,7 @@ class TestRankCompare:
         assert [r["actor"] for r in rows] == ["BBB", "AAA"]
 
     def test_json_has_spearman_block(self, ws, capsys):
-        assert main(base_args(ws, "compare") + ["--format", "json"]) == 0
+        assert main(base_args(ws, "rank") + ["--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload["spearman"]) == {"subject-category", "ost-discipline"}
 
@@ -637,6 +637,19 @@ class TestSynthCommand:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines()[-1] == "0 []", proc.stderr
 
+    def test_synth_without_numpy_names_the_extra(self, ws):
+        # A None entry in sys.modules makes `import numpy` fail as if it
+        # were not installed.
+        probe = ("import sys; sys.modules['numpy'] = None; "
+                 "from noai.cli import main; sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run([sys.executable, "-c", probe, "synth", "--spec",
+                               str(DEMO_SPEC), "--out", "c.jsonl"], cwd=ws,
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            "noai: synth needs numpy, the synth extra: pip install 'noai[synth]'"]
+        assert not (ws / "c.jsonl").exists()
+
 
 class TestInstitutions:
     def test_actor_kind_and_group(self, ws, capsys, tmp_path):
@@ -747,7 +760,7 @@ CLI_GOLDEN = {
                                            "--doc-types", "article,review"]),
     "rank": ("rank", []),
     "rank-levels": ("rank", ["--level", "erc-subfield,subject-category"]),
-    "compare-window": ("compare", ["--window", "2016:2018"]),
+    "rank-window": ("rank", ["--window", "2016:2018"]),
     "series": ("series", []),
     "series-category": ("series", ["--level", "subject-category", "--require-doi"]),
     "validate": ("validate", []),
@@ -755,14 +768,6 @@ CLI_GOLDEN = {
 #: (name, format) -> (exit code, SHA-256 of the output file, of its manifest
 #: and of stderr).
 CLI_DIGESTS = {
-    ("compare-window", "csv"): (
-        0, "1c92a27094b9a54daaca875bbcb5e3ae3ca96725a82935e5861a780ebaf8b716",
-        "b3a375f76e3a1ead9c2a54eecb2ecd220fc2c07146247bf67fcc2267ffe13c74",
-        "067cf8fab5ad57c70b4198e6c49582d50b48cf6bb21572660161afb93d063dee"),
-    ("compare-window", "json"): (
-        0, "40342ca2e14fa879c49bf3c02c095187843734fd77e3007d55e5730b344283c5",
-        "cfcd873a31fc1b4b9632183f5802beac2f6aece04062242679d95d2288ae70cb",
-        "067cf8fab5ad57c70b4198e6c49582d50b48cf6bb21572660161afb93d063dee"),
     ("indicators", "csv"): (
         0, "13bc26c741b17f7d965d928865c50d8d899824797d96030e1c455d52c1a52f60",
         "71f78f2a6ad76f077688e6611db8af2f087a7bb18faeb4a57549bc6fafd315de",
@@ -811,6 +816,14 @@ CLI_DIGESTS = {
         0, "8ebb23ae0f5c95fce42b84531ea9921c13e99b8789ffc56921c52f0c3793a9d7",
         "697a9ed21d6826b5b7ee4e768b8047ca7a21b63d94911bbf8f1a326a21fd16eb",
         "7319c03e8eddc9c9296d61f1d54d8cdb10b5aef8e8edd505820fe7bdb1a2fa15"),
+    ("rank-window", "csv"): (
+        0, "1c92a27094b9a54daaca875bbcb5e3ae3ca96725a82935e5861a780ebaf8b716",
+        "7857c7a38cbc2904161686f588d56b72873c583646397fb38128ee8ab61c5996",
+        "067cf8fab5ad57c70b4198e6c49582d50b48cf6bb21572660161afb93d063dee"),
+    ("rank-window", "json"): (
+        0, "16e35e648a90cc2a26a25abcc2de3fae84913422697290436cbd07b5b6189009",
+        "41517a18d710b0d2ab9455b20463524a799f1437bad68fb6f4ad7e50881e4d51",
+        "067cf8fab5ad57c70b4198e6c49582d50b48cf6bb21572660161afb93d063dee"),
     ("series", "csv"): (
         0, "c42a45a68a304581c601f4ee0552cc2db3023fdb2ee39fbec9cca1d515cda290",
         "d8f8a9b34b4bf31586753c59f261971d7ed291756c07d4b71aa400bc9fa43f8f",
@@ -848,7 +861,7 @@ class TestGolden:
         capsys.readouterr()
         command, extra = CLI_GOLDEN[name]
         argv = [command, "--corpus", "corpus.jsonl", "--registry", "registry.csv"]
-        if command in ("indicators", "rank", "compare"):
+        if command in ("indicators", "rank"):
             argv += ["--actors", "actors.csv"]
         out = f"out.{out_format}"
         code = main(argv + extra + ["--format", out_format, "--out", out])
@@ -960,7 +973,7 @@ class TestEntry:
             (tmp_path / file.name).symlink_to(file)
         command, extra = CLI_GOLDEN[name]
         argv = [command, "--corpus", "corpus.jsonl", "--registry", "registry.csv"]
-        if command in ("indicators", "rank", "compare"):
+        if command in ("indicators", "rank"):
             argv += ["--actors", "actors.csv"]
         for out_format in ("csv", "json"):
             out = f"out.{out_format}"

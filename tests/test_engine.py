@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -27,13 +28,11 @@ from noai.engine import (
     AggregationResult,
     Aggregator,
     build_indicator_table,
-    noai,
     oa_share,
     yearly_series,
 )
 from noai.errors import (
     MalformedRecord,
-    UndefinedIndicator,
     UndefinedShare,
     UnknownCategory,
 )
@@ -60,6 +59,15 @@ def aggregate(corpus, **kwargs):
     agg = Aggregator()
     agg.add_all(parsed(corpus, **kwargs))
     return agg.finish()
+
+
+def noai_of(cells, baselines):
+    """The NOAI of one actor's cells against the world's, both keyed by the
+    same fields, as the table scores them at the subject-category level,
+    where the keys are the fields themselves; None where undefined."""
+    result = AggregationResult(1, {"A": cells}, baselines, {})
+    (row,) = build_indicator_table(result, REG10, (Level.SUBJECT_CATEGORY,))
+    return row.noai[Level.SUBJECT_CATEGORY]
 
 
 def rec(rec_id, cats, statuses=(), countries=(), year=2018, doc=DocType.ARTICLE):
@@ -181,11 +189,8 @@ def assert_matches_oracle(result, registry, oracle: BruteForce):
     assert sorted(by_actor) == oracle.actors()
     for actor in oracle.actors():
         expected = oracle.noai(actor)
-        if expected is None:
-            with pytest.raises(UndefinedIndicator):
-                noai(by_actor[actor], result.baselines)
-        else:
-            assert noai(by_actor[actor], result.baselines) == float(expected)
+        assert noai_of(by_actor[actor], result.baselines) == (
+            None if expected is None else float(expected))
 
 
 class TestOracleEquivalence:
@@ -368,7 +373,7 @@ class TestInvariants:
         result = aggregate(corpus)
         for level in LEVELS:
             view = at_level(result, REG10, level)
-            assert noai(view.cells["WORLD"], view.baselines) == 1.0
+            assert noai_of(view.cells["WORLD"], view.baselines) == 1.0
         rows = {r.actor: r for r in build_indicator_table(result, REG10, LEVELS)}
         assert rows["WORLD"].noai == {level: 1.0 for level in LEVELS}
 
@@ -398,7 +403,7 @@ class TestShares:
             rec("r2", ("Economics",)),
         ]
         result = aggregate(corpus)
-        assert noai(result.cells["A"], result.baselines) == 2.0
+        assert noai_of(result.cells["A"], result.baselines) == 2.0
 
     def test_normalized_share_undefined_when_world_closed(self, reg10):
         # The only field's world share is 0%, so the actor's normalized share
@@ -413,7 +418,7 @@ class TestShares:
         # An actor field with no world baseline is an error, not a field
         # silently left out of the weighting.
         with pytest.raises(KeyError):
-            noai({"f1": (0, 0, 0, 1)}, {"f2": (1, 0, 0, 0)})
+            noai_of({"f1": (0, 0, 0, 1)}, {"f2": (1, 0, 0, 0)})
 
     def test_undefined_fields_left_out_of_weighting(self):
         # Economics: world all closed (share undefined there); Sociology:
@@ -426,13 +431,12 @@ class TestShares:
             rec("r4", ("Sociology",)),
         ]
         result = aggregate(corpus)
-        assert noai(result.cells["A"], result.baselines) == 2.0
+        assert noai_of(result.cells["A"], result.baselines) == 2.0
 
     def test_indicator_undefined_when_no_field_qualifies(self):
         corpus = [rec("r1", ("Economics",), countries=("A",))]
         result = aggregate(corpus)
-        with pytest.raises(UndefinedIndicator):
-            noai(result.cells["A"], result.baselines)
+        assert noai_of(result.cells["A"], result.baselines) is None
 
 
 def series(corpus, registry, level):
@@ -575,8 +579,8 @@ def corpus_with_closed_fields(seed):
 
 
 class TestOneQuotient:
-    """The table's NOAI is noai() of the actor's cells summed into fields, and
-    the oracle's value."""
+    """The table's NOAI is that of the actor's cells summed into fields,
+    scored as a level of their own, and the oracle's value."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("level", LEVELS)
@@ -590,14 +594,57 @@ class TestOneQuotient:
         table = build_indicator_table(result, REG10, (level,))
         assert {r.actor for r in table} == set(oracle.actors())
         for row in table:
-            try:
-                expected = noai(view.cells[row.actor], view.baselines)
-            except UndefinedIndicator:
-                expected = None
+            expected = noai_of(view.cells[row.actor], view.baselines)
             assert row.noai[level] == expected
             exact = oracle.noai(row.actor)
             assert expected == (None if exact is None else float(exact))
         assert {r.actor: r.noai[level] for r in table}["ZZZ"] is None
+
+
+def per_publication_noai(corpus, registry, level):
+    """Each country's NOAI at a level by the per-publication law, exactly;
+    None where undefined.
+
+    A record with k categories scores, if it is OA, the sum over its
+    categories c whose field f has world OA > 0 of (1/k) * X_f / OA_f, the
+    world's fractional publications over its fractional OA ones in f. An
+    actor's NOAI is the sum of its records' scores over the sum of their
+    fractions, 1/k per such category."""
+    field = registry.field_map(level) or {c: c for c in registry.categories}
+    world_x, world_oa = defaultdict(Fraction), defaultdict(Fraction)
+    for r in corpus:
+        for c in r.subject_categories:
+            world_x[field[c]] += Fraction(1, len(r.subject_categories))
+            if r.raw_statuses:
+                world_oa[field[c]] += Fraction(1, len(r.subject_categories))
+    scores, fractions = defaultdict(Fraction), defaultdict(Fraction)
+    for r in corpus:
+        defined = [field[c] for c in r.subject_categories if world_oa[field[c]]]
+        fraction = Fraction(len(defined), len(r.subject_categories))
+        score = sum(world_x[f] / world_oa[f] for f in defined) / len(r.subject_categories)
+        for actor in r.countries:
+            fractions[actor] += fraction
+            if r.raw_statuses:
+                scores[actor] += score
+    actors = set().union(*(r.countries for r in corpus))
+    return {a: scores[a] / fractions[a] if fractions[a] else None for a in actors}
+
+
+class TestPerPublicationLaw:
+    """An actor's NOAI is the mean of its records' scores, each record's
+    score being its OA indicator times its fields' X / OA, weighted 1/k."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("level", LEVELS)
+    @pytest.mark.parametrize("make", [lambda seed: random_corpus(seed=seed, n_records=300),
+                                      corpus_with_closed_fields],
+                             ids=["random", "closed-fields"])
+    def test_table_noai_is_the_mean_of_record_scores(self, make, level, seed):
+        corpus = make(seed)
+        law = per_publication_noai(corpus, REG10, level)
+        table = build_indicator_table(aggregate(corpus), REG10, (level,))
+        assert {r.actor: r.noai[level] for r in table} == {
+            a: None if v is None else float(v) for a, v in law.items()}
 
 
 class TestSharedVectors:
@@ -938,4 +985,4 @@ class TestOneKernel:
         with pytest.raises(ValueError, match="more OA counts than the world"):
             build_indicator_table(result, REG10, LEVELS)
         with pytest.raises(ValueError, match="more OA counts than the world"):
-            noai(result.cells["FRA"], world)
+            noai_of(result.cells["FRA"], world)

@@ -633,6 +633,41 @@ class TestShardCount:
             assert shards.shard_spans(path) == [(0, None)]
 
 
+#: Each institution's whole output and group, in corpus order: u2, u3 and
+#: u4 tie at 4 and come in reverse id order.
+TOP_N_ACTORS = {"u4": (4, "G1"), "u3": (4, "G1"), "u1": (5, "G1"), "u6": (1, "G1"),
+                "u2": (4, "G2"), "u5": (3, "G2")}
+
+
+class TestTopN:
+    """--top-n keeps the first N rows, in (-x_total, actor) order, of the
+    rows that --min-pubs and --group keep, in one range and in two."""
+
+    @pytest.mark.parametrize("extra,actors", [
+        (["--top-n", "3"], ["u1", "u2", "u3"]),
+        (["--min-pubs", "1", "--top-n", "2"], ["u1", "u2"]),
+        (["--group", "G1", "--top-n", "2"], ["u1", "u3"]),
+        (["--min-pubs", "3.5", "--group", "G1", "--top-n", "3"], ["u1", "u3", "u4"]),
+        (["--group", "G2", "--top-n", "5"], ["u2", "u5"]),
+    ], ids=["top", "min-pubs", "group", "both", "beyond"])
+    def test_first_rows_after_the_filters(self, tmp_path, capsys, extra, actors):
+        lines = [text({"id": f"{actor}-{i}", "year": 2018, "doc_type": "article",
+                       "categories": ["Mathematics"], "oa": ["gold"] if i % 2 else [],
+                       "institutions": [actor]})
+                 for actor, (n, _) in TOP_N_ACTORS.items() for i in range(n)]
+        write(tmp_path, "\n".join(lines).encode() + b"\n")
+        (tmp_path / "actors.csv").write_text(
+            "actor_id,kind,group,display_name\n"
+            + "".join(f"{a},institution,{g},{a}\n" for a, (_, g) in TOP_N_ACTORS.items()),
+            encoding="utf-8")
+        argv = ["indicators", "--actors", str(tmp_path / "actors.csv"),
+                "--actor-kind", "institution", *extra]
+        one = cli_run(tmp_path, capsys, 1, argv)
+        assert one[0] == 0
+        assert [r["actor"] for r in json.loads(one[2][0])["rows"]] == actors
+        assert cli_run(tmp_path, capsys, 2, argv) == one
+
+
 class TestGoldenInRanges:
     @pytest.mark.parametrize("out_format", ["csv", "json"])
     def test_golden_digests_in_two_ranges(self, tmp_path, monkeypatch, capsys, out_format):
@@ -642,7 +677,7 @@ class TestGoldenInRanges:
         capsys.readouterr()
         for name, (command, extra) in sorted(CLI_GOLDEN.items()):
             argv = [command, "--corpus", "corpus.jsonl", "--registry", "registry.csv"]
-            if command in ("indicators", "rank", "compare"):
+            if command in ("indicators", "rank"):
                 argv += ["--actors", "actors.csv"]
             out = f"out.{out_format}"
             with shard_count(2):

@@ -94,42 +94,59 @@ def _containers(tree: ast.Module) -> set[str]:
     return out
 
 
-def _references(node: ast.AST, containers: set[str]) -> tuple[Counter, Counter]:
-    """Bare names read under `node`, and attribute names read on anything
-    but a builtin container."""
-    names, attrs = Counter(), Counter()
+def _modules(tree: ast.Module) -> set[str]:
+    """The names that the module's `import` statements bind, which are
+    modules: `import a.b` binds `a`, `import a.b as c` binds `c`."""
+    return {alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names}
+
+
+def _references(node: ast.AST, containers: set[str],
+                modules: set[str]) -> tuple[Counter, Counter]:
+    """Reads under `node` that can reach a top-level function or class, and
+    attribute names read on anything but a builtin container.
+
+    A top-level definition is read as a bare name that no import statement
+    binds, or as an attribute of an imported module (`engine.noai`): a
+    field declared under its name, an attribute of the same name on some
+    object (`row.noai`) and a module of the same name (`noai.__file__`) are
+    not reads of it."""
+    defs, attrs = Counter(), Counter()
     for child in ast.walk(node):
         if isinstance(child, ast.Name):
-            names[child.id] += 1
-        elif (isinstance(child, ast.Attribute)
-              and ast.unparse(child.value) not in containers):
-            attrs[child.attr] += 1
-    return names, attrs
+            if isinstance(child.ctx, ast.Load) and child.id not in modules:
+                defs[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            if ast.unparse(child.value) not in containers:
+                attrs[child.attr] += 1
+            if (isinstance(child.ctx, ast.Load) and isinstance(child.value, ast.Name)
+                    and child.value.id in modules):
+                defs[child.attr] += 1
+    return defs, attrs
 
 
 def unreferenced(package: dict[str, str], callers: list[str]) -> list[str]:
     """Top-level functions and classes, and methods other than dunders, of the
     package's modules that nothing references outside their own definition.
 
-    A method is referenced only as an attribute (`x.name`); a function or a
-    class also as a bare name. package maps module name -> source, and
+    A method is referenced as any attribute (`x.name`); a function or a
+    class as `_references` reads it. package maps module name -> source, and
     callers are the sources of code outside the package.
     """
     trees = {module: ast.parse(source) for module, source in package.items()}
-    names, attrs = Counter(), Counter()
+    defs, attrs = Counter(), Counter()
     for tree in [*trees.values(), *map(ast.parse, callers)]:
-        n, a = _references(tree, _containers(tree))
-        names += n
+        d, a = _references(tree, _containers(tree), _modules(tree))
+        defs += d
         attrs += a
     found = []
     for module, tree in trees.items():
-        containers = _containers(tree)
+        containers, modules = _containers(tree), _modules(tree)
         for node in tree.body:
             if not isinstance(node, _DEFS):
                 continue
-            own_names, own_attrs = _references(node, containers)
-            if (names[node.name] + attrs[node.name]
-                    <= own_names[node.name] + own_attrs[node.name]):
+            if defs[node.name] <= _references(node, containers, modules)[0][node.name]:
                 found.append(f"{module}: {node.name}")
             if not isinstance(node, ast.ClassDef):
                 continue
@@ -138,7 +155,8 @@ def unreferenced(package: dict[str, str], callers: list[str]) -> list[str]:
                     continue
                 name = method.name
                 dunder = name.startswith("__") and name.endswith("__")
-                if not dunder and attrs[name] <= _references(method, containers)[1][name]:
+                if not dunder and attrs[name] <= _references(
+                        method, containers, modules)[1][name]:
                     found.append(f"{module}: {node.name}.{name}")
     return sorted(found)
 
@@ -155,6 +173,22 @@ def test_scanner_finds_an_unreferenced_definition():
                        "    return walk(n - 1) if n else Box()\n")}
     caller = "from box import Box\nBox().put(1)\n"
     assert unreferenced(package, [caller]) == ["box: Box.add", "box: walk"]
+
+
+def test_scanner_does_not_take_a_namesake_for_a_caller():
+    # `score` is also a field of Row, an attribute read on rows and an
+    # imported module; none of them calls the function. `rows.best` does
+    # call best, as an attribute of its imported module.
+    package = {"rows": ("from typing import NamedTuple\n"
+                        "class Row(NamedTuple):\n"
+                        "    score: float\n"
+                        "def score(row):\n"
+                        "    return row.score\n"
+                        "def best(rows):\n"
+                        "    return max(r.score for r in rows)\n")}
+    caller = ("import rows\nimport score\n"
+              "print(rows.best([rows.Row(1.0)]), score.__file__)\n")
+    assert unreferenced(package, [caller]) == ["rows: score"]
 
 
 def test_every_definition_has_a_caller():
