@@ -50,13 +50,12 @@ from .ingest import (
     _line_blocks,
 )
 
-#: Fewest corpus bytes per range. A fork costs about 3 ms, and the parent
-#: loads and merges the child's weighed cells at about 0.8 us a cell.
+#: Fewest corpus bytes per range. A fork costs about 1 ms, and the parent
+#: loads and merges the child's tally at about 0.2 us a count.
 #: institutions-rank has the densest tally measured: each of its 1.2 MiB
-#: ranges credits about 100,000 (owner, category) pairs to about 37,000
-#: cells, and the serial tail after both ranges are counted is about 23 ms
-#: against about 95 ms of reading saved. Ranges of 3 MiB of the other
-#: workloads, with sparser tallies, cut a fifth of the run.
+#: ranges credits about 100,000 (owner, category) pairs to about 50,000
+#: counts, and the serial tail after both ranges are counted, about 11 ms,
+#: is a sixth of the 70 ms pass over a range.
 MIN_SHARD_BYTES = 1 << 20
 
 #: Duplicate checks per chunk that a child writes, and the fewest values (an

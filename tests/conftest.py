@@ -10,6 +10,7 @@ parser builds: `parsed` turns raw records into what the reader yields, and
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -19,6 +20,7 @@ from unittest import mock
 import pytest
 
 import noai.ingest as ingest
+from noai.engine import AggregationResult
 from noai.model import (
     DEFAULT_PRIORITY,
     ActorKind,
@@ -74,9 +76,9 @@ def exact_counts(counts, unit):
 
 
 class LevelSums(NamedTuple):
-    """An engine result's vectors summed into one level's fields: actor ->
-    field -> counts, field -> counts for the world and year -> field ->
-    counts, over the result's unit."""
+    """An engine result as counts vectors: actor -> field -> counts, field ->
+    counts for the world and year -> field -> counts, over the result's
+    unit, each vector its counts under every OAStatus in enum order."""
 
     unit: int
     cells: dict
@@ -84,10 +86,47 @@ class LevelSums(NamedTuple):
     years: dict
 
 
+def vectors(result):
+    """An engine result, whose tally holds one mapping per OAStatus, as
+    LevelSums keyed by subject category: every count read into the counts
+    vector of its (owner, category), 0 where a status has none."""
+    def by_key(maps):
+        out = {}
+        for slot, counts in enumerate(maps):
+            for key, n in counts.items():
+                out.setdefault(key, [0] * len(OAStatus))[slot] = n
+        return out
+
+    def by_owner(maps):
+        owners = dict.fromkeys(itertools.chain(*maps))
+        return {owner: by_key([m.get(owner, {}) for m in maps]) for owner in owners}
+
+    return LevelSums(result.unit, by_owner(result.cells), by_key(result.baselines),
+                     by_owner(result.years))
+
+
+def from_vectors(unit, cells, baselines, years=None):
+    """The engine result whose vectors() are these, storing no count of 0."""
+    def maps(by_key):
+        return tuple({key: c[slot] for key, c in by_key.items() if c[slot]}
+                     for slot in range(len(OAStatus)))
+
+    def owners(by_owner):
+        out = tuple({} for _ in OAStatus)
+        for owner, by_key in by_owner.items():
+            for m, counts in zip(out, maps(by_key)):
+                if counts:
+                    m[owner] = counts
+        return out
+
+    return AggregationResult(unit, owners(cells), maps(baselines), owners(years or {}))
+
+
 def at_level(result, registry, level):
     """The one result of a pass, keyed by subject category, projected onto a
-    level. The sums are made here with the oracle's field_of, apart from the
-    engine, so that tests check the engine's own projections too."""
+    level as vectors. The sums are made here with the oracle's field_of,
+    apart from the engine, so that tests check the engine's own projections
+    too."""
     def by_field(by_category):
         out = {}
         for category, counts in by_category.items():
@@ -95,6 +134,7 @@ def at_level(result, registry, level):
             out[f] = [a + b for a, b in zip(out.get(f, (0, 0, 0, 0)), counts, strict=True)]
         return out
 
+    result = vectors(result)
     return LevelSums(result.unit,
                      {actor: by_field(c) for actor, c in result.cells.items()},
                      by_field(result.baselines),

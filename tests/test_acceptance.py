@@ -30,6 +30,7 @@ from conftest import (
     load_corpus,
     parsed,
     random_corpus,
+    vectors,
     write_corpus,
 )
 from noai.analysis import filter_actors, rank, rank_shift, spearman
@@ -82,10 +83,11 @@ def test_01_mixed_counting_fixture():
 
     agg = Aggregator()
     agg.add_all(parsed([record]))
-    by_category = agg.finish()
+    tally = agg.finish()
+    by_category = vectors(tally)
     # Whole counting on the geographic axis: each country's credit on a
     # field equals the field fraction times one.
-    by_discipline = at_level(by_category, TABLE_REGISTRY, Level.OST_DISCIPLINE)
+    by_discipline = at_level(tally, TABLE_REGISTRY, Level.OST_DISCIPLINE)
     discipline_cells = by_discipline.cells
     for country in ("FRA", "USA"):
         if set(by_category.cells[country]) != set(sc):
@@ -133,7 +135,7 @@ def test_02_status_priority_exhaustive(tmp_path):
         write_corpus([make_record("r", (category,), present, ("FRA",))], path)
         agg = Aggregator()
         agg.add_all(CorpusReader(path, TABLE_REGISTRY))
-        result = agg.finish()
+        result = vectors(agg.finish())
         want = [result.unit if s is expected else 0 for s in OAStatus]
         for where, got in (("world", result.baselines[category]),
                            ("FRA", result.cells["FRA"][category])):
@@ -361,7 +363,7 @@ def test_07_normalization_direction():
     result = agg.finish()
     problems = []
     shares = {}
-    for f, counts in result.baselines.items():
+    for f, counts in vectors(result).baselines.items():
         x, oa, _ = exact_counts(counts, result.unit)
         shares[f] = oa / x
     if not shares["Low Field"] < shares["High Field"]:

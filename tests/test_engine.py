@@ -20,12 +20,13 @@ from conftest import (
     RawRecord,
     at_level,
     exact_counts,
+    from_vectors,
     parsed,
     random_corpus,
+    vectors,
     write_corpus,
 )
 from noai.engine import (
-    AggregationResult,
     Aggregator,
     build_indicator_table,
     oa_share,
@@ -65,7 +66,7 @@ def noai_of(cells, baselines):
     """The NOAI of one actor's cells against the world's, both keyed by the
     same fields, as the table scores them at the subject-category level,
     where the keys are the fields themselves; None where undefined."""
-    result = AggregationResult(1, {"A": cells}, baselines, {})
+    result = from_vectors(1, {"A": cells}, baselines)
     (row,) = build_indicator_table(result, REG10, (Level.SUBJECT_CATEGORY,))
     return row.noai[Level.SUBJECT_CATEGORY]
 
@@ -245,7 +246,7 @@ class TestOracleEquivalence:
                                         frozenset())], path)
                 agg = Aggregator()
                 agg.add_all(CorpusReader(path, REG10, IngestOptions(priority=priority)))
-                result = agg.finish()
+                result = vectors(agg.finish())
                 want = [result.unit if s is expected else 0 for s in OAStatus]
                 assert result.baselines[category] == want, subset
                 assert result.cells["FRA"][category] == want, subset
@@ -265,8 +266,8 @@ class TestOracleEquivalence:
         # and leaves the world tally as it is.
         corpus = random_corpus(seed=seed, n_records=400,
                                institution_pool=("u1", "u2", "u3"))
-        world = aggregate(corpus, actor_kind=None)
-        full = aggregate(corpus)
+        world = vectors(aggregate(corpus, actor_kind=None))
+        full = vectors(aggregate(corpus))
         assert world.unit == full.unit
         assert world.baselines == full.baselines
         assert world.years == full.years
@@ -318,7 +319,7 @@ class TestCountingRules:
     def test_multi_status_counts_once_under_winner(self):
         r = rec("r1", ("Mathematics",), statuses=(OAStatus.GOLD, OAStatus.GREEN),
                 countries=("FRA",))
-        result = aggregate([r])
+        result = vectors(aggregate([r]))
         _, oa, by_type = exact_counts(result.cells["FRA"]["Mathematics"], result.unit)
         assert oa == 1
         assert by_type[OAStatus.GOLD] == 1
@@ -329,7 +330,7 @@ class TestCountingRules:
             rec("r1", ("Economics",), statuses=(OAStatus.GREEN,)),
             rec("r2", ("Economics",), countries=("FRA",)),
         ]
-        result = aggregate(corpus)
+        result = vectors(aggregate(corpus))
         assert exact_counts(result.baselines["Economics"], result.unit)[0] == 2
         assert exact_counts(result.cells["FRA"]["Economics"], result.unit)[0] == 1
         assert set(result.cells) == {"FRA"}
@@ -389,7 +390,7 @@ class TestShares:
             rec("r1", ("Mathematics",), statuses=(OAStatus.GOLD,), countries=("A",)),
             rec("r2", ("Mathematics",), countries=("A",)),
         ]
-        result = aggregate(corpus)
+        result = vectors(aggregate(corpus))
         assert oa_share(result.cells["A"]["Mathematics"]) == pytest.approx(50.0)
 
     def test_oa_share_undefined_on_empty(self):
@@ -402,7 +403,7 @@ class TestShares:
             rec("r1", ("Economics",), statuses=(OAStatus.GREEN,), countries=("A",)),
             rec("r2", ("Economics",)),
         ]
-        result = aggregate(corpus)
+        result = vectors(aggregate(corpus))
         assert noai_of(result.cells["A"], result.baselines) == 2.0
 
     def test_normalized_share_undefined_when_world_closed(self, reg10):
@@ -430,12 +431,12 @@ class TestShares:
             rec("r3", ("Sociology",), statuses=(OAStatus.GOLD,), countries=("A",)),
             rec("r4", ("Sociology",)),
         ]
-        result = aggregate(corpus)
+        result = vectors(aggregate(corpus))
         assert noai_of(result.cells["A"], result.baselines) == 2.0
 
     def test_indicator_undefined_when_no_field_qualifies(self):
         corpus = [rec("r1", ("Economics",), countries=("A",))]
-        result = aggregate(corpus)
+        result = vectors(aggregate(corpus))
         assert noai_of(result.cells["A"], result.baselines) is None
 
 
@@ -711,6 +712,25 @@ class TestPassCellsTaken:
         # what is retained.
         assert peak - base < 1.15 * (retained - base)
 
+    def test_retained_bytes_per_cell(self):
+        # One integer per (status, owner, category) count retains about
+        # 106 B per distinct (owner, category) pair on this corpus, and a
+        # list of four counts per pair about 127 B; the bound lies between.
+        pool = tuple(f"I{i:03d}" for i in range(400))
+        records = list(parsed(random_corpus(seed=54, n_records=4000, institution_pool=pool),
+                              actor_kind=ActorKind.INSTITUTION))
+        pairs = {(owner, category) for r in records for owner in (r.year, *r.actors)
+                 for category in r.subject_categories}
+        tracemalloc.start()
+        try:
+            agg = Aggregator()
+            base = tracemalloc.get_traced_memory()[0]
+            agg.add_all(records)
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert retained / len(pairs) < 118
+
     def test_add_counts_leaves_the_other_aggregator(self):
         other = Aggregator()
         other.add_all(parsed(random_corpus(seed=55, n_records=200)))
@@ -767,6 +787,58 @@ class TestSplitLaw:
         once.add_all(records)
         assert dict(agg.counts()) == dict(once.counts())
         assert outputs(agg.finish()) == outputs(once.finish())
+
+
+def assert_sparse(agg):
+    """No count the Aggregator stores, or its result holds, is 0, and no
+    owner's map of counts is empty."""
+    pairs = iter(agg.counts())
+    next(pairs)
+    for key, by_category in pairs:
+        assert by_category and all(by_category.values()), key
+    result = agg.finish()
+    for owners in result.cells + result.years:
+        assert all(by and all(by.values()) for by in owners.values())
+    assert all(all(by.values()) for by in result.baselines)
+
+
+class TestSparseTally:
+    """Whatever the sequence of changes, the tally stores no 0 and no empty
+    owner map, and it equals the tally of the records still counted."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_changes_leave_no_zero(self, seed):
+        rng = random.Random(seed)
+        records = list(parsed(random_corpus(seed=seed, n_records=400,
+                                            institution_pool=("u1", "u2", "u3")),
+                              actor_kind=rng.choice([ActorKind.COUNTRY, None])))
+        agg, counted, pending = Aggregator(), [], records[:]
+        for _ in range(12):
+            change = rng.choice(["add_all", "add_counts", "remove_all", "remove_all"])
+            if change == "remove_all":
+                rng.shuffle(counted)
+                cut = rng.randrange(len(counted) + 1)
+                agg.remove_all(counted[:cut])
+                pending += counted[:cut]
+                counted = counted[cut:]
+            else:
+                cut = rng.randrange(len(pending) + 1)
+                batch, pending = pending[:cut], pending[cut:]
+                if change == "add_all":
+                    agg.add_all(batch)
+                else:
+                    other = Aggregator()
+                    other.add_all(batch)
+                    agg.add_counts(other.counts())
+                counted += batch
+            assert_sparse(agg)
+            once = Aggregator()
+            once.add_all(counted)
+            assert dict(agg.counts()) == dict(once.counts()), change
+        agg.remove_all(counted)
+        assert_sparse(agg)
+        assert list(agg.counts()) == [(None, {})]
+        assert agg.finish() == (1, ({},) * 4, ({},) * 4, ({},) * 4)
 
 
 def growing_unit_corpus(seed):
@@ -843,13 +915,14 @@ class TestCoarseningLaw:
         registry = ClassificationRegistry(
             {c: ("Everything", erc) for c, (_, erc) in REG10.categories.items()})
         result = aggregate(random_corpus(seed=seed, n_records=300))
+        view = vectors(result)
         world_x, world_oa, _ = exact_counts(
-            [sum(c) for c in zip(*result.baselines.values())], result.unit)
+            [sum(c) for c in zip(*view.baselines.values())], view.unit)
         table = build_indicator_table(result, registry, (Level.OST_DISCIPLINE,))
-        assert len(table) == len(result.cells)
+        assert len(table) == len(view.cells)
         for row in table:
             x, oa, _ = exact_counts(
-                [sum(c) for c in zip(*result.cells[row.actor].values())], result.unit)
+                [sum(c) for c in zip(*view.cells[row.actor].values())], view.unit)
             assert row.noai[Level.OST_DISCIPLINE] == float(
                 Fraction(oa * world_x, world_oa * x)), row.actor
 
@@ -889,7 +962,7 @@ class TestDisjointMergeLaw:
         for a, b in pairs[:2] + [p for p in pairs if "ZZZ" in p][:1]:
             merged = aggregate([r._replace(countries=frozenset(
                 a if actor == b else actor for actor in r.countries)) for r in corpus])
-            assert merged.unit == result.unit and b not in merged.cells
+            assert merged.unit == result.unit and b not in vectors(merged).cells
             for level in LEVELS:
                 view, merged_view = at_level(result, REG10, level), at_level(merged, REG10, level)
                 assert merged_view.baselines == view.baselines
@@ -953,7 +1026,7 @@ class TestOneKernel:
         result = aggregate(corpus, actor_kind=kind)
         expected = {actor: {level: per_level_noai(cells, result, REG10, level)
                             for level in LEVELS}
-                    for actor, cells in result.cells.items()}
+                    for actor, cells in vectors(result).cells.items()}
         assert any(None in by_level.values() for by_level in expected.values())
         for levels in LEVEL_ORDERS:
             table = build_indicator_table(result, REG10, levels)
@@ -964,15 +1037,16 @@ class TestOneKernel:
 
     def test_the_lane_bound_is_reached_without_carry(self):
         result = aggregate(lane_bound_corpus())
-        astro = result.baselines["Astronomy & Astrophysics"]
+        view = vectors(result)
+        astro = view.baselines["Astronomy & Astrophysics"]
         x_world, oa_world = sum(astro), sum(astro) - astro[-1]
-        fra = result.cells["FRA"]["Astronomy & Astrophysics"]
+        fra = view.cells["FRA"]["Astronomy & Astrophysics"]
         assert sum(fra) - fra[-1] == oa_world
         for levels in LEVEL_ORDERS:
             for row in build_indicator_table(result, REG10, levels):
                 for level in levels:
                     assert row.noai[level] == per_level_noai(
-                        result.cells[row.actor], result, REG10, level), (row.actor, level)
+                        view.cells[row.actor], result, REG10, level), (row.actor, level)
             fra_row, = [r for r in build_indicator_table(result, REG10, levels)
                         if r.actor == "FRA"]
             assert fra_row.noai == dict.fromkeys(levels, x_world / sum(fra))
@@ -980,9 +1054,9 @@ class TestOneKernel:
     def test_an_actor_with_more_oa_than_the_world_raises(self):
         # Only a hand-built result can hold one, and it could overflow a lane.
         world = {"Mathematics": [1, 0, 0, 1], "Economics": [0, 0, 2, 0]}
-        result = AggregationResult(1, {"FRA": {"Mathematics": [2, 0, 0, 0],
-                                               "Economics": [0, 0, 2, 0]}}, world, {})
+        result = from_vectors(1, {"FRA": {"Mathematics": [2, 0, 0, 0],
+                                          "Economics": [0, 0, 2, 0]}}, world)
         with pytest.raises(ValueError, match="more OA counts than the world"):
             build_indicator_table(result, REG10, LEVELS)
         with pytest.raises(ValueError, match="more OA counts than the world"):
-            noai_of(result.cells["FRA"], world)
+            noai_of(vectors(result).cells["FRA"], world)

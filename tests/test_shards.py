@@ -32,6 +32,7 @@ from noai.engine import Aggregator
 from noai.errors import MalformedRecord, NoaiError, UnknownCategory
 from noai.ingest import CorpusReader, CorpusStats, IngestOptions
 from test_cli import CLI_DIGESTS, CLI_GOLDEN, DEMO_SPEC, child_env
+from test_engine import assert_sparse
 
 
 @contextmanager
@@ -215,6 +216,28 @@ class TestShardedPass:
     def test_ranges_give_one_pass(self, tmp_path, seed, options):
         path, _ = write(tmp_path, planted_corpus(seed))
         assert tally(path, 2, options) == tally(path, 1, options)
+
+    @pytest.mark.parametrize("options", OPTIONS, ids=["countries", "world-filtered"])
+    def test_a_read_stores_no_zero(self, tmp_path, options):
+        # In two ranges the duplicates found across the edge are taken back
+        # out of the merged tally.
+        removed = []
+
+        class Counting(Aggregator):
+            def remove_all(self, records):
+                removed.extend(records)
+                super().remove_all(records)
+
+        for seed in range(6):
+            path, _ = write(tmp_path, planted_corpus(seed))
+            for n in (1, 2):
+                agg = Counting()
+                with shard_count(n):
+                    shards.read_corpus(
+                        path, lambda span: CorpusReader(path, REG10, options, span), agg)
+                assert_no_child_left()
+                assert_sparse(agg)
+        assert removed
 
     @pytest.mark.parametrize("seed", range(3))
     def test_a_shifted_corpus_moves_every_edge(self, tmp_path, seed):
