@@ -77,6 +77,13 @@ def _rescaled(cells: Sequence[Mapping], unit: int, new: int) -> tuple[dict, ...]
                   for owner, by in owners.items()} for owners in cells)
 
 
+def _pairs(credits: Mapping[int, int], cells: Sequence[Mapping]) -> Iterable[tuple]:
+    """A tally as plain pairs: (None, credits), then ((slot, owner), by)."""
+    return chain(((None, credits),),
+                 (((slot, owner), by) for slot, owners in enumerate(cells)
+                  for owner, by in owners.items()))
+
+
 def _project(items: Iterable[tuple[str, int]],
              field_map: Mapping[str, str] | None) -> dict[str, int]:
     """(category, count) items as field -> count, adding up its categories."""
@@ -140,31 +147,9 @@ class Aggregator:
                     by[category] = by.get(category, 0) + share
             credits[k] += (1 + len(r.actors)) * k
         if self._credits:
-            self._add(unit, credits, cells)
+            self.add_counts(_pairs(credits, cells))
         else:
             self._unit, self._credits, self._cells, self._handed = unit, credits, cells, False
-
-    def _add(self, unit: int, credits: Mapping[int, int], cells: Sequence[Mapping]) -> None:
-        """Add credits and status maps of owner -> category -> count over
-        `unit`, rescaling the side whose unit is not the lcm of both; a new
-        owner's dict is copied."""
-        self._own()
-        joint = math.lcm(self._unit, unit)
-        if joint != self._unit:
-            self._cells, self._unit = _rescaled(self._cells, self._unit, joint), joint
-        if joint != unit:
-            cells = _rescaled(cells, unit, joint)
-        mine = self._credits
-        for k, n in credits.items():
-            mine[k] = mine.get(k, 0) + n
-        for owners, theirs_by_owner in zip(self._cells, cells):
-            for owner, theirs in theirs_by_owner.items():
-                by = owners.get(owner)
-                if by is None:
-                    owners[owner] = dict(theirs)
-                    continue
-                for category, n in theirs.items():
-                    by[category] = by.get(category, 0) + n
 
     def remove_all(self, records: Iterable[PublicationRecord]) -> None:
         """Uncount records that were counted: a count that reaches 0 or an
@@ -197,18 +182,31 @@ class Aggregator:
         ((slot, owner), category -> count) for each status slot and owner,
         over the lcm of the k. The dicts are the Aggregator's own, valid
         until its next change."""
-        return chain(((None, self._credits),),
-                     (((slot, owner), by) for slot, owners in enumerate(self._cells)
-                      for owner, by in owners.items()))
+        return _pairs(self._credits, self._cells)
 
     def add_counts(self, counts: Iterable[tuple]) -> None:
-        """Add a tally given as counts() gives it."""
+        """Add a tally given as counts() gives it, each pair as it comes: the
+        first, the credits, sets the unit, and the side whose unit is not the
+        lcm of both is rescaled. A new owner's dict is copied."""
+        self._own()
         pairs = iter(counts)
         _, credits = next(pairs)
-        cells = tuple({} for _ in OAStatus)
-        for (slot, owner), by in pairs:
-            cells[slot][owner] = by
-        self._add(math.lcm(*credits), credits, cells)
+        unit = math.lcm(*credits)
+        joint = math.lcm(self._unit, unit)
+        if joint != self._unit:
+            self._cells, self._unit = _rescaled(self._cells, self._unit, joint), joint
+        mine, cells, scale = self._credits, self._cells, joint // unit
+        for k, n in credits.items():
+            mine[k] = mine.get(k, 0) + n
+        for (slot, owner), theirs in pairs:
+            if scale != 1:
+                theirs = {category: n * scale for category, n in theirs.items()}
+            by = cells[slot].get(owner)
+            if by is None:
+                cells[slot][owner] = theirs if scale != 1 else dict(theirs)
+                continue
+            for category, n in theirs.items():
+                by[category] = by.get(category, 0) + n
 
     def finish(self) -> AggregationResult:
         self._handed = True

@@ -218,11 +218,11 @@ class CorpusReader:
     when stop is None: by default the whole file. Both edges must be line
     starts, and line numbers count from the range's first line (see
     noai.shards). After a pass `lines` counts its lines, blank ones
-    included. Only a range that stops before the end of the file, the first
-    of two, keeps its accepted ids in `seen`, for the merge. A range past
-    byte 0, the second of two, records in `checks` each record that reached
-    the duplicate check as two parallel sequences, (codes, ids): the code
-    line << 1 | accepted, and the id.
+    included. The first of two ranges, which stops before the end of the
+    file, keeps its accepted ids as the keys of the dict `seen` until the
+    merge has checked them. A range past byte 0, the second of two, records
+    in `checks` each record that reached the duplicate check as two parallel
+    sequences, (codes, ids): the code line << 1 | accepted, and the id.
     """
 
     def __init__(
@@ -238,7 +238,7 @@ class CorpusReader:
         self.span = span
         self.stats = CorpusStats()
         self.lines = 0
-        self.seen: set[str] = set()
+        self.seen: dict[str, None] = {}
         self.checks = None
 
     def _reject(self, line_no: int, reason: str, detail: str = ""):
@@ -286,7 +286,7 @@ class CorpusReader:
         stats = self.stats
         registry = self.registry
         known = registry.categories.__contains__ if registry is not None else None
-        seen_ids = set()
+        seen_ids = {}
         if self.span[1] is not None:
             # Only the first of two ranges keeps its ids, for the merge.
             self.seen = seen_ids
@@ -371,7 +371,7 @@ class CorpusReader:
                             )
                         reject(line_no, REASON_UNKNOWN_CATEGORY, ", ".join(missing))
                         continue
-                    seen_ids.add(rec_id)
+                    seen_ids[rec_id] = None
                     if ids is not None:
                         add_code(line_no << 1 | 1)
                         add_id(rec_id)

@@ -13,14 +13,14 @@ it was read, so both processes count at once. The child sends back only plain
 data (dicts, lists, tuples, ints and strs) through a pipe, in bounded chunks
 serialized by `marshal`: its statistics, its duplicate checks, then the
 consumer's state, an Aggregator's weighed cells. The parent merges them into
-the first range's results:
+the first range's results, each chunk as it arrives:
 
-- it applies the duplicate-id rule across the ranges. A record of the
-  second range whose id the first accepted is a duplicate_id rejection after
-  all: the child's counts of accepted records, of rejections by reason and
-  of years are corrected for it, and then added to the first range's. The
-  accepted ones are read again from their range and parsed again, and the
-  consumer takes them back out of its weighed cells;
+- it applies the duplicate-id rule across the ranges, then frees the first
+  range's ids. A record of the second range whose id the first accepted is
+  a duplicate_id rejection after all: the child's counts of accepted
+  records, of rejections by reason and of years are corrected for it and
+  added to the first range's. The accepted ones are read and parsed again
+  from their range, and the consumer takes them back out of its cells;
 - it renumbers the child's diagnostics by adding the first range's line
   count, and keeps the first MAX_KEPT_DIAGNOSTICS in line order;
 - under strict mode it raises the error with the smallest line number.
@@ -51,11 +51,11 @@ from .ingest import (
 )
 
 #: Fewest corpus bytes per range. A fork costs about 1 ms, and the parent
-#: loads and merges the child's tally at about 0.2 us a count.
-#: institutions-rank has the densest tally measured: each of its 1.2 MiB
-#: ranges credits about 100,000 (owner, category) pairs to about 50,000
-#: counts, and the serial tail after both ranges are counted, about 11 ms,
-#: is a sixth of the 70 ms pass over a range.
+#: loads and merges the child's tally at about 0.1 us a count, a chunk at a
+#: time. institutions-rank has the densest tally measured: each of its
+#: 1.2 MiB ranges credits about 100,000 (owner, category) pairs to about
+#: 50,000 counts, and the serial tail after both ranges are counted, about
+#: 8 ms, is a quarter of the 32 ms pass over a range.
 MIN_SHARD_BYTES = 1 << 20
 
 #: Duplicate checks per chunk that a child writes, and the fewest values (an
@@ -229,7 +229,7 @@ def _merge(head: CorpusReader, consumer, pipe, reader: CorpusReader) -> None:
     notes = {line: (reason, detail) for line, reason, detail in diagnostics}
     dropped = []
     for codes, ids in iter(load, None):
-        if seen.isdisjoint(ids):  # most chunks hold no duplicate
+        if seen.keys().isdisjoint(ids):  # most chunks hold no duplicate
             continue
         for code, rec_id in zip(codes, ids):
             if rec_id not in seen:
@@ -247,6 +247,7 @@ def _merge(head: CorpusReader, consumer, pipe, reader: CorpusReader) -> None:
                 notes[line] = (REASON_DUPLICATE_ID, rec_id)
         if len(notes) > MAX_KEPT_DIAGNOSTICS:
             notes = dict(sorted(notes.items())[:MAX_KEPT_DIAGNOSTICS])
+    seen.clear()
     if error is not None:
         line, unknown, text = error
         raise (UnknownCategory if unknown else MalformedRecord)(f"line {base + line}: {text}")

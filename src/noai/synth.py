@@ -137,11 +137,17 @@ def _is_number(value: object) -> bool:
 
 
 def _number_map(value: object, message: str, *args: object) -> dict[str, float]:
-    """``value`` as a map of floats, if it is an object of numbers."""
-    _require(isinstance(value, dict) and all(map(_is_number, value.values())),
-             message, *args)
+    """``value`` as a map of floats, if it is an object of numbers. A map of
+    ints and floats, none beyond the largest float, is checked as a whole by
+    its value types and magnitudes; any other map value by value."""
+    _require(isinstance(value, dict), message, *args)
     assert isinstance(value, dict)
-    return {key: float(w) for key, w in value.items()}
+    types = set(map(type, value.values()))
+    if types <= {float}:
+        return dict(value)
+    if not types <= {int, float} or not max(map(abs, value.values())) <= sys.float_info.max:
+        _require(all(map(_is_number, value.values())), message, *args)
+    return dict(zip(value, map(float, value.values())))
 
 
 def validate_spec(spec: SynthSpec) -> None:

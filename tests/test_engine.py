@@ -789,6 +789,51 @@ class TestSplitLaw:
         assert outputs(agg.finish()) == outputs(once.finish())
 
 
+def with_ks(records, ks, seed):
+    """The records with category counts k drawn from `ks`, so that their
+    tally's unit is the lcm of the k drawn."""
+    rng = random.Random(seed)
+    return [r._replace(subject_categories=tuple(rng.sample(CATS10, rng.choice(ks))))
+            for r in records]
+
+
+class TestStreamedMerge:
+    """add_counts merges each pair as it comes, so the parent of a two-range
+    read never holds the child's whole tally, and a streamed tally of any
+    unit adds up to the tally of one pass."""
+
+    def test_each_pair_is_merged_before_the_next_is_read(self):
+        other = Aggregator()
+        other.add_all(parsed(random_corpus(seed=58, n_records=300)))
+        agg = Aggregator()
+        pairs = list(other.counts())
+
+        def streamed():
+            for i, pair in enumerate(pairs):
+                if i:
+                    assert pairs[i - 1] in list(agg.counts())
+                yield pair
+
+        agg.add_counts(streamed())
+        assert dict(agg.counts()) == dict(other.counts())
+
+    # The receiver's unit is 2; the streamed tallies' 1, 2, 6 and 3.
+    @pytest.mark.parametrize("ks", [(1,), (1, 2), (2, 3), (1, 3)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_streamed_tallies_of_any_unit_give_one_pass(self, ks, seed):
+        head = with_ks(random_corpus(seed=seed, n_records=200), (1, 2), seed)
+        tail = with_ks(random_corpus(seed=seed + 50, n_records=150), ks, seed)
+        agg, other, once = Aggregator(), Aggregator(), Aggregator()
+        agg.add_all(parsed(head))
+        other.add_all(parsed(tail))
+        once.add_all(parsed(head + tail))
+        assert agg.finish().unit == 2 and other.finish().unit == math.lcm(*ks)
+        agg.add_counts(pair for pair in other.counts())
+        assert dict(agg.counts()) == dict(once.counts())
+        assert outputs(agg.finish()) == outputs(once.finish())
+        assert_sparse(agg)
+
+
 def assert_sparse(agg):
     """No count the Aggregator stores, or its result holds, is 0, and no
     owner's map of counts is empty."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -227,6 +228,30 @@ class TestSharedStrings:
             for text in strings:
                 assert first.setdefault(text, text) is text
             assert len(first) == 2 and len(strings) > 2
+
+
+class TestIdStore:
+    def test_retained_bytes_per_id(self, tmp_path):
+        # The first of two ranges keeps its accepted ids for the merge. On
+        # these 20,000 ids of 7 characters a dict of them retains about
+        # 77 B an id, strings included, and a set about 161 B, since a set
+        # of more than 19,661 entries has grown to 2 MiB; the bound lies
+        # between.
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(random_corpus(seed=57, n_records=20_000), path)
+        reader = CorpusReader(path, None, IngestOptions(), (0, path.stat().st_size))
+        tracemalloc.start()
+        try:
+            for _ in reader:
+                pass
+            held = tracemalloc.get_traced_memory()[0]
+            ids = len(reader.seen)
+            reader.seen.clear()
+            retained = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert ids == 20_000
+        assert retained / ids < 120
 
 
 def _blocks_outcome(path, block):

@@ -239,6 +239,31 @@ class TestShardedPass:
                 assert_sparse(agg)
         assert removed
 
+    def test_the_first_range_frees_its_ids_once_checked(self, tmp_path):
+        # The first range keeps its accepted ids only for the duplicate
+        # scan; the merge frees them before the child's tally arrives.
+        readers, kept = [], []
+
+        def open_range(span):
+            readers.append(CorpusReader(path, REG10, IngestOptions(), span))
+            return readers[-1]
+
+        class Keeping(Aggregator):
+            def add_all(self, reader):
+                super().add_all(reader)
+                kept.append(len(reader.seen))
+
+        path, _ = write(tmp_path, planted_corpus(0))
+        agg = Keeping()
+        with shard_count(2):
+            stats = shards.read_corpus(path, open_range, agg)
+        assert_no_child_left()
+        head, tail = sorted(readers, key=lambda r: r.span[0])
+        assert head.span[1] == tail.span[0] > 0
+        assert kept[0] > 0 and head.seen == {} and tail.seen == {}
+        assert stats.rejection_reasons["duplicate_id"] > 0
+        assert dict(agg.counts()) == tally(path, 1, IngestOptions())[0]
+
     @pytest.mark.parametrize("seed", range(3))
     def test_a_shifted_corpus_moves_every_edge(self, tmp_path, seed):
         # Leading blank lines move the edge through the lines after it.

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import load_corpus, write_corpus
@@ -25,6 +25,8 @@ from noai.synth import (
     OAProfile,
     SynthActor,
     SynthSpec,
+    _is_number,
+    _number_map,
     _signer_lists,
     generate,
     load_synth_spec,
@@ -411,6 +413,29 @@ class TestValidationOrderAndCost:
         CountedName.eq_calls = 0
         validate_spec(spec)
         assert CountedName.eq_calls <= 2 * (n_fields + entries)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.dictionaries(st.text(max_size=3), st.floats() | st.integers() | st.booleans()
+                           | st.integers(2**1023, 2**1024) | st.floats().map(np.float64)
+                           | st.none() | st.text(max_size=3), max_size=4)
+           | st.lists(st.floats(), max_size=2) | st.none())
+    # An int just past float range rounds to the largest float; NaN is no
+    # larger than any magnitude.
+    @example({"a": 1, "b": 2**1024 - 2**970 - 1})
+    @example({"a": float("nan"), "b": 1, "c": float("-inf")})
+    def test_a_number_map_is_checked_as_value_by_value(self, value):
+        # A map of floats, or of ints and floats, is checked as a whole; it
+        # is accepted exactly when _is_number accepts each of its values,
+        # bools and ints beyond float range rejected, and gives their floats.
+        if isinstance(value, dict) and all(map(_is_number, value.values())):
+            floats = _number_map(value, "m {}", 1)
+            assert list(floats) == list(value)
+            assert all(type(f) is float for f in floats.values())
+            assert list(map(float.hex, floats.values())) == [
+                float(v).hex() for v in value.values()]
+        else:
+            with pytest.raises(InvalidSpec, match="^m 1$"):
+                _number_map(value, "m {}", 1)
 
 
 def reference_signer_lists(signs: np.ndarray, ids: np.ndarray) -> list[str]:
