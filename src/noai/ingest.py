@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import stat
 import sys
+from array import array
 from collections import Counter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -47,10 +50,15 @@ REASON_NO_DOI = "no_doi"
 REASON_UNKNOWN_CATEGORY = "unknown_category"
 
 _DOC_TYPES = {d.value: d for d in DocType}
-_RAW_OA = frozenset(s.value for s in RAW_STATUSES)
+_RAW_STATUS = {s.value: s for s in RAW_STATUSES}
+_CLOSED = OAStatus.CLOSED
+# The default of an absent list field; never mutated.
+_NONE: list = []
 
-# The C scanner behind json.loads, without its wrapper: (value, end index).
-_raw_decode = json.JSONDecoder().raw_decode
+# The C scanner behind json.loads: scan_once(text, index) gives the JSON value
+# at the index and the index after it, or raises StopIteration if none starts
+# there.
+_scan_once = json.JSONDecoder().scan_once
 # A NamedTuple's own __new__ is a Python function; tuple's builds the same record.
 _new_record = tuple.__new__
 
@@ -59,6 +67,10 @@ MAX_KEPT_DIAGNOSTICS = 50
 
 #: Bytes a corpus is read in at a time.
 READ_BLOCK = 1 << 14
+
+#: The hash of an id in an IdStore. `hash()` of a str is salted per process
+#: and a forked child shares its parent's salt, so a hash is never persisted.
+_id_hash = hash
 
 REGISTRY_COLUMNS = ("subject_category", "ost_discipline", "erc_subfield")
 ACTOR_COLUMNS = ("actor_id", "kind", "group", "display_name")
@@ -107,15 +119,6 @@ class _EmptyCategories(ValueError):
     """A record whose schema is valid apart from its empty category list."""
 
 
-def _strings(value, name: str) -> None:
-    """Require a JSON array of non-empty strings."""
-    if type(value) is not list:
-        raise ValueError(f"{name} must be an array of non-empty strings")
-    for v in value:
-        if type(v) is not str or not v:
-            raise ValueError(f"{name} must be an array of non-empty strings")
-
-
 def _parse_line(obj: dict, escaped: bool, priority: tuple[OAStatus, ...],
                 actor_kind: ActorKind | None) -> PublicationRecord:
     """Build a record from a decoded JSON object; ValueError on schema violations.
@@ -138,21 +141,49 @@ def _parse_line(obj: dict, escaped: bool, priority: tuple[OAStatus, ...],
         raise ValueError("missing or invalid year")
     if obj.get("doc_type") not in _DOC_TYPES:
         raise ValueError(f"invalid doc_type {obj.get('doc_type')!r}")
-    oa = obj.get("oa", [])
+    oa = obj.get("oa", _NONE)
     if type(oa) is not list:
         raise ValueError("oa must be an array")
-    for s in oa:
-        if s not in _RAW_OA:
-            raise ValueError(f"invalid oa status {s!r}")
+    # Most records hold no status or one, which needs no priority loop.
+    if len(oa) == 1:
+        status = _RAW_STATUS.get(oa[0])
+        if status is None:
+            raise ValueError(f"invalid oa status {oa[0]!r}")
+        if status not in priority:
+            status = _CLOSED
+    elif oa:
+        for s in oa:
+            if s not in _RAW_STATUS:
+                raise ValueError(f"invalid oa status {s!r}")
+        for status in priority:
+            if status in oa:
+                break
+        else:
+            status = _CLOSED
+    else:
+        status = _CLOSED
+    # Each list must be an array of non-empty strings.
     categories = obj.get("categories")
-    _strings(categories, "categories")
+    if type(categories) is not list:
+        raise ValueError("categories must be an array of non-empty strings")
+    for v in categories:
+        if type(v) is not str or not v:
+            raise ValueError("categories must be an array of non-empty strings")
     doi = obj.get("doi", False)
     if type(doi) is not bool:
         raise ValueError("doi must be a boolean")
-    countries = obj.get("countries", [])
-    _strings(countries, "countries")
-    institutions = obj.get("institutions", [])
-    _strings(institutions, "institutions")
+    countries = obj.get("countries", _NONE)
+    if type(countries) is not list:
+        raise ValueError("countries must be an array of non-empty strings")
+    for v in countries:
+        if type(v) is not str or not v:
+            raise ValueError("countries must be an array of non-empty strings")
+    institutions = obj.get("institutions", _NONE)
+    if type(institutions) is not list:
+        raise ValueError("institutions must be an array of non-empty strings")
+    for v in institutions:
+        if type(v) is not str or not v:
+            raise ValueError("institutions must be an array of non-empty strings")
     if not categories:
         # Raised after the rest of the schema checks so the reason is specific.
         raise _EmptyCategories("categories is empty")
@@ -168,11 +199,6 @@ def _parse_line(obj: dict, escaped: bool, priority: tuple[OAStatus, ...],
         # A JSON escape can yield a lone surrogate, which no UTF-8 output can
         # hold; encoding raises UnicodeEncodeError, a ValueError.
         "".join((rec_id, *deduped, *countries, *institutions)).encode("utf-8")
-    for status in priority:
-        if status in oa:
-            break
-    else:
-        status = OAStatus.CLOSED
     if actor_kind is None:
         actors = frozenset()
     else:
@@ -203,6 +229,93 @@ def _line_blocks(stream, size: int = -1) -> Iterator[bytes]:
     yield b"".join(parts)
 
 
+def _open_corpus(path):
+    """The corpus at `path` open for reading bytes; IoFailure if it cannot be."""
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise IoFailure(f"cannot open corpus {path}: {exc}") from exc
+
+
+def _line_at(fd: int, offset: int) -> bytes:
+    """The stripped bytes of the line that starts at byte `offset` of the
+    regular file open as `fd`."""
+    size = 1 << 9
+    while True:
+        data = os.pread(fd, size, offset)
+        if len(data) < size or b"\n" in data or b"\r" in data:
+            return data.splitlines()[0].strip()
+        size <<= 2
+
+
+class IdStore:
+    """The ids of the records that a pass accepted, for the rule that the
+    first accepted duplicate id wins, in 25 to 33 bytes an id.
+
+    Entry e >= 1 holds an id's 64-bit `hash()`, `hashes[e]`, and where the
+    id can be read again, `refs[e]`: the byte offset of its line in a
+    regular file, or the id itself in a corpus that cannot be read twice,
+    such as a pipe. `slots`, a power of two of cells at most half full,
+    each 0 (empty) or an entry, finds an entry by its hash with linear
+    probing. An entry of the same hash is only a candidate: its id is read
+    again and compared, so two ids that hash alike are both accepted. A
+    store of the range past byte 0 also holds, in `codes`, each entry's
+    line << 1 | accepted, and makes an entry outside `slots` of each record
+    rejected for an unknown category, so that the merge can check every
+    record that reached the duplicate check against the first range.
+    """
+
+    def __init__(self, keep_ids: bool = False, codes: bool = False):
+        self.slots = array("i", [0]) * (1 << 10)
+        self.hashes = array("q", [0])
+        self.refs = [None] if keep_ids else array("q", [0])
+        self.codes = array("q", [0]) if codes else None
+
+    def __len__(self) -> int:
+        return len(self.hashes) - 1
+
+    def clear(self) -> None:
+        """Drop every entry."""
+        self.__init__(type(self.refs) is list, self.codes is not None)
+
+    def grow(self, ids: int):
+        """Rebuild `slots` for `ids` entries at most half full; return it."""
+        size = 1 << (2 * ids - 1).bit_length()
+        # Cells of 4 bytes hold the entries of any range under 2**30 ids.
+        slots = array("i" if size < 1 << 31 else "q", [0]) * size
+        mask, hashes = size - 1, self.hashes
+        for entry in filter(None, self.slots):
+            i = hashes[entry] & mask
+            while slots[i]:
+                i = i + 1 & mask
+            slots[i] = entry
+        self.slots = slots
+        return slots
+
+    def same(self, entry: int, rec_id: str, line: bytes, fd: int) -> bool:
+        """Whether an entry's id is `rec_id`, the id of the stripped line
+        `line`, reading the entry's line again from the corpus open as `fd`.
+
+        A line is one JSON object, so an accepted line that starts with the
+        bytes of `line` is a copy of it, and its id is not parsed again."""
+        ref = self.refs[entry]
+        if type(ref) is str:
+            return ref == rec_id
+        return (os.pread(fd, len(line), ref) == line
+                or json.loads(_line_at(fd, ref).decode("utf-8"))["id"] == rec_id)
+
+    def matches(self, hashes: Iterable[int]) -> Iterator[tuple[int, int]]:
+        """(i, entry) for each hashes[i] and each entry of that hash."""
+        slots, held = self.slots, self.hashes
+        mask = len(slots) - 1
+        for j, h in enumerate(hashes):
+            i = h & mask
+            while entry := slots[i]:
+                if held[entry] == h:
+                    yield j, entry
+                i = i + 1 & mask
+
+
 class CorpusReader:
     """Streaming corpus reader of records as counted under the options.
 
@@ -218,11 +331,11 @@ class CorpusReader:
     when stop is None: by default the whole file. Both edges must be line
     starts, and line numbers count from the range's first line (see
     noai.shards). After a pass `lines` counts its lines, blank ones
-    included. The first of two ranges, which stops before the end of the
-    file, keeps its accepted ids as the keys of the dict `seen` until the
-    merge has checked them. A range past byte 0, the second of two, records
-    in `checks` each record that reached the duplicate check as two parallel
-    sequences, (codes, ids): the code line << 1 | accepted, and the id.
+    included. A pass holds its accepted ids in an IdStore. A range of a
+    file read in two keeps it in `seen` for the merge, which empties the
+    first range's once checked; the store of the range past byte 0 also
+    holds every record that reached the duplicate check. Otherwise `seen`
+    is None.
     """
 
     def __init__(
@@ -238,8 +351,7 @@ class CorpusReader:
         self.span = span
         self.stats = CorpusStats()
         self.lines = 0
-        self.seen: dict[str, None] = {}
-        self.checks = None
+        self.seen: IdStore | None = None
 
     def _reject(self, line_no: int, reason: str, detail: str = ""):
         self.stats.rejection_reasons[reason] += 1
@@ -253,26 +365,12 @@ class CorpusReader:
             stream.seek(start)
         return _line_blocks(stream, -1 if stop is None else stop - start)
 
-    def records_at(self, lines: Iterable[int]) -> list[PublicationRecord]:
-        """The records of lines that a pass of this reader accepted, given by
-        their ascending line numbers, read and parsed again."""
-        priority, actor_kind = self.options.priority, self.options.actor_kind
-        wanted = iter(lines)
-        want = next(wanted, None)
-        records = []
-        base = 0
-        with open(self.path, "rb") as stream:
-            for block in self._blocks(stream):
-                if want is None:
-                    break
-                block_lines = block.splitlines()
-                while want is not None and want <= base + len(block_lines):
-                    text = block_lines[want - base - 1].strip().decode("utf-8")
-                    records.append(_parse_line(json.loads(text), "\\u" in text,
-                                               priority, actor_kind))
-                    want = next(wanted, None)
-                base += len(block_lines)
-        return records
+    def record_of(self, line: bytes) -> PublicationRecord:
+        """The record of a stripped line that a pass of this reader checked
+        for a duplicate id, parsed again."""
+        text = line.decode("utf-8")
+        return _parse_line(json.loads(text), "\\u" in text, self.options.priority,
+                           self.options.actor_kind)
 
     def __iter__(self) -> Iterator[PublicationRecord]:
         opts = self.options
@@ -286,22 +384,9 @@ class CorpusReader:
         stats = self.stats
         registry = self.registry
         known = registry.categories.__contains__ if registry is not None else None
-        seen_ids = {}
-        if self.span[1] is not None:
-            # Only the first of two ranges keeps its ids, for the merge.
-            self.seen = seen_ids
-        ids = None
-        if self.span[0]:
-            # Only a range read in a child records checks, so only a child
-            # loads the array module.
-            from array import array
-
-            codes, ids = self.checks = array("q"), []
-            add_code, add_id = codes.append, ids.append
-        try:
-            stream = open(self.path, "rb")
-        except OSError as exc:
-            raise IoFailure(f"cannot open corpus {self.path}: {exc}") from exc
+        id_hash = _id_hash
+        start, stop = self.span
+        stream = _open_corpus(self.path)
         # Per-line bookkeeping stays in locals; `finally` hands it to stats
         # however the pass ends.
         line_no = 0
@@ -310,11 +395,30 @@ class CorpusReader:
         years = {}
         year_count = years.get
         try:
+            fd = stream.fileno()
+            info = os.fstat(fd)
+            # Only a regular file is read again to confirm a duplicate; its
+            # range's size sizes the store from the rate of ids so far.
+            keep_ids = not stat.S_ISREG(info.st_mode)
+            size = 0 if keep_ids else (info.st_size if stop is None else stop) - start
+            store = IdStore(keep_ids, start > 0)
+            if start or stop is not None:
+                self.seen = store
+            slots, hashes, refs, codes = store.slots, store.hashes, store.refs, store.codes
+            add_hash, add_ref = hashes.append, refs.append
+            add_code = codes.append if codes is not None else None
+            same = store.same
+            mask = len(slots) - 1
+            limit = mask >> 1
+            entries = 0
+            pos = start
             for block in self._blocks(stream):
                 # \r, \n and \r\n all end a line, as in text mode; JSON strings
                 # cannot hold a raw line break.
-                for line in block.splitlines():
+                for line in block.splitlines(True):
                     line_no += 1
+                    offset = pos
+                    pos += len(line)
                     line = line.strip()
                     if not line:
                         continue
@@ -322,8 +426,8 @@ class CorpusReader:
                     try:
                         text = line.decode("utf-8")
                         try:
-                            obj, end = _raw_decode(text)
-                        except ValueError:
+                            obj, end = _scan_once(text, 0)
+                        except (ValueError, StopIteration):
                             end = -1
                         if end != len(text):
                             # Not one JSON value: json.loads raises with its
@@ -354,16 +458,25 @@ class CorpusReader:
                         reject(line_no, REASON_NO_DOI)
                         continue
                     rec_id = record.id
-                    if rec_id in seen_ids:
+                    h = id_hash(rec_id)
+                    i = h & mask
+                    while entry := slots[i]:
+                        if hashes[entry] == h and same(entry, rec_id, line, fd):
+                            break
+                        i = i + 1 & mask
+                    if entry:
                         if strict:
                             raise MalformedRecord(f"line {line_no}: duplicate id {rec_id!r}")
                         reject(line_no, REASON_DUPLICATE_ID, rec_id)
                         continue
+                    ref = rec_id if keep_ids else offset
                     if known is not None and not all(map(known, record.subject_categories)):
                         missing = [c for c in record.subject_categories if not known(c)]
-                        if ids is not None:
+                        if codes is not None:
+                            entries += 1
+                            add_hash(h)
+                            add_ref(ref)
                             add_code(line_no << 1)
-                            add_id(rec_id)
                         if strict:
                             raise UnknownCategory(
                                 f"line {line_no}: record {rec_id!r} has unknown "
@@ -371,10 +484,18 @@ class CorpusReader:
                             )
                         reject(line_no, REASON_UNKNOWN_CATEGORY, ", ".join(missing))
                         continue
-                    seen_ids[rec_id] = None
-                    if ids is not None:
+                    entries += 1
+                    slots[i] = entries
+                    add_hash(h)
+                    add_ref(ref)
+                    if codes is not None:
                         add_code(line_no << 1 | 1)
-                        add_id(rec_id)
+                    if entries > limit:
+                        # Room for the ids of the whole range at the rate so
+                        # far, and at least twice the slots.
+                        slots = store.grow(max(entries * size // (pos - start), 2 * entries))
+                        mask = len(slots) - 1
+                        limit = mask >> 1
                     accepted += 1
                     years[year] = year_count(year, 0) + 1
                     yield record

@@ -10,17 +10,22 @@ its middle: after a \\n, or after a \\r that is not followed by \\n, so a
 second in a child made by os.fork(); each range runs the command's consumer
 on its own CorpusReader, and an Aggregator tallies its range's cells where
 it was read, so both processes count at once. The child sends back only plain
-data (dicts, lists, tuples, ints and strs) through a pipe, in bounded chunks
+data (dicts, lists, tuples, ints, strs and bytes) through a pipe, in bounded chunks
 serialized by `marshal`: its statistics, its duplicate checks, then the
 consumer's state, an Aggregator's weighed cells. The parent merges them into
 the first range's results, each chunk as it arrives:
 
 - it applies the duplicate-id rule across the ranges, then frees the first
-  range's ids. A record of the second range whose id the first accepted is
-  a duplicate_id rejection after all: the child's counts of accepted
-  records, of rejections by reason and of years are corrected for it and
-  added to the first range's. The accepted ones are read and parsed again
-  from their range, and the consumer takes them back out of its cells;
+  range's ids. For each record that reached its duplicate check, the child
+  sends its line, its id's hash and its line's byte offset; a forked child
+  shares its parent's hash salt, so the parent looks each hash up in the
+  first range's IdStore, and a record whose hash is there is read and
+  parsed again at its offset and compared by id with the first range's
+  line of that hash. A record of the second range whose id the first
+  accepted is a duplicate_id rejection after all: the child's counts of
+  accepted records, of rejections by reason and of years are corrected for
+  it and added to the first range's, and the consumer takes the accepted
+  ones back out of its cells;
 - it renumbers the child's diagnostics by adding the first range's line
   count, and keeps the first MAX_KEPT_DIAGNOSTICS in line order;
 - under strict mode it raises the error with the smallest line number.
@@ -37,6 +42,7 @@ import marshal
 import os
 import stat
 import sys
+from array import array
 from collections.abc import Callable
 from itertools import chain
 
@@ -47,7 +53,9 @@ from .ingest import (
     REASON_UNKNOWN_CATEGORY,
     CorpusReader,
     CorpusStats,
+    _line_at,
     _line_blocks,
+    _open_corpus,
 )
 
 #: Fewest corpus bytes per range. A fork costs about 1 ms, and the parent
@@ -195,11 +203,12 @@ def _send(out, reader: CorpusReader, consumer) -> None:
         # "line N: ...".
         error = (reader.lines, type(exc) is UnknownCategory, str(exc).partition(": ")[2])
     stats = reader.stats
-    codes, ids = reader.checks
+    store = reader.seen
     send((stats.records_read, stats.records_accepted, dict(stats.rejection_reasons),
           dict(stats.years), stats.diagnostics, error))
-    for i in range(0, len(ids), CHUNK):
-        send((codes[i:i + CHUNK].tolist(), ids[i:i + CHUNK]))
+    for i in range(1, len(store.codes), CHUNK):
+        send(tuple(part[i:i + CHUNK].tobytes()
+                   for part in (store.codes, store.hashes, store.refs)))
     send(None)
     if error is None:
         chunk, size = [], 0
@@ -228,35 +237,41 @@ def _merge(head: CorpusReader, consumer, pipe, reader: CorpusReader) -> None:
     base, seen, stats = head.lines, head.seen, head.stats
     notes = {line: (reason, detail) for line, reason, detail in diagnostics}
     dropped = []
-    for codes, ids in iter(load, None):
-        if seen.keys().isdisjoint(ids):  # most chunks hold no duplicate
-            continue
-        for code, rec_id in zip(codes, ids):
-            if rec_id not in seen:
-                continue
-            line = code >> 1
-            if head.options.strict:
-                raise MalformedRecord(f"line {base + line}: duplicate id {rec_id!r}")
-            reasons[REASON_DUPLICATE_ID] = reasons.get(REASON_DUPLICATE_ID, 0) + 1
-            if code & 1:
-                accepted -= 1
-                dropped.append(line)
-            else:  # the duplicate check comes before the registry's
-                reasons[REASON_UNKNOWN_CATEGORY] -= 1
-            if code & 1 or line in notes:
-                notes[line] = (REASON_DUPLICATE_ID, rec_id)
-        if len(notes) > MAX_KEPT_DIAGNOSTICS:
-            notes = dict(sorted(notes.items())[:MAX_KEPT_DIAGNOSTICS])
+    with _open_corpus(head.path) as corpus:
+        fd = corpus.fileno()
+        for chunk in iter(load, None):
+            codes, hashes, offsets = (array("q", part) for part in chunk)
+            found = -1
+            for j, entry in seen.matches(hashes):
+                if j == found:
+                    continue
+                # A hash that the first range holds: a duplicate only if the ids agree.
+                data = _line_at(fd, offsets[j])
+                record = reader.record_of(data)
+                if not seen.same(entry, record.id, data, fd):
+                    continue
+                found, code = j, codes[j]
+                line = code >> 1
+                if head.options.strict:
+                    raise MalformedRecord(f"line {base + line}: duplicate id {record.id!r}")
+                reasons[REASON_DUPLICATE_ID] = reasons.get(REASON_DUPLICATE_ID, 0) + 1
+                if code & 1:
+                    accepted -= 1
+                    years[record.year] -= 1
+                    dropped.append(record)
+                else:  # the duplicate check comes before the registry's
+                    reasons[REASON_UNKNOWN_CATEGORY] -= 1
+                if code & 1 or line in notes:
+                    notes[line] = (REASON_DUPLICATE_ID, record.id)
+            if len(notes) > MAX_KEPT_DIAGNOSTICS:
+                notes = dict(sorted(notes.items())[:MAX_KEPT_DIAGNOSTICS])
     seen.clear()
     if error is not None:
         line, unknown, text = error
         raise (UnknownCategory if unknown else MalformedRecord)(f"line {base + line}: {text}")
     consumer.add_counts(chain.from_iterable(iter(load, None)))
     if dropped:
-        records = reader.records_at(dropped)
-        for record in records:
-            years[record.year] -= 1
-        consumer.remove_all(records)
+        consumer.remove_all(dropped)
 
     stats.records_read += read
     stats.records_accepted += accepted

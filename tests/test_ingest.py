@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -230,13 +232,40 @@ class TestSharedStrings:
             assert len(first) == 2 and len(strings) > 2
 
 
+def alike(rec_id):
+    """A hash under which every id collides."""
+    return 7
+
+
+def _pipe_outcome(data: bytes, registry=None, options=None):
+    """`_outcome` of a reader of `data` fed through a pipe."""
+    r, w = os.pipe()
+    feeder = threading.Thread(target=lambda: (os.write(w, data), os.close(w)))
+    feeder.start()
+    try:
+        return _outcome(CorpusReader(f"/dev/fd/{r}", registry, options))
+    finally:
+        feeder.join()
+        os.close(r)
+
+
+#: Ids that repeat: "a" after records of other ids, "b" right after itself
+#: and "u" after a record rejected for an unknown category, which claims no
+#: id. An id written with a JSON escape repeats in plain UTF-8.
+_REPEATS = [
+    line(id="a", year=2016), line(id="b"), line(id="b", year=2019),
+    line(id="u", categories=["Palmistry"]), line(id="u"), line(id="c"),
+    line(id="a", oa=[]), line(id="d\u00e9"), line(id="d\u00e9").replace("\\u00e9", "\u00e9"),
+    line(id="u"),
+]
+
+
 class TestIdStore:
     def test_retained_bytes_per_id(self, tmp_path):
         # The first of two ranges keeps its accepted ids for the merge. On
-        # these 20,000 ids of 7 characters a dict of them retains about
-        # 77 B an id, strings included, and a set about 161 B, since a set
-        # of more than 19,661 entries has grown to 2 MiB; the bound lies
-        # between.
+        # these 20,000 ids of 7 characters the store retains about 30 B an
+        # id: a hash and a line offset, and a table of 65,536 4-byte slots.
+        # A dict of the ids retained about 77 B an id, strings included.
         path = tmp_path / "corpus.jsonl"
         write_corpus(random_corpus(seed=57, n_records=20_000), path)
         reader = CorpusReader(path, None, IngestOptions(), (0, path.stat().st_size))
@@ -251,7 +280,49 @@ class TestIdStore:
         finally:
             tracemalloc.stop()
         assert ids == 20_000
-        assert retained / ids < 120
+        assert retained / ids < 40
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_ids_that_hash_alike_are_told_apart(self, tmp_path, strict):
+        # Under a hash that is the same for every id, each id is read again
+        # and compared: every distinct id is accepted, and each repeat is
+        # rejected with its reason and detail, or in strict mode with its
+        # message.
+        path = corpus_file(tmp_path, _REPEATS)
+        options = IngestOptions(strict=strict)
+        records, error, stats, diagnostics = whole = _outcome(
+            CorpusReader(path, REG10, options))
+        if strict:
+            assert len(records) == 2 and error == (MalformedRecord, "line 3: duplicate id 'b'")
+        else:
+            assert [(r.id, r.year) for r in records] == [
+                ("a", 2016), ("b", 2018), ("u", 2018), ("c", 2018), ("d\u00e9", 2018)]
+            assert [d for d in diagnostics if d[1] == REASON_DUPLICATE_ID] == [
+                (3, REASON_DUPLICATE_ID, "b"), (7, REASON_DUPLICATE_ID, "a"),
+                (9, REASON_DUPLICATE_ID, "d\u00e9"), (10, REASON_DUPLICATE_ID, "u")]
+        with mock.patch.object(ingest, "_id_hash", alike):
+            assert _outcome(CorpusReader(path, REG10, options)) == whole
+
+    def test_a_pipe_keeps_its_ids(self, tmp_path):
+        # A pipe cannot be read twice, so its store holds the ids themselves.
+        path = corpus_file(tmp_path, _REPEATS)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        whole = _outcome(CorpusReader(path, REG10))
+        assert _pipe_outcome(data, REG10) == whole
+        with mock.patch.object(ingest, "_id_hash", alike):
+            assert _pipe_outcome(data, REG10) == whole
+
+    def test_many_ids_that_hash_alike(self, tmp_path):
+        # Past its first table, the store is rebuilt for the range's ids.
+        path = tmp_path / "corpus.jsonl"
+        records = random_corpus(seed=58, n_records=1500)
+        write_corpus(records + records[::7], path)
+        whole = _outcome(CorpusReader(path))
+        assert len(whole[0]) == 1500
+        assert whole[2]["rejection_reasons"] == {REASON_DUPLICATE_ID: 215}
+        with mock.patch.object(ingest, "_id_hash", lambda rec_id: hash(rec_id) & 0xff):
+            assert _outcome(CorpusReader(path)) == whole
 
 
 def _blocks_outcome(path, block):
@@ -288,6 +359,23 @@ class TestBlocks:
         assert [d[0] for d in diagnostics] == [bad_line]
         for block in (*range(1, 300), 4096):
             assert _blocks_outcome(path, block) == whole, block
+
+    def test_a_duplicate_of_a_line_across_a_block_edge(self, tmp_path):
+        # The first "a" ends in \r\n, and the block edges fall everywhere in
+        # it and around it, also between its \r and its \n: its offset must
+        # lead back to it. Under a hash that is the same for every id, every
+        # earlier line is read again.
+        data = b"".join((line(id="b").encode(), b"\r\n  ", line(id="a").encode(), b"\r\n",
+                         line(id="c").encode(), b"\r", line(id="a", year=2017).encode()))
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(data)
+        for hashed in (hash, alike):
+            with mock.patch.object(ingest, "_id_hash", hashed):
+                for block in range(1, len(data) + 1, 3):
+                    records, error, stats, diagnostics = _blocks_outcome(path, block)
+                    assert [(r.id, r.year) for r in records] == [
+                        ("b", 2018), ("a", 2018), ("c", 2018)], block
+                    assert diagnostics == [(4, REASON_DUPLICATE_ID, "a")], block
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.lists(st.sampled_from([b"x", b"yz", b" ", b"\n", b"\r", b"\r\n"]))
@@ -670,11 +758,11 @@ def _outcome(reader):
 def _loads_outcome(path, registry, options):
     """`_outcome` of a reader that decodes every line with json.loads and
     runs every check of `_parse_line`."""
-    def no_scanner(text):
+    def no_scanner(text, index):
         raise ValueError("decode with json.loads")
 
     parse = ingest._parse_line
-    with mock.patch.object(ingest, "_raw_decode", no_scanner), \
+    with mock.patch.object(ingest, "_scan_once", no_scanner), \
             mock.patch.object(ingest, "_parse_line",
                               lambda obj, escaped, priority, actor_kind:
                               parse(obj, True, priority, actor_kind)):

@@ -16,6 +16,7 @@ import random
 import subprocess
 import sys
 import threading
+from array import array
 from contextlib import contextmanager
 from types import SimpleNamespace
 from unittest import mock
@@ -31,7 +32,7 @@ from noai.cli import main
 from noai.engine import Aggregator
 from noai.errors import MalformedRecord, NoaiError, UnknownCategory
 from noai.ingest import CorpusReader, CorpusStats, IngestOptions
-from test_cli import CLI_DIGESTS, CLI_GOLDEN, DEMO_SPEC, child_env
+from test_cli import CLI_DIGESTS, CLI_GOLDEN, DEMO_SPEC, ENTRY_IN_RANGES, child_env
 from test_engine import assert_sparse
 
 
@@ -260,7 +261,7 @@ class TestShardedPass:
         assert_no_child_left()
         head, tail = sorted(readers, key=lambda r: r.span[0])
         assert head.span[1] == tail.span[0] > 0
-        assert kept[0] > 0 and head.seen == {} and tail.seen == {}
+        assert kept[0] > 0 and len(head.seen) == 0 and tail.seen is None
         assert stats.rejection_reasons["duplicate_id"] > 0
         assert dict(agg.counts()) == tally(path, 1, IngestOptions())[0]
 
@@ -380,6 +381,53 @@ class TestStrict:
             assert cli_run(tmp_path, capsys, 2, ["indicators", "--strict"]) == one
 
 
+class TestIdHashes:
+    """A range's ids are held as hashes and line offsets; a hash is only a
+    candidate, and ids read again decide, in one range and in two."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("options", OPTIONS, ids=["countries", "world-filtered"])
+    def test_ids_that_hash_alike(self, tmp_path, seed, options):
+        path, _ = write(tmp_path, planted_corpus(seed))
+        one = tally(path, 1, options)
+        assert one[1]["rejection_reasons"]["duplicate_id"] > 0
+        # A forked child keeps the patched hash.
+        with mock.patch.object(ingest, "_id_hash", lambda rec_id: 7):
+            assert tally(path, 1, options) == one
+            assert tally(path, 2, options) == one
+
+    def test_strict_duplicate_message(self, tmp_path):
+        record = serialize_record(random_corpus(3, 1)[0])
+        earlier = text({**record, "year": 2030})
+        message = f"line {{}}: duplicate id {record['id']!r}"
+        for position in (2, 38):  # in the first range, in the second
+            path, _ = write(tmp_path, strict_corpus(position, earlier))
+            for n in (1, 2):
+                assert strict_outcome(path, n) == (MalformedRecord,
+                                                   message.format(position + 1)), (position, n)
+
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        write(tmp_path, planted_corpus(4, 200))
+        runs = {}
+        for seed in ("0", "1"):
+            for ranges in (1, 2):
+                out = tmp_path / "out.json"
+                for path in (out, tmp_path / "out.json.manifest.json"):
+                    path.unlink(missing_ok=True)
+                proc = subprocess.run(
+                    [sys.executable, "-c", ENTRY_IN_RANGES, str(ranges), "indicators",
+                     "--corpus", "corpus.jsonl", "--registry", "registry.csv",
+                     "--format", "json", "--out", "out.json"],
+                    cwd=tmp_path, env={**child_env(), "PYTHONHASHSEED": seed},
+                    capture_output=True, timeout=60)
+                runs[seed, ranges] = (proc.returncode, proc.stdout, proc.stderr,
+                                      out.read_bytes(),
+                                      (tmp_path / "out.json.manifest.json").read_bytes())
+        first = runs["0", 1]
+        assert first[0] == 0 and b"duplicate_id" in first[4]
+        assert all(run == first for run in runs.values())
+
+
 class Failing(Aggregator):
     """Raises `error` on the range that starts at byte `start`."""
 
@@ -429,17 +477,17 @@ class TestChunks:
                 mock.patch.object(shards, "marshal", SimpleNamespace(dumps=marshal.dumps,
                                                                      loads=loads)):
             assert tally(path, 2, options) == one
-        checks = [x for x in loaded if type(x) is tuple and len(x) == 2]
+        checks = [[array("q", part) for part in x]
+                  for x in loaded if type(x) is tuple and len(x) == 3]
         state = [x for x in loaded if type(x) is list]
-        assert len(checks) > 10 and all(len(ids) <= 3 for _, ids in checks)
+        assert len(checks) > 10 and all(len(part) <= 3 for check in checks for part in check)
         assert len(state) > 3
         assert all(sum(len(v) for _, v in chunk[:-1]) < 3 <= sum(len(v) for _, v in chunk)
                    for chunk in state[:-1])
 
     def test_duplicates_in_the_first_a_middle_and_the_last_chunk(self, tmp_path):
-        # The parent checks a chunk of ids record by record only when it
-        # holds an id the first range accepted; here the first, a middle
-        # and the last of the child's chunks do.
+        # The child's hashes cross many chunks; the first, a middle and the
+        # last of them hold the hash of an id that the first range accepted.
         records = random_corpus(9, 90)
         data = "".join(text(serialize_record(r)) + "\n" for r in records).encode()
         path, _ = write(tmp_path, data)
@@ -463,9 +511,10 @@ class TestChunks:
                 mock.patch.object(shards, "marshal", SimpleNamespace(dumps=marshal.dumps,
                                                                      loads=loads)):
             assert tally(path, 2, IngestOptions()) == one
-        head = {r.id for r in records[:cut]}
-        checks = [x[1] for x in loaded if type(x) is tuple and len(x) == 2]
-        hits = [i for i, ids in enumerate(checks) if head.intersection(ids)]
+        # The child shares this process's hash salt.
+        head = {hash(r.id) for r in records[:cut]}
+        checks = [array("q", x[1]) for x in loaded if type(x) is tuple and len(x) == 3]
+        hits = [i for i, hashes in enumerate(checks) if head.intersection(hashes)]
         assert len(checks) > 10 and hits == [0, tail // 6, len(checks) - 1]
         assert one[1]["rejection_reasons"]["duplicate_id"] == 3
 
@@ -622,7 +671,7 @@ class TestUnitAcrossRanges:
         path, _ = write(tmp_path, b"".join(first + second + dup))
         one = finished(path)
         assert one.unit == 2
-        assert len(CorpusReader(path, REG10).records_at([41])[0].subject_categories) == 5
+        assert len(CorpusReader(path, REG10).record_of(dup[0].strip()).subject_categories) == 5
         assert finished(path, len(b"".join(first))) == one
 
     @pytest.mark.parametrize("ks", [((1, 2), (1, 4)), ((1, 4), (1, 2)), ((2,), (3,))],
